@@ -10,7 +10,7 @@ and cross-checked; see the README for the CLI and census harness.
 
 from .cohomology import BettiTable, reduced_betti, restriction_is_trivial
 from .census import CensusRecord, run_census, verify_census
-from .f2 import BACKEND, F2Matrix, Subgroup
+from .f2 import Subgroup
 from .formality import (
     FixedPointModelError,
     FormalityReport,
@@ -27,9 +27,7 @@ from .moment_angle import (
     CubicalComplex,
     SpaceBettiTable,
     build_cubical,
-    cubical_betti,
     fixed_betti_via_link,
-    fixed_subcomplex,
     hochster_complex_betti,
     hochster_real_betti,
 )
@@ -38,11 +36,9 @@ from .simplicial import Graph, SimplicialComplex
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BettiTable",
     "CensusRecord",
     "CubicalComplex",
-    "F2Matrix",
     "FixedPointModelError",
     "FormalityReport",
     "Graph",
@@ -54,11 +50,9 @@ __all__ = [
     "betti_sum_oracle",
     "build_cubical",
     "coabelian_report",
-    "cubical_betti",
     "decide",
     "evaluate_all",
     "fixed_betti_via_link",
-    "fixed_subcomplex",
     "flag_criterion",
     "general_criterion",
     "hochster_complex_betti",

@@ -66,10 +66,9 @@ class CensusRecord:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def compute_record(k: SimplicialComplex, i_mask: int, is_flag: bool | None = None) -> CensusRecord:
+def compute_record(k: SimplicialComplex, i_mask: int) -> CensusRecord:
     """Run every applicable decider on one (K, I) pair."""
-    if is_flag is None:
-        is_flag = k.is_flag()
+    is_flag = k.is_flag()
     verdict_flag = flag_criterion(k, i_mask).verdict if is_flag else None
     verdict_general = general_criterion(k, i_mask).verdict
     oracle = betti_sum_oracle(k, i_mask)
@@ -152,11 +151,10 @@ def _task_records(task: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[list[s
     """Worker: all records of one complex, in I-bitmask order."""
     m, facets = task
     k = SimplicialComplex.from_facets(m, facets)
-    is_flag = k.is_flag()
     lines = []
     disagreements = 0
     for i_mask in range(1 << m):
-        record = compute_record(k, i_mask, is_flag)
+        record = compute_record(k, i_mask)
         if not record.agree:
             disagreements += 1
         lines.append(record.json_line())

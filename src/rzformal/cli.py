@@ -65,23 +65,21 @@ def _emit(obj) -> None:
 def cmd_check(args) -> int:
     k = _load_complex(args.complex)
     i_set = _parse_vertex_list(args.I)
-    method = "all" if args.cross_check else args.method
-    if method == "all":
+    if args.method == "all":
         reports = formality.evaluate_all(k, i_set, args.max_vertices)
         _emit([r.to_json_obj() for r in reports.values()])
         if not formality.reports_agree(reports):
             return 2
         return 0 if next(iter(reports.values())).formal else 1
-    runners = {
-        "flag": formality.flag_criterion,
-        "general": formality.general_criterion,
-        "oracle": formality.betti_sum_oracle,
-        "torus": formality.torus_oracle,
-    }
-    if method == "oracle":
+    if args.method == "oracle":
         report = formality.betti_sum_oracle(k, i_set, args.max_vertices)
     else:
-        report = runners[method](k, i_set)
+        runners = {
+            "flag": formality.flag_criterion,
+            "general": formality.general_criterion,
+            "torus": formality.torus_oracle,
+        }
+        report = runners[args.method](k, i_set)
     _emit(report.to_json_obj())
     return 0 if report.formal else 1
 
@@ -153,7 +151,6 @@ def build_parser() -> _Parser:
         choices=["flag", "general", "oracle", "torus", "all"],
         default="general",
     )
-    p.add_argument("--cross-check", action="store_true", help="force --method all")
     p.add_argument("--max-vertices", type=int, default=None, help="raise size caps")
     p.set_defaults(func=cmd_check)
 

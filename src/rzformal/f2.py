@@ -1,34 +1,79 @@
 """Linear algebra over F2 and subgroups of the elementary abelian 2-group.
 
 Vectors over F2 are plain Python ints read as bitmasks: bit k-1 is the
-k-th coordinate. The heavy row-reduction routines live in a compiled
-extension when available; set RZFORMAL_PURE=1 to force the pure-Python
-backend. Both backends are deterministic and interchangeable.
+k-th coordinate. A matrix is a list of such ints, one per row, so bit c
+of a row is the entry in column c; row reduction XORs whole rows at once
+on Python's arbitrary-precision ints. All routines are deterministic.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator
 
-if os.environ.get("RZFORMAL_PURE") == "1":
-    from . import _f2pure as _backend
 
-    BACKEND = "pure"
-else:
-    try:
-        from . import _f2core as _backend  # type: ignore[no-redef]
+def rank(rows: list[int], ncols: int) -> int:
+    """Rank over F2. ``ncols`` is accepted for signature parity with ``rref``."""
+    pivots: dict[int, int] = {}
+    r = 0
+    for row in rows:
+        while row:
+            p = (row & -row).bit_length() - 1
+            e = pivots.get(p)
+            if e is None:
+                pivots[p] = row
+                r += 1
+                break
+            row ^= e
+    return r
 
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _f2pure as _backend  # type: ignore[no-redef]
 
-        BACKEND = "pure"
+def rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form.
 
-rank = _backend.rank
-rref = _backend.rref
-kernel_basis = _backend.kernel_basis
-reduce_batch = _backend.reduce_batch
+    Returns (echelon rows, pivot columns), both ordered by ascending
+    pivot column. The output is the canonical RREF of the row space.
+    """
+    ech: dict[int, int] = {}
+    for row in rows:
+        for p, e in ech.items():
+            if (row >> p) & 1:
+                row ^= e
+        if not row:
+            continue
+        p = (row & -row).bit_length() - 1
+        for q, e in ech.items():
+            if (e >> p) & 1:
+                ech[q] = e ^ row
+        ech[p] = row
+    pivots = sorted(ech)
+    return [ech[p] for p in pivots], pivots
+
+
+def kernel_basis(rows: list[int], ncols: int) -> list[int]:
+    """Basis of the right kernel, one vector per free column, ascending."""
+    ech, pivots = rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for c in range(ncols):
+        if c in pivot_set:
+            continue
+        v = 1 << c
+        for r, p in zip(ech, pivots):
+            if (r >> c) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return basis
+
+
+def reduce_batch(vecs: list[int], ech: list[int], pivots: list[int]) -> list[int]:
+    """Canonical remainders of ``vecs`` modulo an RREF row space."""
+    out = []
+    for v in vecs:
+        for r, p in zip(ech, pivots):
+            if (v >> p) & 1:
+                v ^= r
+        out.append(v)
+    return out
 
 
 def reduce_vector(vec: int, ech: list[int], pivots: list[int]) -> int:
@@ -63,65 +108,6 @@ def support(v: int) -> tuple[int, ...]:
         v >>= 1
         i += 1
     return tuple(out)
-
-
-class F2Matrix:
-    """An immutable matrix over F2, stored as bitmask rows."""
-
-    __slots__ = ("rows", "ncols")
-
-    def __init__(self, rows: Iterable[int], ncols: int):
-        self.rows = tuple(rows)
-        self.ncols = ncols
-        for r in self.rows:
-            if r < 0 or r >> ncols:
-                raise ValueError(f"row {r:#x} does not fit in {ncols} columns")
-
-    @classmethod
-    def from_strings(cls, rows: Iterable[str]) -> "F2Matrix":
-        rows = list(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls([vector_from_string(s) for s in rows], ncols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def rank(self) -> int:
-        return rank(list(self.rows), self.ncols)
-
-    def rref(self) -> tuple["F2Matrix", list[int]]:
-        ech, pivots = rref(list(self.rows), self.ncols)
-        return F2Matrix(ech, self.ncols), pivots
-
-    def kernel_basis(self) -> "F2Matrix":
-        return F2Matrix(kernel_basis(list(self.rows), self.ncols), self.ncols)
-
-    def transpose(self) -> "F2Matrix":
-        cols = []
-        for c in range(self.ncols):
-            v = 0
-            for i, r in enumerate(self.rows):
-                v |= ((r >> c) & 1) << i
-            cols.append(v)
-        return F2Matrix(cols, self.nrows)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, F2Matrix)
-            and self.rows == other.rows
-            and self.ncols == other.ncols
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.ncols))
-
-    def __repr__(self) -> str:
-        shown = ", ".join(vector_to_string(r, self.ncols) for r in self.rows)
-        return f"F2Matrix([{shown}])"
 
 
 class Subgroup:
@@ -194,10 +180,14 @@ class Subgroup:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Subgroup":
+        if not isinstance(obj, dict) or "m" not in obj or "generators" not in obj:
+            raise ValueError("subgroup JSON needs fields 'm' and 'generators'")
         m = obj["m"]
         gens = obj["generators"]
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise ValueError("subgroup field 'm' must be a nonnegative integer")
+        if not isinstance(gens, list):
+            raise ValueError("subgroup field 'generators' must be a list")
         for g in gens:
             if not isinstance(g, str) or len(g) != m:
                 raise ValueError(f"generator {g!r} must be a string of {m} bits")

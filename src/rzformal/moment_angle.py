@@ -79,41 +79,40 @@ def _check_hochster_cap(k: SimplicialComplex, max_vertices: int | None) -> None:
         )
 
 
-def hochster_real_betti(
-    k: SimplicialComplex, max_vertices: int | None = None
+def _hochster_betti(
+    k: SimplicialComplex, max_vertices: int | None, key: str, graded: bool
 ) -> SpaceBettiTable:
-    """Betti numbers of the real moment-angle complex of k."""
-    cached = k._cache.get("hochster_real")
+    """Sum reduced Betti numbers of the full subcomplexes K_J, cached on k.
+
+    Degree d of K_J lands in degree d + 1, plus |J| when ``graded``.
+    """
+    cached = k._cache.get(key)
     if cached is not None:
         return cached
     _check_hochster_cap(k, max_vertices)
     acc: dict[int, int] = {}
     for j_mask in submasks(k.ambient):
+        shift = j_mask.bit_count() + 1 if graded else 1
         for d, b in hom_data(k.subfaces(j_mask)).betti.items():
             if b:
-                acc[d + 1] = acc.get(d + 1, 0) + b
+                acc[d + shift] = acc.get(d + shift, 0) + b
     table = SpaceBettiTable.from_dict(acc)
-    k._cache["hochster_real"] = table
+    k._cache[key] = table
     return table
+
+
+def hochster_real_betti(
+    k: SimplicialComplex, max_vertices: int | None = None
+) -> SpaceBettiTable:
+    """Betti numbers of the real moment-angle complex of k."""
+    return _hochster_betti(k, max_vertices, "hochster_real", graded=False)
 
 
 def hochster_complex_betti(
     k: SimplicialComplex, max_vertices: int | None = None
 ) -> SpaceBettiTable:
     """Betti numbers of the complex moment-angle complex of k."""
-    cached = k._cache.get("hochster_complex")
-    if cached is not None:
-        return cached
-    _check_hochster_cap(k, max_vertices)
-    acc: dict[int, int] = {}
-    for j_mask in submasks(k.ambient):
-        shift = j_mask.bit_count() + 1
-        for d, b in hom_data(k.subfaces(j_mask)).betti.items():
-            if b:
-                acc[d + shift] = acc.get(d + shift, 0) + b
-    table = SpaceBettiTable.from_dict(acc)
-    k._cache["hochster_complex"] = table
-    return table
+    return _hochster_betti(k, max_vertices, "hochster_complex", graded=True)
 
 
 def fixed_betti_via_link(
@@ -294,10 +293,3 @@ def build_cubical(
     k._cache[cache_key] = model
     return model
 
-
-def cubical_betti(c: CubicalComplex) -> SpaceBettiTable:
-    return c.betti()
-
-
-def fixed_subcomplex(c: CubicalComplex, i_set: Iterable[int] | int) -> CubicalComplex:
-    return c.fixed_subcomplex(i_set)

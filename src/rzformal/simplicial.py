@@ -1,10 +1,10 @@
 """Simple graphs and simplicial complexes on labeled vertices.
 
-Vertices carry 1-based labels; a set of vertices is a bitmask int with
-bit k-1 for vertex k (the ``VertexSubset`` convention used throughout
-the package). A complex remembers its ambient vertex set, so vertices
-that belong to the ambient set but span no face ("ghost" vertices) are
-tracked, and links or full subcomplexes keep their original labels.
+Vertices carry 1-based labels; throughout the package a set of vertices
+is a bitmask int with bit k-1 for vertex k. A complex remembers its
+ambient vertex set, so vertices that belong to the ambient set but span
+no face ("ghost" vertices) are tracked, and links or full subcomplexes
+keep their original labels.
 
 Two degenerate complexes are distinguished: the void complex, with no
 faces at all, and the complex {}, whose only face is the empty one.
@@ -13,8 +13,6 @@ faces at all, and the complex {}, whose only face is the empty one.
 from __future__ import annotations
 
 from typing import Iterable, Iterator
-
-VertexSubset = int
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -50,6 +48,17 @@ def submasks(mask: int) -> Iterator[int]:
         # next submask in increasing order: force a carry through the
         # bits outside the mask, then project back onto the mask
         sub = (sub - mask) & mask
+
+
+def _int_lists(obj: dict, field: str, what: str) -> list[list[int]]:
+    """``obj[field]``, checked to be a JSON list of lists of integers."""
+    value = obj[field]
+    if not isinstance(value, list) or not all(
+        isinstance(item, list) and all(type(v) is int for v in item)
+        for item in value
+    ):
+        raise ValueError(f"{what} field {field!r} must be a list of lists of integers")
+    return value
 
 
 def _canonical_facets(masks: Iterable[int]) -> tuple[int, ...]:
@@ -116,9 +125,9 @@ class Graph:
         if not isinstance(obj, dict) or "m" not in obj or "edges" not in obj:
             raise ValueError("graph JSON needs fields 'm' and 'edges'")
         m = obj["m"]
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise ValueError("graph field 'm' must be a nonnegative integer")
-        edges = obj["edges"]
+        edges = _int_lists(obj, "edges", "graph")
         for e in edges:
             if len(e) != 2:
                 raise ValueError(f"edge {e!r} must have two endpoints")
@@ -264,9 +273,6 @@ class SimplicialComplex:
     def has_face(self, mask: int) -> bool:
         return any(mask & ~f == 0 for f in self.facets)
 
-    def is_face(self, vertices: Iterable[int]) -> bool:
-        return self.has_face(vertex_mask(vertices))
-
     def full_subcomplex(self, j: Iterable[int] | int) -> "SimplicialComplex":
         """Restriction to the vertex subset ``j``, ambient set ``j``."""
         j_mask = j if isinstance(j, int) else vertex_mask(j)
@@ -301,11 +307,17 @@ class SimplicialComplex:
 
     def is_flag(self) -> bool:
         """Whether every pairwise-adjacent vertex set is a face."""
+        try:
+            return self._cache["is_flag"]
+        except KeyError:
+            pass
         adj = self._skeleton_adj()
-        for clique in _maximal_cliques(adj, self.vertices_mask):
-            if not self.has_face(clique):
-                return False
-        return True
+        flag = all(
+            self.has_face(clique)
+            for clique in _maximal_cliques(adj, self.vertices_mask)
+        )
+        self._cache["is_flag"] = flag
+        return flag
 
     def missing_edges(self) -> tuple[tuple[int, int], ...]:
         """Non-adjacent pairs of non-ghost vertices, lexicographic."""
@@ -322,9 +334,9 @@ class SimplicialComplex:
         if not isinstance(obj, dict) or "m" not in obj or "facets" not in obj:
             raise ValueError("complex JSON needs fields 'm' and 'facets'")
         m = obj["m"]
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise ValueError("complex field 'm' must be a nonnegative integer")
-        return cls.from_facets(m, obj["facets"])
+        return cls.from_facets(m, _int_lists(obj, "facets", "complex"))
 
     def to_json_obj(self) -> dict:
         if self.ambient != (1 << self.m) - 1:

@@ -20,7 +20,6 @@ from rzformal import (
     betti_sum_oracle,
     build_cubical,
     coabelian_report,
-    cubical_betti,
     fixed_betti_via_link,
     hochster_complex_betti,
     hochster_real_betti,
@@ -59,7 +58,7 @@ def test_criterion_1_flag_census_agrees():
         for m in (1, 2, 3, 4):
             for k in flag_complexes(m):
                 for i_mask in submasks(k.vertices_mask):
-                    rec = compute_record(k, i_mask, is_flag=True)
+                    rec = compute_record(k, i_mask)
                     obj = json.loads(rec.json_line())
                     assert obj["verdict_flag"] is not None
                     assert (
@@ -112,14 +111,14 @@ def test_criterion_3_hochster_equals_cubical():
         for m in (1, 2, 3, 4):
             for k in all_complexes(m):
                 want = list(hochster_real_betti(k).dims)
-                assert list(cubical_betti(build_cubical(k)).dims) == want
+                assert list(build_cubical(k).betti().dims) == want
                 assert (
-                    list(cubical_betti(build_cubical(k, subdivided=True)).dims)
+                    list(build_cubical(k, subdivided=True).betti().dims)
                     == want
                 )
         for k in _random_complexes(100, (5, 6), seed=52281):
             want = list(hochster_real_betti(k).dims)
-            assert list(cubical_betti(build_cubical(k)).dims) == want, k
+            assert list(build_cubical(k).betti().dims) == want, k
 
     _report(3, "combinatorial = cellular Betti numbers", body)
 
@@ -180,7 +179,7 @@ def test_criterion_7_spot_values():
     def body():
         c4 = Graph.cycle(4).clique_complex()
         assert list(hochster_real_betti(c4).dims) == [1, 2, 1]
-        assert list(cubical_betti(build_cubical(c4)).dims) == [1, 2, 1]
+        assert list(build_cubical(c4).betti().dims) == [1, 2, 1]
         tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
         assert list(hochster_real_betti(tri).dims) == [1, 0, 1]
         pts = SimplicialComplex.from_facets(3, [[1], [2], [3]])

@@ -60,9 +60,6 @@ def test_check_all_methods_emits_list(files, capsys):
         "betti_sum_oracle",
         "torus_oracle",
     ]
-    # --cross-check is shorthand for --method all
-    assert run(["check", c4, "--I", "1", "--cross-check"]) == 0
-    assert len(json.loads(capsys.readouterr().out)) == 4
 
 
 def test_check_empty_i_defaults_to_formal(files, capsys):
@@ -97,6 +94,29 @@ def test_check_malformed_json_is_input_error(files, capsys):
     bad.write_text("{not json")
     assert run(["check", str(bad)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, payloads",
+    [
+        ("hull", [{"m": 3}]),  # missing field
+        ("check", [{"m": 3, "facets": [[1, "a"]]}]),  # non-int vertex
+        ("check", [{"m": True, "facets": [[1]]}]),  # boolean vertex count
+        ("check", [{"m": 3, "facets": [[1, 2], 3]}]),  # non-list facet
+        (
+            "report",  # non-pair edge
+            [{"m": 3, "edges": [[1, 2], 3]}, {"m": 3, "generators": ["100"]}],
+        ),
+    ],
+    ids=["missing-field", "non-int-vertex", "bool-m", "non-list-facet", "non-pair-edge"],
+)
+def test_malformed_input_fields_are_input_errors(files, capsys, command, payloads):
+    _, write = files
+    paths = [write(f"in{n}.json", obj) for n, obj in enumerate(payloads)]
+    assert run([command, *paths]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_check_unknown_option_is_input_error(files, capsys):

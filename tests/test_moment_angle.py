@@ -16,9 +16,7 @@ from rzformal import (
     Graph,
     SimplicialComplex,
     build_cubical,
-    cubical_betti,
     fixed_betti_via_link,
-    fixed_subcomplex,
     hochster_complex_betti,
     hochster_real_betti,
 )
@@ -132,25 +130,25 @@ def test_cubical_counts_four_cycle():
 
 def test_cubical_betti_examples():
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    assert dims(cubical_betti(build_cubical(tri))) == [1, 0, 1]
+    assert dims(build_cubical(tri).betti()) == [1, 0, 1]
     # two disjoint points give a circle, the boundary of the square
     two = SimplicialComplex.from_facets(2, [[1], [2]])
-    assert dims(cubical_betti(build_cubical(two))) == [1, 1]
+    assert dims(build_cubical(two).betti()) == [1, 1]
 
 
 def test_cubical_agrees_with_hochster_exhaustively_m3():
     for k in all_complexes(3):
         want = dims(hochster_real_betti(k))
-        assert dims(cubical_betti(build_cubical(k))) == want
-        assert dims(cubical_betti(build_cubical(k, subdivided=True))) == want
+        assert dims(build_cubical(k).betti()) == want
+        assert dims(build_cubical(k, subdivided=True).betti()) == want
 
 
 def test_cubical_agrees_with_hochster_on_ghosts():
     for m, facets in [(2, [[1]]), (3, [[1, 2]]), (3, [[1], [2]]), (2, [[]])]:
         k = SimplicialComplex.from_facets(m, facets)
         want = dims(hochster_real_betti(k))
-        assert dims(cubical_betti(build_cubical(k))) == want
-        assert dims(cubical_betti(build_cubical(k, subdivided=True))) == want
+        assert dims(build_cubical(k).betti()) == want
+        assert dims(build_cubical(k, subdivided=True).betti()) == want
 
 
 def test_fixed_points_of_triangle_boundary_single_coordinate():
@@ -196,8 +194,6 @@ def test_fixed_subcomplex_requires_subdivided_model():
     c = build_cubical(tri)
     with pytest.raises(ValueError):
         c.fixed_subcomplex([1])
-    with pytest.raises(ValueError):
-        fixed_subcomplex(c, [1])
 
 
 def test_fixed_betti_matches_cubical_exhaustively_m3():
