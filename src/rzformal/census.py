@@ -186,7 +186,13 @@ def _census_cap(mode: str) -> tuple[int, str]:
 
 
 def run_census(m: int, mode: str, out_path: str, jobs: int = 1) -> dict:
-    """Write one record per (K, I) to ``out_path``; return the summary."""
+    """Write one record per (K, I) to ``out_path``; return the summary.
+
+    ``jobs`` must be at least 1 and is clamped to the CPU count.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     cap, env = _census_cap(mode)
     if m > cap:
         raise ValueError(
@@ -227,11 +233,13 @@ def verify_census(path: str) -> dict:
     """Recompute every record and compare byte-for-byte.
 
     Returns a summary with mismatching and corrupt line numbers; the
-    file passes only if both lists are empty.
+    file passes only if both lists are empty. Consecutive lines of one
+    complex share its SimplicialComplex and everything cached on it.
     """
     mismatches: list[int] = []
     corrupt: list[int] = []
     records = 0
+    k = None
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
@@ -246,7 +254,9 @@ def verify_census(path: str) -> dict:
                 i_mask = 0
                 for v in obj["I"]:
                     i_mask |= 1 << (v - 1)
-                k = SimplicialComplex.from_facets(m, facets)
+                line_k = SimplicialComplex.from_facets(m, facets)
+                if line_k != k:
+                    k = line_k
                 recomputed = compute_record(k, i_mask).json_line()
             except (KeyError, TypeError, ValueError):
                 corrupt.append(lineno)

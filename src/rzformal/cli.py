@@ -73,13 +73,12 @@ def cmd_check(args) -> int:
         return 0 if next(iter(reports.values())).formal else 1
     if args.method == "oracle":
         report = formality.betti_sum_oracle(k, i_set, args.max_vertices)
+    elif args.method == "torus":
+        report = formality.torus_oracle(k, i_set, args.max_vertices)
+    elif args.method == "flag":
+        report = formality.flag_criterion(k, i_set)
     else:
-        runners = {
-            "flag": formality.flag_criterion,
-            "general": formality.general_criterion,
-            "torus": formality.torus_oracle,
-        }
-        report = runners[args.method](k, i_set)
+        report = formality.general_criterion(k, i_set)
     _emit(report.to_json_obj())
     return 0 if report.formal else 1
 
@@ -151,13 +150,17 @@ def build_parser() -> _Parser:
         choices=["flag", "general", "oracle", "torus", "all"],
         default="general",
     )
-    p.add_argument("--max-vertices", type=int, default=None, help="raise size caps")
+    p.add_argument(
+        "--max-vertices", type=int, default=None, help="override the Hochster-sum cap"
+    )
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("betti", help="Betti numbers of the moment-angle complexes")
     p.add_argument("complex", help="complex JSON file")
     p.add_argument("--which", choices=["real", "complex", "both"], default="both")
-    p.add_argument("--max-vertices", type=int, default=None, help="raise size caps")
+    p.add_argument(
+        "--max-vertices", type=int, default=None, help="override the Hochster-sum cap"
+    )
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("hull", help="coordinate hull of a subgroup")
@@ -173,7 +176,9 @@ def build_parser() -> _Parser:
     p.add_argument("--max-vertices", type=int, required=True, help="vertex count m")
     p.add_argument("--mode", choices=["flag", "all-complexes"], default="flag")
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most the CPU count"
+    )
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="recompute and compare a census file")

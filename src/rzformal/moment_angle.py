@@ -79,44 +79,49 @@ def _check_hochster_cap(k: SimplicialComplex, max_vertices: int | None) -> None:
         )
 
 
-def _hochster_betti(
-    k: SimplicialComplex, max_vertices: int | None, key: str, graded: bool
-) -> SpaceBettiTable:
-    """Sum reduced Betti numbers of the full subcomplexes K_J, cached on k.
+def _hochster_tables(
+    k: SimplicialComplex, max_vertices: int | None
+) -> tuple[SpaceBettiTable, SpaceBettiTable]:
+    """Real and complex tables from one pass over the full subcomplexes K_J.
 
-    Degree d of K_J lands in degree d + 1, plus |J| when ``graded``.
+    Degree d of K_J lands in degree d + 1 of the real space and in
+    degree d + |J| + 1 of the complex one. Both are cached on k.
     """
-    cached = k._cache.get(key)
+    cached = k._cache.get("hochster")
     if cached is not None:
         return cached
     _check_hochster_cap(k, max_vertices)
-    acc: dict[int, int] = {}
+    real: dict[int, int] = {}
+    cplx: dict[int, int] = {}
     for j_mask in submasks(k.ambient):
-        shift = j_mask.bit_count() + 1 if graded else 1
+        size = j_mask.bit_count()
         for d, b in hom_data(k.subfaces(j_mask)).betti.items():
             if b:
-                acc[d + shift] = acc.get(d + shift, 0) + b
-    table = SpaceBettiTable.from_dict(acc)
-    k._cache[key] = table
-    return table
+                real[d + 1] = real.get(d + 1, 0) + b
+                cplx[d + size + 1] = cplx.get(d + size + 1, 0) + b
+    tables = SpaceBettiTable.from_dict(real), SpaceBettiTable.from_dict(cplx)
+    k._cache["hochster"] = tables
+    return tables
 
 
 def hochster_real_betti(
     k: SimplicialComplex, max_vertices: int | None = None
 ) -> SpaceBettiTable:
     """Betti numbers of the real moment-angle complex of k."""
-    return _hochster_betti(k, max_vertices, "hochster_real", graded=False)
+    return _hochster_tables(k, max_vertices)[0]
 
 
 def hochster_complex_betti(
     k: SimplicialComplex, max_vertices: int | None = None
 ) -> SpaceBettiTable:
     """Betti numbers of the complex moment-angle complex of k."""
-    return _hochster_betti(k, max_vertices, "hochster_complex", graded=True)
+    return _hochster_tables(k, max_vertices)[1]
 
 
 def fixed_betti_via_link(
-    k: SimplicialComplex, i_set: Iterable[int] | int
+    k: SimplicialComplex,
+    i_set: Iterable[int] | int,
+    max_vertices: int | None = None,
 ) -> SpaceBettiTable:
     """Betti numbers of the points fixed by reflections on ``i_set``.
 
@@ -129,9 +134,7 @@ def fixed_betti_via_link(
         raise ValueError("coordinate set is not contained in the vertex set")
     if not k.has_face(i_mask):
         return SpaceBettiTable(())
-    if i_mask == 0:
-        return hochster_real_betti(k)
-    return hochster_real_betti(k.link(i_mask))
+    return hochster_real_betti(k.link(i_mask), max_vertices)
 
 
 def _spread(mask: int, code: int) -> int:
@@ -150,14 +153,49 @@ class CubicalComplex:
     Unsubdivided cells are pairs (face mask, sign mask on the other
     coordinates). Subdivided cells are ints with a 3-bit code per
     coordinate: 0 is {-1}, 1 is {0}, 2 is {1}, 3 is [-1,0], 4 is [0,1].
+
+    A fixed subcomplex is a view on its model: it keeps the positions of
+    its cells in the model's cell lists and takes its boundary rows from
+    the model, which builds them once. Fixed cells are closed under
+    taking faces, so those rows need no column remap.
     """
 
     def __init__(self, ambient: int, subdivided: bool, cells_by_dim):
         self.ambient = ambient
         self.subdivided = subdivided
-        self.cells_by_dim = tuple(tuple(sorted(cells)) for cells in cells_by_dim)
+        self._cells: tuple[tuple, ...] | None = tuple(
+            tuple(sorted(cells)) for cells in cells_by_dim
+        )
         self._coords = [b - 1 for b in f2.support(ambient)]
         self._cache: dict = {}
+        # the model this complex is fixed in, the reflected coordinates,
+        # and per dimension the positions of its cells among the model's;
+        # None for the model itself, which must not reference itself so
+        # that it is freed without waiting for the cycle collector
+        self._model: CubicalComplex | None = None
+        self._fixed_mask = 0
+        self._positions: list[list[int]] | None = None
+
+    @classmethod
+    def _view(
+        cls, model: "CubicalComplex", fixed_mask: int, positions: list[list[int]]
+    ) -> "CubicalComplex":
+        view = cls(model.ambient, model.subdivided, ())
+        view._cells = None
+        view._model = model
+        view._fixed_mask = fixed_mask
+        view._positions = positions
+        return view
+
+    @property
+    def cells_by_dim(self) -> tuple[tuple, ...]:
+        if self._cells is None:
+            model_cells = self._model.cells_by_dim
+            self._cells = tuple(
+                tuple(model_cells[d][p] for p in sorted(pos))
+                for d, pos in enumerate(self._positions)
+            )
+        return self._cells
 
     @property
     def m(self) -> int:
@@ -165,10 +203,11 @@ class CubicalComplex:
 
     @property
     def dim(self) -> int:
-        return len(self.cells_by_dim) - 1
+        return len(self.counts()) - 1
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(cells) for cells in self.cells_by_dim)
+        parts = self._cells if self._positions is None else self._positions
+        return tuple(len(part) for part in parts)
 
     def cells(self, d: int) -> tuple:
         if 0 <= d < len(self.cells_by_dim):
@@ -197,32 +236,60 @@ class CubicalComplex:
                 rest ^= low
         return out
 
+    def _boundary_rows(self) -> list[list[int]]:
+        """Per dimension, each cell's boundary as a bitmask over the
+        positions of the cells one dimension lower. Built once."""
+        rows = self._cache.get("rows")
+        if rows is None:
+            rows = []
+            index: dict = {}
+            for cells in self.cells_by_dim:
+                dim_rows = []
+                for cell in cells:
+                    row = 0
+                    for child in self.boundary(cell):
+                        row ^= 1 << index[child]
+                    dim_rows.append(row)
+                rows.append(dim_rows)
+                index = {c: i for i, c in enumerate(cells)}
+            self._cache["rows"] = rows
+        return rows
+
+    def _zero_groups(self) -> list[dict[int, list[int]]]:
+        """Per dimension, cell positions keyed by their zero coordinates,
+        each marked by a 1 in the lowest bit of its 3-bit field."""
+        groups = self._cache.get("zero_groups")
+        if groups is None:
+            ones = _spread(self.ambient, 1)
+            groups = []
+            for cells in self.cells_by_dim:
+                by_zero: dict[int, list[int]] = {}
+                for p, c in enumerate(cells):
+                    # code 1 is the only code with bit 0 set and bit 1 clear
+                    by_zero.setdefault(c & ~(c >> 1) & ones, []).append(p)
+                groups.append(by_zero)
+            self._cache["zero_groups"] = groups
+        return groups
+
     def betti(self) -> SpaceBettiTable:
         """Cellular F2 homology Betti numbers."""
         cached = self._cache.get("betti")
         if cached is not None:
             return cached
+        rows = (self._model or self)._boundary_rows()
         counts = self.counts()
         top = len(counts) - 1
         ranks = [0] * (top + 2)
         for d in range(1, top + 1):
-            index = {c: i for i, c in enumerate(self.cells_by_dim[d - 1])}
-            rows = []
-            for cell in self.cells_by_dim[d]:
-                row = 0
-                for child in self.boundary(cell):
-                    row ^= 1 << index[child]
-                rows.append(row)
-            ranks[d] = f2.rank(rows, counts[d - 1])
+            if self._positions is None:
+                selected = rows[d]
+            else:
+                selected = [rows[d][p] for p in self._positions[d]]
+            ranks[d] = f2.rank(selected, len(rows[d - 1]))
         table = {d: counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1)}
         result = SpaceBettiTable.from_dict(table)
         self._cache["betti"] = result
         return result
-
-    def _zero_pattern(self, i_mask: int) -> tuple[int, int]:
-        sel = _spread(i_mask, 7)
-        want = _spread(i_mask, 1)
-        return sel, want
 
     def fixed_subcomplex(self, i_set: Iterable[int] | int) -> "CubicalComplex":
         """Subcomplex of cells pointwise fixed by reflections on i_set."""
@@ -231,22 +298,20 @@ class CubicalComplex:
         i_mask = i_set if isinstance(i_set, int) else vertex_mask(i_set)
         if i_mask & ~self.ambient:
             raise ValueError("coordinate set is not contained in the vertex set")
-        sel, want = self._zero_pattern(i_mask)
-        kept = [
-            [c for c in cells if c & sel == want] for cells in self.cells_by_dim
+        model = self._model or self
+        fixed_mask = self._fixed_mask | i_mask
+        want = _spread(fixed_mask, 1)
+        positions = [
+            [p for zero, group in by_zero.items() if zero & want == want for p in group]
+            for by_zero in model._zero_groups()
         ]
-        while kept and not kept[-1]:
-            kept.pop()
-        return CubicalComplex(self.ambient, True, kept)
+        while positions and not positions[-1]:
+            positions.pop()
+        return CubicalComplex._view(model, fixed_mask, positions)
 
     def cells_fixed_by(self, reflection: int) -> frozenset:
         """Cells pointwise fixed by one coordinate reflection vector."""
-        if not self.subdivided:
-            raise ValueError("requires subdivided model")
-        sel, want = self._zero_pattern(reflection)
-        return frozenset(
-            c for cells in self.cells_by_dim for c in cells if c & sel == want
-        )
+        return self.fixed_subcomplex(reflection).cell_set()
 
     def __repr__(self) -> str:
         kind = "subdivided" if self.subdivided else "plain"

@@ -271,7 +271,11 @@ class SimplicialComplex:
         return out
 
     def has_face(self, mask: int) -> bool:
-        return any(mask & ~f == 0 for f in self.facets)
+        try:
+            face_set = self._cache["face_set"]
+        except KeyError:
+            face_set = self._cache["face_set"] = frozenset(self.faces())
+        return mask in face_set
 
     def full_subcomplex(self, j: Iterable[int] | int) -> "SimplicialComplex":
         """Restriction to the vertex subset ``j``, ambient set ``j``."""
@@ -281,12 +285,24 @@ class SimplicialComplex:
         return SimplicialComplex(j_mask, (f & j_mask for f in self.facets))
 
     def link(self, sigma: Iterable[int] | int) -> "SimplicialComplex":
-        """Link of a face, on ambient set ambient minus sigma."""
+        """Link of a face, on ambient set ambient minus sigma.
+
+        Memoized per face, so callers share the link and its caches; the
+        link of the empty face is the complex itself.
+        """
         s_mask = sigma if isinstance(sigma, int) else vertex_mask(sigma)
         if not self.has_face(s_mask):
             raise ValueError("not a face")
+        if s_mask == 0:
+            return self
+        key = ("link", s_mask)
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
         new_facets = [f & ~s_mask for f in self.facets if f & s_mask == s_mask]
-        return SimplicialComplex(self.ambient & ~s_mask, new_facets)
+        lk = self._cache[key] = SimplicialComplex(self.ambient & ~s_mask, new_facets)
+        return lk
 
     def _skeleton_adj(self) -> list[int]:
         adj = [0] * self.ambient.bit_length()
@@ -321,13 +337,19 @@ class SimplicialComplex:
 
     def missing_edges(self) -> tuple[tuple[int, int], ...]:
         """Non-adjacent pairs of non-ghost vertices, lexicographic."""
+        try:
+            return self._cache["missing_edges"]
+        except KeyError:
+            pass
         verts = mask_vertices(self.vertices_mask)
-        return tuple(
+        missing = tuple(
             (u, v)
             for i, u in enumerate(verts)
             for v in verts[i + 1 :]
             if not self.has_face(vertex_mask((u, v)))
         )
+        self._cache["missing_edges"] = missing
+        return missing
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimplicialComplex":

@@ -1,10 +1,11 @@
 """Census enumeration, the JSONL format, parallel determinism, verify."""
 
+import hashlib
 import json
 
 import pytest
 
-from rzformal import Graph, run_census, verify_census
+from rzformal import Graph, census, run_census, verify_census
 from rzformal.census import all_complexes, compute_record, census_tasks, flag_complexes
 from rzformal.simplicial import vertex_mask
 
@@ -121,6 +122,62 @@ def test_verify_census_reports_tampered_line(tmp_path):
     result = verify_census(out)
     assert result["corrupt"] == []
     assert result["mismatches"] == [3]
+
+
+@pytest.mark.parametrize(
+    "mode, sha256",
+    [
+        ("flag", "3272ea637e4a4266d2c8a6799392ae47e7525625c996e2c900398668cca60311"),
+        ("all-complexes", "7f518e558acb9ced171637dbe673f73243e934492e7ceb691131a7f79699ef8a"),
+    ],
+)
+def test_census_m4_bytes_are_pinned(tmp_path, mode, sha256):
+    out = tmp_path / "c.jsonl"
+    run_census(4, mode, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_verify_reuses_the_complex_and_reports_only_the_flipped_line(tmp_path, monkeypatch):
+    out = tmp_path / "c.jsonl"
+    run_census(2, "flag", out)
+    lines = out.read_text().splitlines()
+    # lines 1-4 are the four I of the first complex
+    assert len({tuple(json.loads(line)["facets"][0]) for line in lines[:4]}) == 1
+    lines[1] = lines[1].replace('"agree":true', '"agree":false')
+    out.write_text("\n".join(lines) + "\n")
+    seen = []
+    compute = census.compute_record
+
+    def spy(k, i_mask):
+        seen.append(k)
+        return compute(k, i_mask)
+
+    monkeypatch.setattr(census, "compute_record", spy)
+    result = verify_census(out)
+    assert result["mismatches"] == [2]
+    assert result["corrupt"] == []
+    # one SimplicialComplex per complex, shared by its consecutive lines
+    assert len({id(k) for k in seen}) == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"m": 2, "facets": [[1], [2]], "I": [1, "x"]}',
+        '{"m": 2, "facets": [[1, "a"]], "I": [1]}',
+        "not json",
+    ],
+)
+def test_verify_reports_only_a_corrupt_line_inside_one_complex(tmp_path, bad):
+    out = tmp_path / "c.jsonl"
+    run_census(2, "flag", out)
+    lines = out.read_text().splitlines()
+    lines.insert(2, bad)
+    out.write_text("\n".join(lines) + "\n")
+    result = verify_census(out)
+    assert result["records"] == 9
+    assert result["corrupt"] == [3]
+    assert result["mismatches"] == []
 
 
 def test_verify_census_reports_corrupt_line(tmp_path):

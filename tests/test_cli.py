@@ -1,9 +1,11 @@
 """End-to-end command line behavior, run in process via run(argv)."""
 
 import json
+import os
 
 import pytest
 
+from rzformal import census
 from rzformal.cli import run
 
 
@@ -236,3 +238,56 @@ def test_check_oracle_respects_max_vertices(files, capsys):
     big = write("big.json", {"m": 9, "facets": facets})
     assert run(["check", big, "--I", "1", "--method", "oracle"]) == 1
     capsys.readouterr()
+
+
+C4 = {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]}
+
+
+@pytest.mark.parametrize("method", ["oracle", "torus", "all"])
+def test_check_max_vertices_lifts_the_hochster_cap(files, capsys, monkeypatch, method):
+    _, write = files
+    c4 = write("c4.json", C4)
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "3")
+    assert run(["check", c4, "--I", "1", "--method", method]) == 3
+    assert "exceeds the cap 3" in capsys.readouterr().err
+    assert run(["check", c4, "--I", "1", "--method", method, "--max-vertices", "4"]) in (0, 1)
+    capsys.readouterr()
+
+
+def test_check_max_vertices_never_lifts_the_cubical_cap(files, capsys, monkeypatch):
+    _, write = files
+    big = write("big.json", {"m": 9, "facets": [[v] for v in range(1, 10)]})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cubical model built over the cubical cap")
+
+    monkeypatch.setattr("rzformal.moment_angle.build_cubical", refuse)
+    assert run(["check", big, "--I", "1", "--method", "all", "--max-vertices", "9"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_census_jobs_below_one_is_input_error(files, capsys, jobs):
+    tmp_path, _ = files
+    out = tmp_path / "x.jsonl"
+    assert run(["census", "--max-vertices", "2", "--out", str(out), "--jobs", jobs]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_census_jobs_are_clamped_to_the_cpu_count(files, capsys, monkeypatch):
+    tmp_path, _ = files
+    serial = tmp_path / "serial.jsonl"
+    clamped = tmp_path / "clamped.jsonl"
+    assert run(["census", "--max-vertices", "3", "--out", str(serial)]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(census, "Pool", no_pool)
+    assert run(["census", "--max-vertices", "3", "--out", str(clamped), "--jobs", "64"]) == 0
+    capsys.readouterr()
+    assert clamped.read_bytes() == serial.read_bytes()

@@ -16,11 +16,15 @@ from rzformal import (
     Graph,
     SimplicialComplex,
     build_cubical,
+    f2,
     fixed_betti_via_link,
     hochster_complex_betti,
     hochster_real_betti,
+    moment_angle,
+    torus_oracle,
 )
 from rzformal.census import all_complexes
+from rzformal.moment_angle import CubicalComplex
 from rzformal.simplicial import mask_vertices, submasks, vertex_mask
 
 
@@ -207,6 +211,81 @@ def test_fixed_betti_matches_cubical_exhaustively_m3():
             assert link_side.total <= hochster_real_betti(k).total
 
 
+def rebuilt_fixed_betti(model, i_mask):
+    """Reference: filter the model's cells by a full scan, index them
+    afresh and rank boundary matrices over those indices alone."""
+    sel = sum(7 << (3 * (v - 1)) for v in mask_vertices(i_mask))
+    want = sum(1 << (3 * (v - 1)) for v in mask_vertices(i_mask))
+    cells = [[c for c in model.cells(d) if c & sel == want] for d in range(model.dim + 1)]
+    while cells and not cells[-1]:
+        cells.pop()
+    ranks = [0] * (len(cells) + 1)
+    for d in range(1, len(cells)):
+        index = {c: i for i, c in enumerate(cells[d - 1])}
+        rows = []
+        for cell in cells[d]:
+            row = 0
+            for child in model.boundary(cell):
+                row ^= 1 << index[child]
+            rows.append(row)
+        ranks[d] = f2.rank(rows, len(index))
+    dims = [len(cells[d]) - ranks[d] - ranks[d + 1] for d in range(len(cells))]
+    while dims and not dims[-1]:
+        dims.pop()
+    return frozenset(c for part in cells for c in part), dims
+
+
+def test_fixed_subcomplex_rows_match_rebuilt_complex_and_link():
+    # a fixed subcomplex ranks a selection of its model's boundary rows;
+    # a complex rebuilt from the same cells and the link formula agree
+    for m in range(1, 5):
+        for k in all_complexes(m):
+            c = build_cubical(k, subdivided=True)
+            for i_mask in submasks(k.ambient):
+                fixed = c.fixed_subcomplex(i_mask)
+                cells, want = rebuilt_fixed_betti(c, i_mask)
+                assert fixed.cell_set() == cells, (k, i_mask)
+                assert dims(fixed.betti()) == want, (k, i_mask)
+                assert dims(fixed_betti_via_link(k, i_mask)) == want, (k, i_mask)
+
+
+def test_fixed_subcomplexes_share_one_boundary_pass(monkeypatch):
+    calls = []
+    boundary = CubicalComplex.boundary
+
+    def counted(self, cell):
+        calls.append(cell)
+        return boundary(self, cell)
+
+    monkeypatch.setattr(CubicalComplex, "boundary", counted)
+    k = SimplicialComplex.from_facets(4, [[1, 2, 3], [3, 4], [1, 4]])
+    c = build_cubical(k, subdivided=True)
+    for i_mask in submasks(k.ambient):
+        c.fixed_subcomplex(i_mask).betti()
+    # one call per model cell in total, not one per cell and I
+    assert len(calls) == sum(c.counts())
+    assert len(set(calls)) == len(calls)
+
+
+def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
+    seen = []
+    hom_data = moment_angle.hom_data
+
+    def counted(faces):
+        seen.append(faces)
+        return hom_data(faces)
+
+    monkeypatch.setattr(moment_angle, "hom_data", counted)
+    k = Graph.cycle(4).clique_complex()
+    hochster_real_betti(k)
+    hochster_complex_betti(k)
+    assert len(seen) == 2**4
+    fixed_betti_via_link(k, vertex_mask([1]))
+    # the torus oracle reuses the memoized link and its tables
+    torus_oracle(k, vertex_mask([1]))
+    assert len(seen) == 2**4 + 2**3
+
+
 def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():
     rng = random.Random(99)
     for _ in range(40):
@@ -220,10 +299,15 @@ def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():
         gens = [rng.getrandbits(m) for _ in range(rng.randint(0, 3))]
         fixed = c.cell_set()
         hull = 0
+        view = c
         for g in gens:
             fixed &= c.cells_fixed_by(g)
             hull |= g
+            view = view.fixed_subcomplex(g)
         assert fixed == c.fixed_subcomplex(hull).cell_set()
+        # a fixed subcomplex of a fixed subcomplex is fixed by both
+        assert view.cell_set() == fixed
+        assert dims(view.betti()) == dims(c.fixed_subcomplex(hull).betti())
 
 
 def test_hochster_cap():

@@ -121,6 +121,14 @@ def test_link_examples():
     assert lk3.vertex_labels() == (2,)
 
 
+def test_link_is_memoized_per_face():
+    c4 = Graph.cycle(4).clique_complex()
+    assert c4.link(vertex_mask([1])) is c4.link([1])
+    assert c4.link(vertex_mask([1])) is not c4.link(vertex_mask([2]))
+    # the link of the empty face is the complex itself
+    assert c4.link(0) is c4
+
+
 def test_link_of_non_face_raises():
     two = SimplicialComplex.from_facets(2, [[1], [2]])
     with pytest.raises(ValueError):
