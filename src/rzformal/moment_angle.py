@@ -153,49 +153,33 @@ class CubicalComplex:
     Unsubdivided cells are pairs (face mask, sign mask on the other
     coordinates). Subdivided cells are ints with a 3-bit code per
     coordinate: 0 is {-1}, 1 is {0}, 2 is {1}, 3 is [-1,0], 4 is [0,1].
+    A subdivided complex also keeps, per dimension, its cells grouped
+    by the mask of their zero coordinates.
 
-    A fixed subcomplex is a view on its model: it keeps the positions of
-    its cells in the model's cell lists and takes its boundary rows from
-    the model, which builds them once. Fixed cells are closed under
-    taking faces, so those rows need no column remap.
+    A fixed subcomplex takes its boundary rows from its model, which
+    builds each cell's row at most once, on first request. Fixed cells
+    are closed under taking faces, so rows shared this way stay valid
+    for every fixed subcomplex.
     """
 
-    def __init__(self, ambient: int, subdivided: bool, cells_by_dim):
+    def __init__(
+        self,
+        ambient: int,
+        subdivided: bool,
+        cells_by_dim,
+        zero_groups: list[dict[int, list[int]]] | None = None,
+        model: "CubicalComplex | None" = None,
+    ):
         self.ambient = ambient
         self.subdivided = subdivided
-        self._cells: tuple[tuple, ...] | None = tuple(
-            tuple(sorted(cells)) for cells in cells_by_dim
-        )
+        self.cells_by_dim = tuple(tuple(sorted(cells)) for cells in cells_by_dim)
+        self._zero_groups = zero_groups
+        # the complex whose rows this one shares; None for a model, which
+        # must not reference itself so that it is freed without waiting
+        # for the cycle collector
+        self._model = model
         self._coords = [b - 1 for b in f2.support(ambient)]
         self._cache: dict = {}
-        # the model this complex is fixed in, the reflected coordinates,
-        # and per dimension the positions of its cells among the model's;
-        # None for the model itself, which must not reference itself so
-        # that it is freed without waiting for the cycle collector
-        self._model: CubicalComplex | None = None
-        self._fixed_mask = 0
-        self._positions: list[list[int]] | None = None
-
-    @classmethod
-    def _view(
-        cls, model: "CubicalComplex", fixed_mask: int, positions: list[list[int]]
-    ) -> "CubicalComplex":
-        view = cls(model.ambient, model.subdivided, ())
-        view._cells = None
-        view._model = model
-        view._fixed_mask = fixed_mask
-        view._positions = positions
-        return view
-
-    @property
-    def cells_by_dim(self) -> tuple[tuple, ...]:
-        if self._cells is None:
-            model_cells = self._model.cells_by_dim
-            self._cells = tuple(
-                tuple(model_cells[d][p] for p in sorted(pos))
-                for d, pos in enumerate(self._positions)
-            )
-        return self._cells
 
     @property
     def m(self) -> int:
@@ -203,11 +187,10 @@ class CubicalComplex:
 
     @property
     def dim(self) -> int:
-        return len(self.counts()) - 1
+        return len(self.cells_by_dim) - 1
 
     def counts(self) -> tuple[int, ...]:
-        parts = self._cells if self._positions is None else self._positions
-        return tuple(len(part) for part in parts)
+        return tuple(len(cells) for cells in self.cells_by_dim)
 
     def cells(self, d: int) -> tuple:
         if 0 <= d < len(self.cells_by_dim):
@@ -236,56 +219,40 @@ class CubicalComplex:
                 rest ^= low
         return out
 
-    def _boundary_rows(self) -> list[list[int]]:
-        """Per dimension, each cell's boundary as a bitmask over the
-        positions of the cells one dimension lower. Built once."""
-        rows = self._cache.get("rows")
-        if rows is None:
-            rows = []
-            index: dict = {}
-            for cells in self.cells_by_dim:
-                dim_rows = []
-                for cell in cells:
-                    row = 0
-                    for child in self.boundary(cell):
-                        row ^= 1 << index[child]
-                    dim_rows.append(row)
-                rows.append(dim_rows)
-                index = {c: i for i, c in enumerate(cells)}
-            self._cache["rows"] = rows
-        return rows
+    def _rows(self, d: int, cells: tuple) -> tuple[list[int], int]:
+        """Boundary rows of some d-cells of this model, and their width.
 
-    def _zero_groups(self) -> list[dict[int, list[int]]]:
-        """Per dimension, cell positions keyed by their zero coordinates,
-        each marked by a 1 in the lowest bit of its 3-bit field."""
-        groups = self._cache.get("zero_groups")
-        if groups is None:
-            ones = _spread(self.ambient, 1)
-            groups = []
-            for cells in self.cells_by_dim:
-                by_zero: dict[int, list[int]] = {}
-                for p, c in enumerate(cells):
-                    # code 1 is the only code with bit 0 set and bit 1 clear
-                    by_zero.setdefault(c & ~(c >> 1) & ones, []).append(p)
-                groups.append(by_zero)
-            self._cache["zero_groups"] = groups
-        return groups
+        A (d-1)-cell gets its column the first time it is met as a face,
+        so a fixed subcomplex asked for first spans only its own columns.
+        Each row is built once.
+        """
+        rows = self._cache.setdefault(("rows", d), {})
+        columns = self._cache.setdefault(("columns", d - 1), {})
+        out = []
+        for cell in cells:
+            row = rows.get(cell)
+            if row is None:
+                row = 0
+                for child in self.boundary(cell):
+                    j = columns.get(child)
+                    if j is None:
+                        j = columns[child] = len(columns)
+                    row ^= 1 << j
+                rows[cell] = row
+            out.append(row)
+        return out, len(columns)
 
     def betti(self) -> SpaceBettiTable:
         """Cellular F2 homology Betti numbers."""
         cached = self._cache.get("betti")
         if cached is not None:
             return cached
-        rows = (self._model or self)._boundary_rows()
+        model = self._model or self
         counts = self.counts()
         top = len(counts) - 1
         ranks = [0] * (top + 2)
         for d in range(1, top + 1):
-            if self._positions is None:
-                selected = rows[d]
-            else:
-                selected = [rows[d][p] for p in self._positions[d]]
-            ranks[d] = f2.rank(selected, len(rows[d - 1]))
+            ranks[d] = f2.rank(*model._rows(d, self.cells_by_dim[d]))
         table = {d: counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1)}
         result = SpaceBettiTable.from_dict(table)
         self._cache["betti"] = result
@@ -298,16 +265,18 @@ class CubicalComplex:
         i_mask = i_set if isinstance(i_set, int) else vertex_mask(i_set)
         if i_mask & ~self.ambient:
             raise ValueError("coordinate set is not contained in the vertex set")
-        model = self._model or self
-        fixed_mask = self._fixed_mask | i_mask
-        want = _spread(fixed_mask, 1)
-        positions = [
-            [p for zero, group in by_zero.items() if zero & want == want for p in group]
-            for by_zero in model._zero_groups()
+        groups = [
+            {zero: cells for zero, cells in by_zero.items() if zero & i_mask == i_mask}
+            for by_zero in self._zero_groups
         ]
-        while positions and not positions[-1]:
-            positions.pop()
-        return CubicalComplex._view(model, fixed_mask, positions)
+        while groups and not groups[-1]:
+            groups.pop()
+        cells_by_dim = [
+            [c for cells in by_zero.values() for c in cells] for by_zero in groups
+        ]
+        return CubicalComplex(
+            self.ambient, True, cells_by_dim, groups, self._model or self
+        )
 
     def cells_fixed_by(self, reflection: int) -> frozenset:
         """Cells pointwise fixed by one coordinate reflection vector."""
@@ -333,28 +302,36 @@ def build_cubical(
     cached = k._cache.get(cache_key)
     if cached is not None:
         return cached
-    cells_by_dim: list[list] = [[] for _ in range(max(k.dim + 2, 1))]
+    dims = range(max(k.dim + 2, 1))
     if not subdivided:
+        cells_by_dim: list[list] = [[] for _ in dims]
         for face in k.faces():
             others = k.ambient & ~face
             d = face.bit_count()
             for eps in submasks(others):
                 cells_by_dim[d].append((face, eps))
+        while cells_by_dim and not cells_by_dim[-1]:
+            cells_by_dim.pop()
+        groups = None
     else:
+        # the zero coordinates of a cell are those of its face outside
+        # its interval coordinates d_mask
+        groups = [{} for _ in dims]
         for face in k.faces():
             others = k.ambient & ~face
             signs = [_spread(s, 2) for s in submasks(others)]
             for d_mask in submasks(face):
                 base = _spread(face ^ d_mask, 1) + _spread(d_mask, 3)
-                d = d_mask.bit_count()
-                bucket = cells_by_dim[d]
+                group = groups[d_mask.bit_count()].setdefault(face ^ d_mask, [])
                 for up in submasks(d_mask):
                     enc = base + _spread(up, 1)
-                    for sign in signs:
-                        bucket.append(enc + sign)
-    while cells_by_dim and not cells_by_dim[-1]:
-        cells_by_dim.pop()
-    model = CubicalComplex(k.ambient, subdivided, cells_by_dim)
+                    group += [enc + sign for sign in signs]
+        while groups and not groups[-1]:
+            groups.pop()
+        cells_by_dim = [
+            [c for cells in by_zero.values() for c in cells] for by_zero in groups
+        ]
+    model = CubicalComplex(k.ambient, subdivided, cells_by_dim, groups)
     k._cache[cache_key] = model
     return model
 
