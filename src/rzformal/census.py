@@ -21,16 +21,11 @@ from itertools import combinations
 from multiprocessing import Pool
 from typing import Iterator
 
-from .formality import (
-    betti_sum_oracle,
-    flag_criterion,
-    general_criterion,
-    torus_oracle,
-)
+from .formality import evaluate_all, reports_agree
+from .moment_angle import cap, check_cap
 from .simplicial import Graph, SimplicialComplex, mask_vertices
 
-DEFAULT_FLAG_CAP = 5
-DEFAULT_ALL_CAP = 4
+MODES = ("flag", "all-complexes")
 
 
 @dataclass(frozen=True)
@@ -68,28 +63,23 @@ class CensusRecord:
 
 def compute_record(k: SimplicialComplex, i_mask: int) -> CensusRecord:
     """Run every applicable decider on one (K, I) pair."""
-    is_flag = k.is_flag()
-    verdict_flag = flag_criterion(k, i_mask).verdict if is_flag else None
-    verdict_general = general_criterion(k, i_mask).verdict
-    oracle = betti_sum_oracle(k, i_mask)
-    verdict_torus = torus_oracle(k, i_mask).verdict
-    verdicts = {verdict_general, oracle.verdict, verdict_torus}
-    if verdict_flag is not None:
-        verdicts.add(verdict_flag)
+    reports = evaluate_all(k, i_mask)
+    flag = reports.get("flag_criterion")
+    oracle = reports["betti_sum_oracle"]
     facets = tuple(tuple(f) for f in k.to_json_obj()["facets"])
     assert oracle.totals is not None
     return CensusRecord(
         m=k.m,
         facets=facets,
-        is_flag=is_flag,
+        is_flag=flag is not None,
         i_set=mask_vertices(i_mask),
-        verdict_flag=verdict_flag,
-        verdict_general=verdict_general,
+        verdict_flag=flag.verdict if flag is not None else None,
+        verdict_general=reports["general_criterion"].verdict,
         verdict_oracle=oracle.verdict,
-        verdict_torus=verdict_torus,
+        verdict_torus=reports["torus_oracle"].verdict,
         betti_total_ambient=oracle.totals[1],
         betti_total_fixed=oracle.totals[0],
-        agree=len(verdicts) == 1,
+        agree=reports_agree(reports),
     )
 
 
@@ -162,27 +152,17 @@ def _task_records(task: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[list[s
 
 
 def census_tasks(m: int, mode: str) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
-    if mode == "flag":
-        complexes: Iterator[SimplicialComplex] = flag_complexes(m)
-    elif mode == "all-complexes":
-        complexes = all_complexes(m)
-    else:
+    """One task per complex of the mode, refused over the mode's cap."""
+    if mode not in MODES:
         raise ValueError(f"unknown census mode {mode!r}")
+    check_cap(f"census {mode}", m)
     tasks = []
-    for k in complexes:
+    for k in flag_complexes(m) if mode == "flag" else all_complexes(m):
         facets = tuple(tuple(f) for f in k.to_json_obj()["facets"])
         tasks.append((m, facets))
     if mode == "all-complexes":
         tasks.sort()
     return tasks
-
-
-def _census_cap(mode: str) -> tuple[int, str]:
-    if mode == "flag":
-        env = "RZFORMAL_CENSUS_FLAG_CAP"
-        return int(os.environ.get(env, DEFAULT_FLAG_CAP)), env
-    env = "RZFORMAL_CENSUS_ALL_CAP"
-    return int(os.environ.get(env, DEFAULT_ALL_CAP)), env
 
 
 def run_census(m: int, mode: str, out_path: str, jobs: int = 1) -> dict:
@@ -193,11 +173,6 @@ def run_census(m: int, mode: str, out_path: str, jobs: int = 1) -> dict:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
-    cap, env = _census_cap(mode)
-    if m > cap:
-        raise ValueError(
-            f"census {mode} mode capped at {cap} vertices; set {env} to override"
-        )
     if m < 1:
         raise ValueError("census needs at least one vertex")
     tasks = census_tasks(m, mode)
@@ -233,12 +208,15 @@ def verify_census(path: str) -> dict:
     """Recompute every record and compare byte-for-byte.
 
     Returns a summary with mismatching and corrupt line numbers; the
-    file passes only if both lists are empty. Consecutive lines of one
-    complex share its SimplicialComplex and everything cached on it.
+    file passes only if both lists are empty. A line whose m is over
+    both census caps is corrupt and is not recomputed, since no census
+    under the current caps writes it. Consecutive lines of one complex
+    share its SimplicialComplex and everything cached on it.
     """
     mismatches: list[int] = []
     corrupt: list[int] = []
     records = 0
+    max_m = max(cap(f"census {mode}") for mode in MODES)
     k = None
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
@@ -250,6 +228,8 @@ def verify_census(path: str) -> dict:
             try:
                 obj = json.loads(line)
                 m = obj["m"]
+                if m > max_m:
+                    raise ValueError(f"m = {m} is over the census caps")
                 facets = tuple(tuple(f) for f in obj["facets"])
                 i_mask = 0
                 for v in obj["I"]:

@@ -78,7 +78,7 @@ def cmd_check(args) -> int:
     elif args.method == "flag":
         report = formality.flag_criterion(k, i_set)
     else:
-        report = formality.general_criterion(k, i_set)
+        report = formality.general_criterion(k, i_set, args.max_vertices)
     _emit(report.to_json_obj())
     return 0 if report.formal else 1
 
@@ -151,7 +151,11 @@ def build_parser() -> _Parser:
         default="general",
     )
     p.add_argument(
-        "--max-vertices", type=int, default=None, help="override the Hochster-sum cap"
+        "--max-vertices",
+        type=int,
+        default=None,
+        help="lift the cap on every 2^m loop over vertex subsets; "
+        "the cubical cross-check keeps its own cap",
     )
     p.set_defaults(func=cmd_check)
 

@@ -188,13 +188,6 @@ def _positions(sub: list[int], full: list[int]) -> list[int]:
     return pos
 
 
-def _restriction_trivial(src_faces: tuple[int, ...], tgt_mask: int) -> bool:
-    """Whether restriction to the faces inside ``tgt_mask`` kills H̃*."""
-    return _restriction_map_trivial(
-        src_faces, tuple(f for f in src_faces if f & ~tgt_mask == 0)
-    )
-
-
 def _restriction_map_trivial(
     src_faces: tuple[int, ...], tgt_faces: tuple[int, ...]
 ) -> bool:
@@ -238,4 +231,5 @@ def restriction_is_trivial(k: SimplicialComplex, j_sub: Iterable[int] | int) -> 
     j_mask = j_sub if isinstance(j_sub, int) else vertex_mask(j_sub)
     if j_mask & ~k.vertices_mask:
         raise ValueError("subset must consist of non-ghost vertices")
-    return _restriction_trivial(k.faces(), j_mask)
+    faces = k.faces()
+    return _restriction_map_trivial(faces, tuple(f for f in faces if f & ~j_mask == 0))

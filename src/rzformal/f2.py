@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .simplicial import mask_vertices
+
 
 def rank(rows: list[int], ncols: int) -> int:
     """Rank over F2. ``ncols`` is accepted for signature parity with ``rref``."""
@@ -98,18 +100,6 @@ def vector_to_string(v: int, m: int) -> str:
     return "".join("1" if (v >> i) & 1 else "0" for i in range(m))
 
 
-def support(v: int) -> tuple[int, ...]:
-    """Coordinates (1-based) where the vector is nonzero."""
-    out = []
-    i = 1
-    while v:
-        if v & 1:
-            out.append(i)
-        v >>= 1
-        i += 1
-    return tuple(out)
-
-
 class Subgroup:
     """A subgroup of (Z/2)^m given by generators, canonicalized to RREF.
 
@@ -166,7 +156,7 @@ class Subgroup:
 
     def hull(self) -> tuple[int, ...]:
         """Support of the smallest coordinate subgroup containing this one."""
-        return support(self.hull_mask)
+        return mask_vertices(self.hull_mask)
 
     def elements(self) -> Iterator[int]:
         """All 2^rank elements, in generator-combination order."""

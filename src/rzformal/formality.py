@@ -94,7 +94,11 @@ def _lex_subsets(k: SimplicialComplex) -> list[tuple[int, tuple[int, ...]]]:
     return subsets
 
 
-def general_criterion(k: SimplicialComplex, i_set: Iterable[int] | int) -> FormalityReport:
+def general_criterion(
+    k: SimplicialComplex,
+    i_set: Iterable[int] | int,
+    max_vertices: int | None = None,
+) -> FormalityReport:
     """Restriction-map test; works for arbitrary complexes.
 
     Requires I to be a face and, for every vertex subset J, the faces
@@ -103,9 +107,11 @@ def general_criterion(k: SimplicialComplex, i_set: Iterable[int] | int) -> Forma
     star of I ∩ J rather than all of its vertices is essential: the
     two deletions agree when I meets J in at most one vertex but not
     in general, and only the star deletion matches the fixed-point
-    Betti count on every complex.
+    Betti count on every complex.  The loop over all 2^m subsets J is
+    capped like the Hochster sums, and ``max_vertices`` overrides it.
     """
     i_mask = _as_mask(k, i_set)
+    moment_angle.check_cap("hochster", k.m, max_vertices)
     hull = mask_vertices(i_mask)
     if not k.has_face(i_mask):
         witness = {"kind": "not_a_face", "I": list(hull)}
@@ -139,7 +145,7 @@ def betti_sum_oracle(
     hull = mask_vertices(i_mask)
     ambient_total = moment_angle.hochster_real_betti(k, max_vertices).total
     fixed_table = moment_angle.fixed_betti_via_link(k, i_mask, max_vertices)
-    if k.m <= moment_angle.cubical_cap():
+    if k.m <= moment_angle.cap("cubical"):
         model = moment_angle.build_cubical(k, subdivided=True)
         recomputed = model.fixed_subcomplex(i_mask).betti()
         if recomputed.dims != fixed_table.dims:
@@ -202,7 +208,7 @@ def evaluate_all(
     reports = {}
     if k.is_flag():
         reports["flag_criterion"] = flag_criterion(k, i_mask)
-    reports["general_criterion"] = general_criterion(k, i_mask)
+    reports["general_criterion"] = general_criterion(k, i_mask, max_vertices)
     reports["betti_sum_oracle"] = betti_sum_oracle(k, i_mask, max_vertices)
     reports["torus_oracle"] = torus_oracle(k, i_mask, max_vertices)
     return reports

@@ -15,9 +15,12 @@ Two direct cell models of the real version are available:
 
 Only the subdivided model is a subcomplex-closed home for fixed sets
 of coordinate reflections, which fix exactly the cells sitting at 0 on
-the reflected coordinates. Subset sums are capped by vertex count
-(environment overrides RZFORMAL_HOCHSTER_CAP, RZFORMAL_CUBICAL_CAP)
-since both scale exponentially.
+the reflected coordinates.
+
+Every computation exponential in the vertex count m checks one entry of
+``CAPS`` with ``check_cap`` before it starts: the 2^m sums over vertex
+subsets here and in the general criterion, the cubical models with up
+to 5^m cells, and census enumeration.
 """
 
 from __future__ import annotations
@@ -30,20 +33,30 @@ from . import f2
 from .cohomology import hom_data
 from .simplicial import SimplicialComplex, mask_vertices, submasks, vertex_mask
 
-DEFAULT_HOCHSTER_CAP = 20
-DEFAULT_CUBICAL_CAP = 8
+# name: (environment variable, default vertex cap, what it guards)
+CAPS = {
+    "hochster": ("RZFORMAL_HOCHSTER_CAP", 20, "loop over vertex subsets"),
+    "cubical": ("RZFORMAL_CUBICAL_CAP", 8, "cubical model"),
+    "census flag": ("RZFORMAL_CENSUS_FLAG_CAP", 5, "census flag mode"),
+    "census all-complexes": ("RZFORMAL_CENSUS_ALL_CAP", 4, "census all-complexes mode"),
+}
 
 
-def hochster_cap(override: int | None = None) -> int:
+def cap(name: str, override: int | None = None) -> int:
+    """The vertex cap ``name``: the override, else its variable, else its default."""
     if override is not None:
         return override
-    return int(os.environ.get("RZFORMAL_HOCHSTER_CAP", DEFAULT_HOCHSTER_CAP))
+    env, default, _ = CAPS[name]
+    return int(os.environ.get(env, default))
 
 
-def cubical_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get("RZFORMAL_CUBICAL_CAP", DEFAULT_CUBICAL_CAP))
+def check_cap(name: str, m: int, override: int | None = None) -> None:
+    """Refuse an m-vertex input over the cap ``name``."""
+    limit = cap(name, override)
+    if m > limit:
+        env, _, what = CAPS[name]
+        source = env if override is None else "max_vertices"
+        raise ValueError(f"{what} for m = {m} exceeds the cap {limit} ({source})")
 
 
 @dataclass(frozen=True)
@@ -70,15 +83,6 @@ class SpaceBettiTable:
         return {"min_degree": 0, "dims": list(self.dims), "total": self.total}
 
 
-def _check_hochster_cap(k: SimplicialComplex, max_vertices: int | None) -> None:
-    cap = hochster_cap(max_vertices)
-    if k.m > cap:
-        raise ValueError(
-            f"Hochster sum over {k.m} vertices exceeds the cap {cap}; "
-            "pass max_vertices to override"
-        )
-
-
 def _hochster_tables(
     k: SimplicialComplex, max_vertices: int | None
 ) -> tuple[SpaceBettiTable, SpaceBettiTable]:
@@ -90,7 +94,7 @@ def _hochster_tables(
     cached = k._cache.get("hochster")
     if cached is not None:
         return cached
-    _check_hochster_cap(k, max_vertices)
+    check_cap("hochster", k.m, max_vertices)
     real: dict[int, int] = {}
     cplx: dict[int, int] = {}
     for j_mask in submasks(k.ambient):
@@ -178,7 +182,7 @@ class CubicalComplex:
         # must not reference itself so that it is freed without waiting
         # for the cycle collector
         self._model = model
-        self._coords = [b - 1 for b in f2.support(ambient)]
+        self._coords = [b - 1 for b in mask_vertices(ambient)]
         self._cache: dict = {}
 
     @property
@@ -278,10 +282,6 @@ class CubicalComplex:
             self.ambient, True, cells_by_dim, groups, self._model or self
         )
 
-    def cells_fixed_by(self, reflection: int) -> frozenset:
-        """Cells pointwise fixed by one coordinate reflection vector."""
-        return self.fixed_subcomplex(reflection).cell_set()
-
     def __repr__(self) -> str:
         kind = "subdivided" if self.subdivided else "plain"
         return f"CubicalComplex(m={self.m}, {kind}, counts={self.counts()})"
@@ -293,15 +293,11 @@ def build_cubical(
     max_vertices: int | None = None,
 ) -> CubicalComplex:
     """Cell model of the real moment-angle complex of ``k``."""
-    cap = cubical_cap(max_vertices)
-    if k.m > cap:
-        raise ValueError(
-            f"cubical model limited to {cap} vertices; pass max_vertices to override"
-        )
     cache_key = ("cubical", subdivided)
     cached = k._cache.get(cache_key)
     if cached is not None:
         return cached
+    check_cap("cubical", k.m, max_vertices)
     dims = range(max(k.dim + 2, 1))
     if not subdivided:
         cells_by_dim: list[list] = [[] for _ in dims]

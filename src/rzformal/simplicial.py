@@ -149,30 +149,32 @@ class Graph:
 def _maximal_cliques(adj: tuple[int, ...] | list[int], verts: int) -> list[int]:
     """Bron-Kerbosch with pivoting, on adjacency bitmasks."""
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        px = p | x
-        pivot, best = -1, -1
-        t = px
-        while t:
-            v = (t & -t).bit_length() - 1
-            n = (p & adj[v]).bit_count()
-            if n > best:
-                best, pivot = n, v
-            t &= t - 1
-        cand = p & ~adj[pivot]
-        while cand:
-            vbit = cand & -cand
-            v = vbit.bit_length() - 1
-            expand(r | vbit, p & adj[v], x & adj[v])
-            p &= ~vbit
-            x |= vbit
-            cand ^= vbit
-    expand(0, verts, 0)
+    _expand(adj, out, 0, verts, 0)
     return out
+
+
+def _expand(adj, out: list[int], r: int, p: int, x: int) -> None:
+    """Append to ``out`` the maximal cliques containing r, extended within p."""
+    if p == 0 and x == 0:
+        out.append(r)
+        return
+    px = p | x
+    pivot, best = -1, -1
+    t = px
+    while t:
+        v = (t & -t).bit_length() - 1
+        n = (p & adj[v]).bit_count()
+        if n > best:
+            best, pivot = n, v
+        t &= t - 1
+    cand = p & ~adj[pivot]
+    while cand:
+        vbit = cand & -cand
+        v = vbit.bit_length() - 1
+        _expand(adj, out, r | vbit, p & adj[v], x & adj[v])
+        p &= ~vbit
+        x |= vbit
+        cand ^= vbit
 
 
 class SimplicialComplex:

@@ -155,7 +155,7 @@ def test_criterion_5_fixed_point_lemmas():
             a = Subgroup(k.m, gens)
             fixed = c.cell_set()
             for g in gens:
-                fixed &= c.cells_fixed_by(g)
+                fixed &= c.fixed_subcomplex(g).cell_set()
             assert fixed == c.fixed_subcomplex(a.hull_mask).cell_set(), (k, gens)
             checked += 1
 

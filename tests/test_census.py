@@ -71,9 +71,12 @@ def test_census_tasks_one_per_complex():
     assert len(list(census_tasks(3, "all-complexes"))) == 9
 
 
-def test_census_tasks_reject_unknown_mode():
+def test_census_tasks_reject_unknown_mode(tmp_path):
     with pytest.raises(ValueError):
         list(census_tasks(2, "all"))
+    # a mode that names no cap is a ValueError, never a KeyError
+    with pytest.raises(ValueError, match="unknown census mode"):
+        run_census(3, "all", tmp_path / "x.jsonl")
 
 
 def test_run_census_flag_m2(tmp_path):
@@ -195,6 +198,22 @@ def test_verify_census_empty_file(tmp_path):
     out.write_text("")
     result = verify_census(out)
     assert result["records"] == 0
+    assert result["mismatches"] == []
+
+
+def test_verify_reports_a_line_over_the_census_caps_as_corrupt(tmp_path, monkeypatch):
+    out = tmp_path / "c.jsonl"
+    run_census(2, "flag", out)
+    line = json.loads(out.read_text().splitlines()[1])
+    line["m"] = 6
+    out.write_text(json.dumps(line, separators=(",", ":")) + "\n")
+
+    def refuse(*args):
+        raise AssertionError("a line over the census caps was recomputed")
+
+    monkeypatch.setattr(census, "compute_record", refuse)
+    result = verify_census(out)
+    assert result["corrupt"] == [1]
     assert result["mismatches"] == []
 
 

@@ -243,7 +243,7 @@ def test_check_oracle_respects_max_vertices(files, capsys):
 C4 = {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]}
 
 
-@pytest.mark.parametrize("method", ["oracle", "torus", "all"])
+@pytest.mark.parametrize("method", ["general", "oracle", "torus", "all"])
 def test_check_max_vertices_lifts_the_hochster_cap(files, capsys, monkeypatch, method):
     _, write = files
     c4 = write("c4.json", C4)
@@ -252,6 +252,22 @@ def test_check_max_vertices_lifts_the_hochster_cap(files, capsys, monkeypatch, m
     assert "exceeds the cap 3" in capsys.readouterr().err
     assert run(["check", c4, "--I", "1", "--method", method, "--max-vertices", "4"]) in (0, 1)
     capsys.readouterr()
+
+
+def test_check_over_the_cap_refuses_before_the_general_loop(files, capsys, monkeypatch):
+    _, write = files
+    c4 = write("c4.json", C4)
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return True
+
+    monkeypatch.setattr("rzformal.formality._restriction_map_trivial", count)
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "3")
+    assert run(["check", c4, "--I", "1", "--method", "all"]) == 3
+    assert "exceeds the cap 3" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_check_max_vertices_never_lifts_the_cubical_cap(files, capsys, monkeypatch):

@@ -14,10 +14,10 @@ from rzformal.f2 import (
     reduce_batch,
     reduce_vector,
     rref,
-    support,
     vector_from_string,
     vector_to_string,
 )
+from rzformal.simplicial import mask_vertices
 
 
 def to_dense(rows, ncols):
@@ -36,7 +36,7 @@ def test_vector_string_round_trip():
     v = vector_from_string("110")
     assert v == 0b011
     assert vector_to_string(v, 3) == "110"
-    assert support(v) == (1, 2)
+    assert mask_vertices(v) == (1, 2)
     assert vector_from_string("000") == 0
     assert vector_to_string(0, 4) == "0000"
 

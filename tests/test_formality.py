@@ -155,6 +155,16 @@ def test_decide_dispatches_on_flagness():
     )
 
 
+def test_general_criterion_is_capped_like_the_hochster_sums(monkeypatch):
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "2")
+    with pytest.raises(ValueError, match="exceeds the cap 2"):
+        general_criterion(TRIANGLE_BOUNDARY, [1])
+    # decide reaches the general criterion on a non-flag complex
+    with pytest.raises(ValueError, match="exceeds the cap 2"):
+        decide(TRIANGLE_BOUNDARY, Subgroup(3, ["100"]))
+    assert general_criterion(TRIANGLE_BOUNDARY, [1], max_vertices=3).formal
+
+
 def test_decide_uses_the_hull():
     # the two-coordinate diagonal has the same hull as the full group
     diag = Subgroup(2, ["11"])

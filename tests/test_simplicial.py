@@ -1,5 +1,6 @@
 """Complexes, graphs, clique complexes, links and restrictions."""
 
+import gc
 import json
 
 import pytest
@@ -46,6 +47,17 @@ def test_clique_complex_of_cycle_is_the_cycle():
     k = Graph.cycle(4).clique_complex()
     assert facet_sets(k) == [[1, 2], [1, 4], [2, 3], [3, 4]]
     assert k.is_flag()
+
+
+def test_clique_search_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            Graph.cycle(5).clique_complex().is_flag()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_clique_complex_of_complete_graph_is_simplex():
