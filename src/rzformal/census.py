@@ -21,7 +21,7 @@ from itertools import combinations
 from multiprocessing import Pool
 from typing import Iterator
 
-from .formality import evaluate_all, reports_agree
+from .formality import FixedPointModelError, evaluate_all, reports_agree
 from .moment_angle import cap, check_cap
 from .simplicial import Graph, SimplicialComplex, mask_vertices
 
@@ -210,7 +210,8 @@ def verify_census(path: str) -> dict:
     Returns a summary with mismatching and corrupt line numbers; the
     file passes only if both lists are empty. A line whose m is over
     both census caps is corrupt and is not recomputed, since no census
-    under the current caps writes it. Consecutive lines of one complex
+    under the current caps writes it, and a line whose fixed-point
+    models disagree is a mismatch. Consecutive lines of one complex
     share its SimplicialComplex and everything cached on it.
     """
     mismatches: list[int] = []
@@ -240,6 +241,9 @@ def verify_census(path: str) -> dict:
                 recomputed = compute_record(k, i_mask).json_line()
             except (KeyError, TypeError, ValueError):
                 corrupt.append(lineno)
+                continue
+            except FixedPointModelError:
+                mismatches.append(lineno)
                 continue
             if recomputed != line:
                 mismatches.append(lineno)

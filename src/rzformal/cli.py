@@ -7,8 +7,9 @@ graph is {"m": int, "edges": [[u, v], ...]}, and a subgroup is
 generator giving coordinate k.
 
 Exit codes for check: 0 formal, 1 not formal, 2 method disagreement
-(mode all), 3 bad input. Census exits 1 when any record disagrees;
-verify exits 1 on mismatching records and 2 on corrupt ones.
+(mode all) or a fixed-point model disagreement, 3 bad input. Census
+exits 1 when any record disagrees; verify exits 1 on mismatching
+records and 2 on corrupt ones.
 """
 
 from __future__ import annotations
@@ -200,6 +201,9 @@ def run(argv: Iterable[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except formality.FixedPointModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -10,6 +10,10 @@ Cochain bases are ordered by face bitmask within each degree. Per-face
 computations are memoized globally under a relabeling that compresses
 the face supports, so restrictions of one complex to many vertex
 subsets share work.
+
+A cache entry takes its Betti numbers from boundary ranks alone,
+b_d = n_d - rank ∂_d - rank ∂_(d+1); the cohomology bases that
+restriction maps need are built on first use.
 """
 
 from __future__ import annotations
@@ -58,27 +62,35 @@ class BettiTable:
 
 
 class _DegreeData:
-    """Cochain data in one degree: size, coboundary RREF, class reps."""
+    """Cochain data in one degree: coboundary RREF, class reps."""
 
-    __slots__ = ("n", "cob_ech", "cob_piv", "h_basis")
+    __slots__ = ("cob_ech", "cob_piv", "h_basis")
 
-    def __init__(self, n, cob_ech, cob_piv, h_basis):
-        self.n = n
+    def __init__(self, cob_ech, cob_piv, h_basis):
         self.cob_ech = cob_ech
         self.cob_piv = cob_piv
         self.h_basis = h_basis
 
 
 class _HomData:
-    """Cohomology of one face list, positions relative to that list."""
+    """Cohomology of one face list, positions relative to that list.
 
-    __slots__ = ("degrees", "betti", "total_betti", "betti_table")
+    ``degrees``, the per-degree bases, is built on first access.
+    """
 
-    def __init__(self, degrees: dict[int, _DegreeData]):
-        self.degrees = degrees
-        self.betti = {d: len(dd.h_basis) for d, dd in degrees.items()}
-        self.total_betti = sum(self.betti.values())
-        self.betti_table = BettiTable.from_dict(self.betti)
+    __slots__ = ("faces", "betti", "total_betti", "_degrees")
+
+    def __init__(self, faces: tuple[int, ...], betti: dict[int, int]):
+        self.faces = faces
+        self.betti = betti
+        self.total_betti = sum(betti.values())
+        self._degrees = None
+
+    @property
+    def degrees(self) -> dict[int, _DegreeData]:
+        if self._degrees is None:
+            self._degrees = _build_bases(self.faces)
+        return self._degrees
 
 
 _hom_cache: dict[tuple[int, ...], _HomData] = {}
@@ -122,44 +134,55 @@ def group_by_dim(faces: Iterable[int]) -> dict[int, list[int]]:
     return out
 
 
-def _build_hom_data(faces: tuple[int, ...]) -> _HomData:
-    by_dim = group_by_dim(faces)
-    if not by_dim:
-        return _HomData({})
-    top = max(by_dim)
-    index = {d: {f: i for i, f in enumerate(fs)} for d, fs in by_dim.items()}
-
-    # up_rows[t]: rows over (t-1)-faces, columns over t-faces; down_rows[t]
-    # is its transpose. Both describe the coboundary into degree t.
-    up_rows: dict[int, list[int]] = {}
-    down_rows: dict[int, list[int]] = {}
-    for t in range(0, top + 1):
-        faces_t = by_dim.get(t, [])
-        up = [0] * len(by_dim.get(t - 1, []))
-        down = [0] * len(faces_t)
-        idx_lo = index.get(t - 1, {})
-        for j, tau in enumerate(faces_t):
+def _boundary_rows(by_dim: dict[int, list[int]]) -> dict[int, list[int]]:
+    """Per t >= 0, the boundary of each t-face as bits over the (t-1)-faces."""
+    rows = {}
+    for t, faces_t in by_dim.items():
+        if t < 0:
+            continue
+        index = {f: i for i, f in enumerate(by_dim[t - 1])}
+        out = []
+        for tau in faces_t:
+            row = 0
             rest = tau
             while rest:
                 low = rest & -rest
-                i = idx_lo[tau ^ low]
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+                row |= 1 << index[tau ^ low]
                 rest ^= low
-        up_rows[t] = up
-        down_rows[t] = down
+            out.append(row)
+        rows[t] = out
+    return rows
 
+
+def _build_hom_data(faces: tuple[int, ...]) -> _HomData:
+    by_dim = group_by_dim(faces)
+    rows = _boundary_rows(by_dim)
+    ranks = {t: f2.rank(r, len(by_dim[t - 1])) for t, r in rows.items()}
+    betti = {
+        d: len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, fs in by_dim.items()
+    }
+    return _HomData(faces, betti)
+
+
+def _build_bases(faces: tuple[int, ...]) -> dict[int, _DegreeData]:
+    by_dim = group_by_dim(faces)
+    rows = _boundary_rows(by_dim)
     degrees = {}
-    for d in range(-1, top + 1):
-        n = len(by_dim.get(d, []))
-        if n == 0:
-            continue
-        cocycles = f2.kernel_basis(down_rows.get(d + 1, []), n)
-        cob_ech, cob_piv = f2.rref(up_rows.get(d, []), n)
+    for d, fs in by_dim.items():
+        n = len(fs)
+        cocycles = f2.kernel_basis(rows.get(d + 1, []), n)
+        # transpose: the coboundary from degree d - 1
+        cob = [0] * len(by_dim.get(d - 1, ()))
+        for j, row in enumerate(rows.get(d, ())):
+            while row:
+                low = row & -row
+                cob[low.bit_length() - 1] |= 1 << j
+                row ^= low
+        cob_ech, cob_piv = f2.rref(cob, n)
         reduced = [v for v in f2.reduce_batch(cocycles, cob_ech, cob_piv) if v]
         h_basis, _ = f2.rref(reduced, n)
-        degrees[d] = _DegreeData(n, cob_ech, cob_piv, h_basis)
-    return _HomData(degrees)
+        degrees[d] = _DegreeData(cob_ech, cob_piv, h_basis)
+    return degrees
 
 
 def hom_data(faces: tuple[int, ...]) -> _HomData:
@@ -174,7 +197,7 @@ def hom_data(faces: tuple[int, ...]) -> _HomData:
 
 def reduced_betti(k: SimplicialComplex) -> BettiTable:
     """Reduced F2 Betti numbers of a complex (ghost vertices ignored)."""
-    return hom_data(k.faces()).betti_table
+    return BettiTable.from_dict(hom_data(k.faces()).betti)
 
 
 def _positions(sub: list[int], full: list[int]) -> list[int]:
@@ -205,12 +228,10 @@ def _restriction_map_trivial(
     src_by_dim = group_by_dim(src_faces)
     tgt_by_dim = group_by_dim(tgt_faces)
     for d, src_deg in src.degrees.items():
-        if not src_deg.h_basis:
+        # a class can restrict nontrivially only where H^d(target) != 0
+        if not src_deg.h_basis or not tgt.betti.get(d):
             continue
-        t_list = tgt_by_dim.get(d)
-        if not t_list:
-            continue
-        pos = _positions(t_list, src_by_dim[d])
+        pos = _positions(tgt_by_dim[d], src_by_dim[d])
         restricted = []
         for h in src_deg.h_basis:
             v = 0

@@ -109,6 +109,8 @@ def general_criterion(
     in general, and only the star deletion matches the fixed-point
     Betti count on every complex.  The loop over all 2^m subsets J is
     capped like the Hochster sums, and ``max_vertices`` overrides it.
+    A cone K_J is acyclic, so its restriction is trivial and it is
+    skipped; the cone test is sound, so the witness is unchanged.
     """
     i_mask = _as_mask(k, i_set)
     moment_angle.check_cap("hochster", k.m, max_vertices)
@@ -118,7 +120,7 @@ def general_criterion(
         return FormalityReport("not_formal", "general_criterion", hull, witness)
     for j_mask, j_vertices in _lex_subsets(k):
         sigma = j_mask & i_mask
-        if sigma == 0:
+        if sigma == 0 or k.is_cone_on(j_mask):
             continue
         j_faces = k.subfaces(j_mask)
         deleted = tuple(f for f in j_faces if f & sigma != sigma)

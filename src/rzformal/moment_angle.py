@@ -89,7 +89,9 @@ def _hochster_tables(
     """Real and complex tables from one pass over the full subcomplexes K_J.
 
     Degree d of K_J lands in degree d + 1 of the real space and in
-    degree d + |J| + 1 of the complex one. Both are cached on k.
+    degree d + |J| + 1 of the complex one. Both are cached on k. A cone
+    K_J is contractible, so it is skipped; the cone test is sound, so
+    the sums are exact.
     """
     cached = k._cache.get("hochster")
     if cached is not None:
@@ -98,6 +100,8 @@ def _hochster_tables(
     real: dict[int, int] = {}
     cplx: dict[int, int] = {}
     for j_mask in submasks(k.ambient):
+        if k.is_cone_on(j_mask):
+            continue
         size = j_mask.bit_count()
         for d, b in hom_data(k.subfaces(j_mask)).betti.items():
             if b:

@@ -272,6 +272,19 @@ class SimplicialComplex:
         self._cache[key] = out
         return out
 
+    def is_cone_on(self, j_mask: int) -> bool:
+        """Whether a vertex of J lies in every facet meeting J, so K_J is a cone.
+
+        Sound, not complete: an apex missing a non-maximal F ∩ J is not seen.
+        """
+        apex = -1  # every bit, until a facet meets J
+        for f in self.facets:
+            if f & j_mask:
+                apex &= f & j_mask
+                if not apex:
+                    return False
+        return apex > 0
+
     def has_face(self, mask: int) -> bool:
         try:
             face_set = self._cache["face_set"]

@@ -7,6 +7,7 @@ import pytest
 
 from rzformal import Graph, census, run_census, verify_census
 from rzformal.census import all_complexes, compute_record, census_tasks, flag_complexes
+from rzformal.moment_angle import CubicalComplex, SpaceBettiTable
 from rzformal.simplicial import vertex_mask
 
 
@@ -181,6 +182,22 @@ def test_verify_reports_only_a_corrupt_line_inside_one_complex(tmp_path, bad):
     assert result["records"] == 9
     assert result["corrupt"] == [3]
     assert result["mismatches"] == []
+
+
+def test_verify_reports_a_fixed_point_model_disagreement_and_goes_on(tmp_path, monkeypatch):
+    out = tmp_path / "c.jsonl"
+    run_census(2, "flag", out)
+    betti = CubicalComplex.betti
+    calls = []
+
+    def disagree_once(model):
+        calls.append(model)
+        return SpaceBettiTable((99,)) if len(calls) == 1 else betti(model)
+
+    monkeypatch.setattr(CubicalComplex, "betti", disagree_once)
+    result = verify_census(out)
+    assert result == {"records": 8, "mismatches": [1], "corrupt": []}
+    assert len(calls) == 8
 
 
 def test_verify_census_reports_corrupt_line(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from rzformal import census
 from rzformal.cli import run
+from rzformal.moment_angle import CubicalComplex, SpaceBettiTable
 
 
 @pytest.fixture
@@ -307,3 +308,18 @@ def test_census_jobs_are_clamped_to_the_cpu_count(files, capsys, monkeypatch):
     assert run(["census", "--max-vertices", "3", "--out", str(clamped), "--jobs", "64"]) == 0
     capsys.readouterr()
     assert clamped.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["oracle", "all"])
+def test_check_reports_a_fixed_point_model_disagreement_in_one_line(
+    files, capsys, monkeypatch, method
+):
+    _, write = files
+    c4 = write("c4.json", {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]})
+    monkeypatch.setattr(CubicalComplex, "betti", lambda model: SpaceBettiTable((99,)))
+    assert run(["check", c4, "--I", "1", "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: fixed-point model disagreement")

@@ -1,5 +1,7 @@
 """Reduced F2 cohomology and restriction-map triviality."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,10 +10,11 @@ from rzformal import (
     BettiTable,
     Graph,
     SimplicialComplex,
+    cohomology,
     reduced_betti,
     restriction_is_trivial,
 )
-from rzformal.simplicial import mask_vertices, vertex_mask
+from rzformal.simplicial import mask_vertices, submasks, vertex_mask
 
 
 def as_dict(table):
@@ -163,3 +166,48 @@ def test_exhaustive_small_against_dense_oracle():
         for combo in itertools.combinations(pool, r):
             k = SimplicialComplex.from_facets(4, combo)
             assert as_dict(reduced_betti(k)) == dense_of(k)
+
+
+def random_complex(rng, m, cone=False):
+    """Random facets on 1..m, some vertices possibly ghosts; a cone over m if asked."""
+    top = m - 1 if cone else m
+    facets = [
+        rng.sample(range(1, top + 1), rng.randint(1, min(top, 4)))
+        for _ in range(rng.randint(1, 7))
+    ]
+    if cone:
+        facets = [f + [m] for f in facets]
+    return SimplicialComplex.from_facets(m, facets)
+
+
+def basis_betti(faces):
+    """Reduced Betti numbers read off the cohomology bases, per degree."""
+    data = cohomology.hom_data(faces)
+    return {d: len(dd.h_basis) for d, dd in data.degrees.items()}
+
+
+def test_rank_betti_equals_the_basis_count_per_degree():
+    rng = random.Random(17)
+    for _ in range(150):
+        m = rng.randint(1, 8)
+        k = random_complex(rng, m)
+        j = rng.getrandbits(m)
+        for faces in (k.faces(), k.subfaces(j)):
+            data = cohomology._build_hom_data(faces)
+            assert data.betti == {d: len(dd.h_basis) for d, dd in data.degrees.items()}
+            assert data.betti == basis_betti(faces)
+
+
+def test_cone_test_is_sound_on_every_subset():
+    rng = random.Random(23)
+    for n in range(120):
+        m = rng.randint(2, 7)
+        k = random_complex(rng, m, cone=n % 3 == 0)
+        for c in (k, k.link(k.facets[0] & -k.facets[0])):
+            for j in submasks(c.ambient):
+                if c.is_cone_on(j):
+                    assert not any(basis_betti(c.subfaces(j)).values())
+        if n % 3 == 0:
+            # on a cone over m, every J containing the apex is found
+            apex = 1 << (m - 1)
+            assert all(k.is_cone_on(j) for j in submasks(k.ambient) if j & apex)

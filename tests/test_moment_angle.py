@@ -24,7 +24,7 @@ from rzformal import (
     torus_oracle,
 )
 from rzformal.census import all_complexes
-from rzformal.moment_angle import CubicalComplex
+from rzformal.moment_angle import CubicalComplex, SpaceBettiTable
 from rzformal.simplicial import mask_vertices, submasks, vertex_mask
 
 
@@ -281,15 +281,48 @@ def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
         seen.append(faces)
         return hom_data(faces)
 
+    def non_cone_faces(c):
+        return [c.subfaces(j) for j in submasks(c.ambient) if not c.is_cone_on(j)]
+
     monkeypatch.setattr(moment_angle, "hom_data", counted)
     k = Graph.cycle(4).clique_complex()
     hochster_real_betti(k)
     hochster_complex_betti(k)
-    assert len(seen) == 2**4
+    # one call per non-cone J of K, for both tables
+    assert seen == non_cone_faces(k)
+    n = len(seen)
     fixed_betti_via_link(k, vertex_mask([1]))
     # the torus oracle reuses the memoized link and its tables
     torus_oracle(k, vertex_mask([1]))
-    assert len(seen) == 2**4 + 2**3
+    assert seen[n:] == non_cone_faces(k.link(vertex_mask([1])))
+    # cones found: the 4 vertices of C4 (an edge J meets the facets on
+    # both sides of it in one vertex each, so the test misses it), and
+    # in the link the points {2} and {4}, alone or with ghost vertex 3
+    assert len(seen) == (2**4 - 4) + (2**3 - 4)
+
+
+def test_pruned_hochster_sums_equal_the_sum_over_every_subset():
+    rng = random.Random(31)
+    for n in range(80):
+        m = rng.randint(2, 7)
+        top = m - 1 if n % 2 else m
+        facets = [
+            rng.sample(range(1, top + 1), rng.randint(1, min(top, 4)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        if n % 2:
+            facets = [f + [m] for f in facets]  # a cone over vertex m
+        k = SimplicialComplex.from_facets(m, facets)
+        for c in (k, k.link(k.facets[-1] & -k.facets[-1])):
+            real, cplx = {}, {}
+            for j in submasks(c.ambient):
+                for d, dd in moment_angle.hom_data(c.subfaces(j)).degrees.items():
+                    b = len(dd.h_basis)
+                    real[d + 1] = real.get(d + 1, 0) + b
+                    shift = d + j.bit_count() + 1
+                    cplx[shift] = cplx.get(shift, 0) + b
+            assert hochster_real_betti(c) == SpaceBettiTable.from_dict(real)
+            assert hochster_complex_betti(c) == SpaceBettiTable.from_dict(cplx)
 
 
 def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():
