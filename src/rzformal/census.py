@@ -208,34 +208,37 @@ def verify_census(path: str) -> dict:
     """Recompute every record and compare byte-for-byte.
 
     Returns a summary with mismatching and corrupt line numbers; the
-    file passes only if both lists are empty. A line whose m is over
-    both census caps is corrupt and is not recomputed, since no census
-    under the current caps writes it, and a line whose fixed-point
-    models disagree is a mismatch. Consecutive lines of one complex
-    share its SimplicialComplex and everything cached on it.
+    file passes only if both lists are empty. A line that is not UTF-8,
+    not JSON, or has fields ``check`` would refuse is corrupt, and so
+    is a line whose m is over both census caps: it is not recomputed,
+    since no census under the current caps writes it. A line whose
+    fixed-point models disagree is a mismatch. Consecutive lines of
+    one complex share its SimplicialComplex and everything cached on it.
     """
     mismatches: list[int] = []
     corrupt: list[int] = []
     records = 0
     max_m = max(cap(f"census {mode}") for mode in MODES)
     k = None
-    with open(path) as f:
+    with open(path, "rb") as f:
         for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line:
+            raw = raw.rstrip(b"\n")
+            if not raw:
                 corrupt.append(lineno)
                 continue
             records += 1
             try:
+                line = raw.decode()
                 obj = json.loads(line)
                 m = obj["m"]
                 if m > max_m:
                     raise ValueError(f"m = {m} is over the census caps")
-                facets = tuple(tuple(f) for f in obj["facets"])
+                line_k = SimplicialComplex.from_json_obj(obj)
                 i_mask = 0
                 for v in obj["I"]:
+                    if type(v) is not int or not 1 <= v <= m:
+                        raise ValueError(f"I holds {v!r}, not a vertex in 1..{m}")
                     i_mask |= 1 << (v - 1)
-                line_k = SimplicialComplex.from_facets(m, facets)
                 if line_k != k:
                     k = line_k
                 recomputed = compute_record(k, i_mask).json_line()

@@ -148,8 +148,7 @@ def betti_sum_oracle(
     ambient_total = moment_angle.hochster_real_betti(k, max_vertices).total
     fixed_table = moment_angle.fixed_betti_via_link(k, i_mask, max_vertices)
     if k.m <= moment_angle.cap("cubical"):
-        model = moment_angle.build_cubical(k, subdivided=True)
-        recomputed = model.fixed_subcomplex(i_mask).betti()
+        recomputed = moment_angle.build_cubical(k).fixed_subcomplex(i_mask).betti()
         if recomputed.dims != fixed_table.dims:
             raise FixedPointModelError(
                 "fixed-point model disagreement: link formula gives "

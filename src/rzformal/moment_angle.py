@@ -5,17 +5,20 @@ F2 Betti numbers decompose over vertex subsets J as reduced cohomology
 of the full subcomplexes K_J (degree shift 1). The complex version has
 shift |J| + 1 and the same total dimension.
 
-Two direct cell models of the real version are available:
+``CubicalComplex`` recomputes these numbers from cells of the cube. It
+has one cell encoding: a 3-bit code per coordinate, naming one of the
+points {-1}, {0}, {1} or the intervals [-1,0], [0,1], [-1,1]. The
+coordinates cut at 0 (its ``subdivide`` mask) decide which intervals
+occur. With no cut it is the plain model, one cell per face sigma and
+sign pattern off sigma; cut along every coordinate it has up to 5^m
+cells.
 
-* unsubdivided: cells (sigma, eps) with sigma a face of K and eps a
-  sign pattern on the remaining coordinates;
-* subdivided: each coordinate interval is split at 0, so every cell is
-  a per-coordinate choice among {-1}, {0}, {1}, [-1,0], [0,1], and is
-  present iff the support of interval and zero coordinates is a face.
-
-Only the subdivided model is a subcomplex-closed home for fixed sets
-of coordinate reflections, which fix exactly the cells sitting at 0 on
-the reflected coordinates.
+The reflection in coordinate i fixes the points with x_i = 0. Once the
+coordinates of I are cut at 0, the points of RZ_K with x_i = 0 on I
+form a subcomplex: the cells with {0} on I, which lie over the faces
+containing I. So the fixed set needs the cut along I alone, with at
+most 3^m cells, and reading it off the cube never uses the link
+formula that it checks.
 
 Every computation exponential in the vertex count m checks one entry of
 ``CAPS`` with ``check_cap`` before it starts: the 2^m sums over vertex
@@ -27,11 +30,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import f2
 from .cohomology import hom_data
-from .simplicial import SimplicialComplex, mask_vertices, submasks, vertex_mask
+from .simplicial import SimplicialComplex, submasks, vertex_mask
 
 # name: (environment variable, default vertex cap, what it guards)
 CAPS = {
@@ -155,43 +158,61 @@ def _spread(mask: int, code: int) -> int:
     return out
 
 
+# the two end codes of each interval code: [-1,0] has ends {-1} and {0},
+# [0,1] has {0} and {1}, [-1,1] has {-1} and {1}; points have none
+_ENDS = ((), (), (), (0, 1), (1, 2), (0, 2))
+
+
 class CubicalComplex:
-    """A cell model of the real moment-angle complex of one complex.
+    """A cubical complex in [-1,1]^m read off the faces of one complex.
 
-    Unsubdivided cells are pairs (face mask, sign mask on the other
-    coordinates). Subdivided cells are ints with a 3-bit code per
-    coordinate: 0 is {-1}, 1 is {0}, 2 is {1}, 3 is [-1,0], 4 is [0,1].
-    A subdivided complex also keeps, per dimension, its cells grouped
-    by the mask of their zero coordinates.
-
-    A fixed subcomplex takes its boundary rows from its model, which
-    builds each cell's row at most once, on first request. Fixed cells
-    are closed under taking faces, so rows shared this way stay valid
-    for every fixed subcomplex.
+    A cell is an int with a 3-bit code per coordinate: 0 is {-1}, 1 is
+    {0}, 2 is {1}, 3 is [-1,0], 4 is [0,1] and 5 is [-1,1]. Besides the
+    face masks, a complex keeps two coordinate masks: ``subdivide``, the
+    coordinates cut at 0, and ``zero``, the coordinates held at 0 (a
+    subset of ``subdivide``). For each face sigma containing ``zero``
+    its cells carry {0} on ``zero``, [-1,1] on sigma outside
+    ``subdivide``, {0}, [-1,0] or [0,1] on the rest of sigma, and -1
+    or 1 off sigma. The cells are generated on first use.
     """
 
-    def __init__(
-        self,
-        ambient: int,
-        subdivided: bool,
-        cells_by_dim,
-        zero_groups: list[dict[int, list[int]]] | None = None,
-        model: "CubicalComplex | None" = None,
-    ):
+    def __init__(self, ambient: int, faces: tuple[int, ...], subdivide: int, zero: int):
         self.ambient = ambient
-        self.subdivided = subdivided
-        self.cells_by_dim = tuple(tuple(sorted(cells)) for cells in cells_by_dim)
-        self._zero_groups = zero_groups
-        # the complex whose rows this one shares; None for a model, which
-        # must not reference itself so that it is freed without waiting
-        # for the cycle collector
-        self._model = model
-        self._coords = [b - 1 for b in mask_vertices(ambient)]
-        self._cache: dict = {}
+        self.faces = faces
+        self.subdivide = subdivide
+        self.zero = zero
+        self._cells: tuple[tuple[int, ...], ...] | None = None
+        self._betti: SpaceBettiTable | None = None
 
     @property
     def m(self) -> int:
         return self.ambient.bit_count()
+
+    @property
+    def cells_by_dim(self) -> tuple[tuple[int, ...], ...]:
+        if self._cells is None:
+            self._cells = self._generate()
+        return self._cells
+
+    def _generate(self) -> tuple[tuple[int, ...], ...]:
+        by_dim: list[list[int]] = [[] for _ in range(self.m + 1)]
+        zero = self.zero
+        for face in self.faces:
+            if face & zero != zero:
+                continue
+            whole = face & ~self.subdivide
+            cut = face & self.subdivide & ~zero
+            base = _spread(zero, 1) + _spread(whole, 5)
+            signs = [_spread(s, 2) for s in submasks(self.ambient & ~face)]
+            for d_mask in submasks(cut):
+                low = base + _spread(cut ^ d_mask, 1) + _spread(d_mask, 3)
+                cells = by_dim[whole.bit_count() + d_mask.bit_count()]
+                for up in submasks(d_mask):
+                    enc = low + _spread(up, 1)
+                    cells += [enc + sign for sign in signs]
+        while by_dim and not by_dim[-1]:
+            by_dim.pop()
+        return tuple(tuple(cells) for cells in by_dim)
 
     @property
     def dim(self) -> int:
@@ -200,95 +221,64 @@ class CubicalComplex:
     def counts(self) -> tuple[int, ...]:
         return tuple(len(cells) for cells in self.cells_by_dim)
 
-    def cells(self, d: int) -> tuple:
+    def cells(self, d: int) -> tuple[int, ...]:
         if 0 <= d < len(self.cells_by_dim):
             return self.cells_by_dim[d]
         return ()
 
-    def cell_set(self) -> frozenset:
+    def cell_set(self) -> frozenset[int]:
         return frozenset(c for cells in self.cells_by_dim for c in cells)
 
-    def boundary(self, cell) -> list:
+    def boundary(self, cell: int) -> list[int]:
         """Cells of one dimension lower in the F2 boundary of ``cell``."""
         out = []
-        if self.subdivided:
-            for i in self._coords:
-                code = (cell >> (3 * i)) & 7
-                if code >= 3:
-                    out.append(cell - (3 << (3 * i)))
-                    out.append(cell - (2 << (3 * i)))
-        else:
-            sigma, eps = cell
-            rest = sigma
-            while rest:
-                low = rest & -rest
-                out.append((sigma ^ low, eps))
-                out.append((sigma ^ low, eps | low))
-                rest ^= low
+        shift = 0
+        while cell >> shift:
+            code = (cell >> shift) & 7
+            for end in _ENDS[code]:
+                out.append(cell + ((end - code) << shift))
+            shift += 3
         return out
-
-    def _rows(self, d: int, cells: tuple) -> tuple[list[int], int]:
-        """Boundary rows of some d-cells of this model, and their width.
-
-        A (d-1)-cell gets its column the first time it is met as a face,
-        so a fixed subcomplex asked for first spans only its own columns.
-        Each row is built once.
-        """
-        rows = self._cache.setdefault(("rows", d), {})
-        columns = self._cache.setdefault(("columns", d - 1), {})
-        out = []
-        for cell in cells:
-            row = rows.get(cell)
-            if row is None:
-                row = 0
-                for child in self.boundary(cell):
-                    j = columns.get(child)
-                    if j is None:
-                        j = columns[child] = len(columns)
-                    row ^= 1 << j
-                rows[cell] = row
-            out.append(row)
-        return out, len(columns)
 
     def betti(self) -> SpaceBettiTable:
         """Cellular F2 homology Betti numbers."""
-        cached = self._cache.get("betti")
-        if cached is not None:
-            return cached
-        model = self._model or self
-        counts = self.counts()
-        top = len(counts) - 1
-        ranks = [0] * (top + 2)
-        for d in range(1, top + 1):
-            ranks[d] = f2.rank(*model._rows(d, self.cells_by_dim[d]))
-        table = {d: counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1)}
-        result = SpaceBettiTable.from_dict(table)
-        self._cache["betti"] = result
-        return result
+        if self._betti is None:
+            by_dim = self.cells_by_dim
+            ranks = [0] * (len(by_dim) + 1)
+            for d in range(1, len(by_dim)):
+                column = {c: j for j, c in enumerate(by_dim[d - 1])}
+                rows = []
+                for cell in by_dim[d]:
+                    row = 0
+                    for child in self.boundary(cell):
+                        row ^= 1 << column[child]
+                    rows.append(row)
+                ranks[d] = f2.rank(rows, len(column))
+            self._betti = SpaceBettiTable.from_dict(
+                {d: len(cells) - ranks[d] - ranks[d + 1] for d, cells in enumerate(by_dim)}
+            )
+        return self._betti
 
     def fixed_subcomplex(self, i_set: Iterable[int] | int) -> "CubicalComplex":
-        """Subcomplex of cells pointwise fixed by reflections on i_set."""
-        if not self.subdivided:
-            raise ValueError("requires subdivided model")
+        """The points fixed by reflections on ``i_set``: those at 0 there.
+
+        Cutting the coordinates of I at 0 makes {x_i = 0 for i in I} a
+        union of cells, closed under taking faces, and a point of RZ_K
+        lies there only if its face contains I. So the fixed set is the
+        subcomplex of the faces sigma containing I with {0} on I.
+        """
         i_mask = i_set if isinstance(i_set, int) else vertex_mask(i_set)
         if i_mask & ~self.ambient:
             raise ValueError("coordinate set is not contained in the vertex set")
-        groups = [
-            {zero: cells for zero, cells in by_zero.items() if zero & i_mask == i_mask}
-            for by_zero in self._zero_groups
-        ]
-        while groups and not groups[-1]:
-            groups.pop()
-        cells_by_dim = [
-            [c for cells in by_zero.values() for c in cells] for by_zero in groups
-        ]
         return CubicalComplex(
-            self.ambient, True, cells_by_dim, groups, self._model or self
+            self.ambient, self.faces, self.subdivide | i_mask, self.zero | i_mask
         )
 
     def __repr__(self) -> str:
-        kind = "subdivided" if self.subdivided else "plain"
-        return f"CubicalComplex(m={self.m}, {kind}, counts={self.counts()})"
+        return (
+            f"CubicalComplex(m={self.m}, subdivide={self.subdivide:#b}, "
+            f"zero={self.zero:#b}, counts={self.counts()})"
+        )
 
 
 def build_cubical(
@@ -296,42 +286,13 @@ def build_cubical(
     subdivided: bool = False,
     max_vertices: int | None = None,
 ) -> CubicalComplex:
-    """Cell model of the real moment-angle complex of ``k``."""
+    """Cell model of the real moment-angle complex of ``k``, cut at 0
+    along every coordinate when ``subdivided``."""
     cache_key = ("cubical", subdivided)
     cached = k._cache.get(cache_key)
     if cached is not None:
         return cached
     check_cap("cubical", k.m, max_vertices)
-    dims = range(max(k.dim + 2, 1))
-    if not subdivided:
-        cells_by_dim: list[list] = [[] for _ in dims]
-        for face in k.faces():
-            others = k.ambient & ~face
-            d = face.bit_count()
-            for eps in submasks(others):
-                cells_by_dim[d].append((face, eps))
-        while cells_by_dim and not cells_by_dim[-1]:
-            cells_by_dim.pop()
-        groups = None
-    else:
-        # the zero coordinates of a cell are those of its face outside
-        # its interval coordinates d_mask
-        groups = [{} for _ in dims]
-        for face in k.faces():
-            others = k.ambient & ~face
-            signs = [_spread(s, 2) for s in submasks(others)]
-            for d_mask in submasks(face):
-                base = _spread(face ^ d_mask, 1) + _spread(d_mask, 3)
-                group = groups[d_mask.bit_count()].setdefault(face ^ d_mask, [])
-                for up in submasks(d_mask):
-                    enc = base + _spread(up, 1)
-                    group += [enc + sign for sign in signs]
-        while groups and not groups[-1]:
-            groups.pop()
-        cells_by_dim = [
-            [c for cells in by_zero.values() for c in cells] for by_zero in groups
-        ]
-    model = CubicalComplex(k.ambient, subdivided, cells_by_dim, groups)
+    model = CubicalComplex(k.ambient, k.faces(), k.ambient if subdivided else 0, 0)
     k._cache[cache_key] = model
     return model
-

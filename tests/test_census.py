@@ -170,6 +170,11 @@ def test_verify_reuses_the_complex_and_reports_only_the_flipped_line(tmp_path, m
         '{"m": 2, "facets": [[1], [2]], "I": [1, "x"]}',
         '{"m": 2, "facets": [[1, "a"]], "I": [1]}',
         "not json",
+        # booleans are JSON values of their own, not vertex 1
+        '{"m": 2, "facets": [[1], [2]], "I": [true]}',
+        '{"m": 2, "facets": [[true], [2]], "I": [1]}',
+        # rejected before any mask is built for it
+        '{"m": 2, "facets": [[1], [2]], "I": [1099511627776]}',
     ],
 )
 def test_verify_reports_only_a_corrupt_line_inside_one_complex(tmp_path, bad):
@@ -182,6 +187,17 @@ def test_verify_reports_only_a_corrupt_line_inside_one_complex(tmp_path, bad):
     assert result["records"] == 9
     assert result["corrupt"] == [3]
     assert result["mismatches"] == []
+
+
+def test_verify_reports_a_line_that_is_not_utf8_as_corrupt_and_goes_on(tmp_path):
+    out = tmp_path / "c.jsonl"
+    run_census(2, "flag", out)
+    lines = out.read_bytes().splitlines()
+    lines[3] = lines[3].replace(b'"agree"', b'"agr\xff\xfe"')
+    out.write_bytes(b"\n".join(lines) + b"\n")
+    result = verify_census(out)
+    # the good lines on both sides are still checked
+    assert result == {"records": 8, "mismatches": [], "corrupt": [4]}
 
 
 def test_verify_reports_a_fixed_point_model_disagreement_and_goes_on(tmp_path, monkeypatch):

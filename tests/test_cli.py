@@ -216,6 +216,20 @@ def test_verify_corrupt_census_exits_two(files, capsys):
     assert "line 2: corrupt" in capsys.readouterr().err
 
 
+def test_verify_names_a_line_that_is_not_utf8(files, capsys):
+    tmp_path, _ = files
+    out = tmp_path / "census.jsonl"
+    run(["census", "--max-vertices", "2", "--out", str(out)])
+    capsys.readouterr()
+    lines = out.read_bytes().splitlines()
+    lines[1] = b"\xff" + lines[1]
+    out.write_bytes(b"\n".join(lines) + b"\n")
+    assert run(["verify", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "line 2: corrupt" in captured.err
+    assert "records=8 mismatches=0 corrupt=1" in captured.out
+
+
 def test_verify_empty_file_warns_but_passes(files, capsys):
     tmp_path, _ = files
     empty = tmp_path / "empty.jsonl"

@@ -15,6 +15,7 @@ from oracles import hochster_complex_dense, hochster_real_dense
 from rzformal import (
     Graph,
     SimplicialComplex,
+    betti_sum_oracle,
     build_cubical,
     f2,
     fixed_betti_via_link,
@@ -193,11 +194,15 @@ def test_fixed_subcomplex_of_empty_coordinate_set_is_everything():
     assert dims(fixed_betti_via_link(tri, [])) == dims(hochster_real_betti(tri))
 
 
-def test_fixed_subcomplex_requires_subdivided_model():
+def test_fixed_subcomplex_of_plain_model_matches_subdivided_model():
+    # cutting the plain model along I alone gives the same fixed set
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    c = build_cubical(tri)
-    with pytest.raises(ValueError):
-        c.fixed_subcomplex([1])
+    plain, fine = build_cubical(tri), build_cubical(tri, subdivided=True)
+    # over the faces {1}, {1,2}, {1,3}: 4 points and 4 arcs, a circle
+    assert plain.fixed_subcomplex([1]).counts() == (4, 4)
+    for i_mask in submasks(tri.ambient):
+        want = dims(fine.fixed_subcomplex(i_mask).betti())
+        assert dims(plain.fixed_subcomplex(i_mask).betti()) == want
 
 
 def test_fixed_betti_matches_cubical_exhaustively_m3():
@@ -236,8 +241,8 @@ def rebuilt_fixed_betti(model, i_mask):
 
 
 def test_fixed_subcomplex_rows_match_rebuilt_complex_and_link():
-    # a fixed subcomplex ranks a selection of its model's boundary rows;
-    # a complex rebuilt from the same cells and the link formula agree
+    # the fixed subcomplex of the full subdivision, a complex rebuilt
+    # from its model's cells by a full scan, and the link formula agree
     for m in range(1, 5):
         for k in all_complexes(m):
             c = build_cubical(k, subdivided=True)
@@ -249,28 +254,46 @@ def test_fixed_subcomplex_rows_match_rebuilt_complex_and_link():
                 assert dims(fixed_betti_via_link(k, i_mask)) == want, (k, i_mask)
 
 
-def test_fixed_subcomplexes_share_one_boundary_pass(monkeypatch):
-    calls = []
+def test_fixed_subcomplex_cut_along_i_equals_the_full_subdivision():
+    for m in range(1, 5):
+        for k in all_complexes(m):
+            fine = build_cubical(k, subdivided=True)
+            for i_mask in submasks(k.ambient):
+                fixed = build_cubical(k).fixed_subcomplex(i_mask)
+                _, want = rebuilt_fixed_betti(fine, i_mask)
+                assert dims(fixed.betti()) == want, (k, i_mask)
+                assert dims(fine.fixed_subcomplex(i_mask).betti()) == want, (k, i_mask)
+                # one cell per face sigma containing I and sign pattern off sigma
+                sizes = [2 ** (m - f.bit_count()) for f in k.faces() if f & i_mask == i_mask]
+                assert sum(fixed.counts()) == sum(sizes), (k, i_mask)
+
+
+@pytest.mark.parametrize("i_set", [[], [1, 2]])
+def test_oracle_builds_and_ranks_only_the_fixed_cells(monkeypatch, i_set):
+    calls, generated = [], []
     boundary = CubicalComplex.boundary
+    generate = CubicalComplex._generate
 
     def counted(self, cell):
         calls.append(cell)
         return boundary(self, cell)
 
+    def recorded(self):
+        cells = generate(self)
+        generated.extend(c for part in cells for c in part)
+        return cells
+
     monkeypatch.setattr(CubicalComplex, "boundary", counted)
-    k = SimplicialComplex.from_facets(4, [[1, 2, 3], [3, 4], [1, 4]])
-    c = build_cubical(k, subdivided=True)
-    fixed = c.fixed_subcomplex([1, 3])
-    fixed.betti()
-    # one fixed subcomplex asks only for the boundaries of its own cells
-    # (vertices have none and need no row)
-    assert sorted(calls) == sorted(fixed.cell_set() - set(fixed.cells(0)))
-    for i_mask in submasks(k.ambient):
-        c.fixed_subcomplex(i_mask).betti()
-    # one call per model cell of positive dimension in total, not one
-    # per cell and I
-    assert len(calls) == sum(c.counts()[1:])
-    assert len(set(calls)) == len(calls)
+    monkeypatch.setattr(CubicalComplex, "_generate", recorded)
+    k = SimplicialComplex.from_facets(6, [[1, 2, 3], [1, 2, 4], [3, 4, 5], [5, 6], [1, 6]])
+    i_mask = vertex_mask(i_set)
+    betti_sum_oracle(k, i_mask)
+    sizes = [2 ** (6 - f.bit_count()) for f in k.faces() if f & i_mask == i_mask]
+    # the fixed set has a vertex per sign pattern off I; every other
+    # cell gets one boundary row, and no cell outside it is generated
+    assert len(generated) == sum(sizes)
+    assert len(calls) == sum(sizes) - 2 ** (6 - len(i_set))
+    assert set(calls) < set(generated)
 
 
 def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
