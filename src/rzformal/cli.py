@@ -66,6 +66,9 @@ def _emit(obj) -> None:
 def cmd_check(args) -> int:
     k = _load_complex(args.complex)
     i_set = _parse_vertex_list(args.I)
+    for v in i_set:
+        if not 1 <= v <= k.m:
+            raise ValueError(f"--I holds {v}, not a vertex in 1..{k.m}")
     if args.method == "all":
         reports = formality.evaluate_all(k, i_set, args.max_vertices)
         _emit([r.to_json_obj() for r in reports.values()])

@@ -12,8 +12,14 @@ the face supports, so restrictions of one complex to many vertex
 subsets share work.
 
 A cache entry takes its Betti numbers from boundary ranks alone,
-b_d = n_d - rank ∂_d - rank ∂_(d+1); the cohomology bases that
-restriction maps need are built on first use.
+b_d = n_d - rank ∂_d - rank ∂_(d+1). A face list need not be closed
+under taking faces: boundary terms outside the list are dropped, so the
+faces of X not in a subcomplex A give the relative cohomology H*(X, A).
+Over a field the long exact sequence of the pair gives
+
+    Σ_d dim H^d(X, A) = β̃(X) + β̃(A) - 2 Σ_d rank(H̃^d(X) -> H̃^d(A)),
+
+so the restriction to A is zero exactly when β(X, A) = β̃(X) + β̃(A).
 """
 
 from __future__ import annotations
@@ -61,36 +67,14 @@ class BettiTable:
         return cls(obj["min_degree"], tuple(obj["dims"]))
 
 
-class _DegreeData:
-    """Cochain data in one degree: coboundary RREF, class reps."""
-
-    __slots__ = ("cob_ech", "cob_piv", "h_basis")
-
-    def __init__(self, cob_ech, cob_piv, h_basis):
-        self.cob_ech = cob_ech
-        self.cob_piv = cob_piv
-        self.h_basis = h_basis
-
-
 class _HomData:
-    """Cohomology of one face list, positions relative to that list.
+    """Reduced Betti numbers of one face list, per degree and in total."""
 
-    ``degrees``, the per-degree bases, is built on first access.
-    """
+    __slots__ = ("betti", "total_betti")
 
-    __slots__ = ("faces", "betti", "total_betti", "_degrees")
-
-    def __init__(self, faces: tuple[int, ...], betti: dict[int, int]):
-        self.faces = faces
+    def __init__(self, betti: dict[int, int]):
         self.betti = betti
         self.total_betti = sum(betti.values())
-        self._degrees = None
-
-    @property
-    def degrees(self) -> dict[int, _DegreeData]:
-        if self._degrees is None:
-            self._degrees = _build_bases(self.faces)
-        return self._degrees
 
 
 _hom_cache: dict[tuple[int, ...], _HomData] = {}
@@ -135,19 +119,24 @@ def group_by_dim(faces: Iterable[int]) -> dict[int, list[int]]:
 
 
 def _boundary_rows(by_dim: dict[int, list[int]]) -> dict[int, list[int]]:
-    """Per t >= 0, the boundary of each t-face as bits over the (t-1)-faces."""
+    """Per t >= 0, the boundary of each t-face as bits over the (t-1)-faces.
+
+    A boundary face that is not in the list contributes nothing.
+    """
     rows = {}
     for t, faces_t in by_dim.items():
         if t < 0:
             continue
-        index = {f: i for i, f in enumerate(by_dim[t - 1])}
+        index = {f: i for i, f in enumerate(by_dim.get(t - 1, ()))}
         out = []
         for tau in faces_t:
             row = 0
             rest = tau
             while rest:
                 low = rest & -rest
-                row |= 1 << index[tau ^ low]
+                i = index.get(tau ^ low)
+                if i is not None:
+                    row |= 1 << i
                 rest ^= low
             out.append(row)
         rows[t] = out
@@ -157,32 +146,11 @@ def _boundary_rows(by_dim: dict[int, list[int]]) -> dict[int, list[int]]:
 def _build_hom_data(faces: tuple[int, ...]) -> _HomData:
     by_dim = group_by_dim(faces)
     rows = _boundary_rows(by_dim)
-    ranks = {t: f2.rank(r, len(by_dim[t - 1])) for t, r in rows.items()}
+    ranks = {t: f2.rank(r, len(by_dim.get(t - 1, ()))) for t, r in rows.items()}
     betti = {
         d: len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, fs in by_dim.items()
     }
-    return _HomData(faces, betti)
-
-
-def _build_bases(faces: tuple[int, ...]) -> dict[int, _DegreeData]:
-    by_dim = group_by_dim(faces)
-    rows = _boundary_rows(by_dim)
-    degrees = {}
-    for d, fs in by_dim.items():
-        n = len(fs)
-        cocycles = f2.kernel_basis(rows.get(d + 1, []), n)
-        # transpose: the coboundary from degree d - 1
-        cob = [0] * len(by_dim.get(d - 1, ()))
-        for j, row in enumerate(rows.get(d, ())):
-            while row:
-                low = row & -row
-                cob[low.bit_length() - 1] |= 1 << j
-                row ^= low
-        cob_ech, cob_piv = f2.rref(cob, n)
-        reduced = [v for v in f2.reduce_batch(cocycles, cob_ech, cob_piv) if v]
-        h_basis, _ = f2.rref(reduced, n)
-        degrees[d] = _DegreeData(cob_ech, cob_piv, h_basis)
-    return degrees
+    return _HomData(betti)
 
 
 def hom_data(faces: tuple[int, ...]) -> _HomData:
@@ -200,24 +168,15 @@ def reduced_betti(k: SimplicialComplex) -> BettiTable:
     return BettiTable.from_dict(hom_data(k.faces()).betti)
 
 
-def _positions(sub: list[int], full: list[int]) -> list[int]:
-    pos = []
-    i = 0
-    for x in sub:
-        while full[i] != x:
-            i += 1
-        pos.append(i)
-        i += 1
-    return pos
-
-
 def _restriction_map_trivial(
     src_faces: tuple[int, ...], tgt_faces: tuple[int, ...]
 ) -> bool:
     """Whether restriction onto a subcomplex of the face list kills H̃*.
 
-    ``tgt_faces`` must be a downward-closed, order-preserving selection
-    from ``src_faces``.
+    ``tgt_faces`` must be a subcomplex (downward closed) and an
+    order-preserving selection from ``src_faces``. The restriction is
+    zero exactly when β(X, A) = β̃(X) + β̃(A), where the faces of X not
+    in A span the relative cochain complex.
     """
     src = hom_data(src_faces)
     if src.total_betti == 0:
@@ -225,23 +184,9 @@ def _restriction_map_trivial(
     tgt = hom_data(tgt_faces)
     if tgt.total_betti == 0:
         return True
-    src_by_dim = group_by_dim(src_faces)
-    tgt_by_dim = group_by_dim(tgt_faces)
-    for d, src_deg in src.degrees.items():
-        # a class can restrict nontrivially only where H^d(target) != 0
-        if not src_deg.h_basis or not tgt.betti.get(d):
-            continue
-        pos = _positions(tgt_by_dim[d], src_by_dim[d])
-        restricted = []
-        for h in src_deg.h_basis:
-            v = 0
-            for j, p in enumerate(pos):
-                v |= ((h >> p) & 1) << j
-            restricted.append(v)
-        tgt_deg = tgt.degrees[d]
-        if any(f2.reduce_batch(restricted, tgt_deg.cob_ech, tgt_deg.cob_piv)):
-            return False
-    return True
+    tgt_set = set(tgt_faces)
+    rel = hom_data(tuple(f for f in src_faces if f not in tgt_set))
+    return rel.total_betti == src.total_betti + tgt.total_betti
 
 
 def restriction_is_trivial(k: SimplicialComplex, j_sub: Iterable[int] | int) -> bool:

@@ -107,8 +107,11 @@ def general_criterion(
     star of I ∩ J rather than all of its vertices is essential: the
     two deletions agree when I meets J in at most one vertex but not
     in general, and only the star deletion matches the fixed-point
-    Betti count on every complex.  The loop over all 2^m subsets J is
-    capped like the Hochster sums, and ``max_vertices`` overrides it.
+    Betti count on every complex.  Each map is decided from three
+    Betti totals; the relative term, the faces of K_J that contain
+    I ∩ J, is the link of I ∩ J in K_J shifted up by |I ∩ J|.  The
+    loop over all 2^m subsets J is capped like the Hochster sums, and
+    ``max_vertices`` overrides it.
     A cone K_J is acyclic, so its restriction is trivial and it is
     skipped; the cone test is sound, so the witness is unchanged.
     """

@@ -202,10 +202,10 @@ class SimplicialComplex:
         """Complex on ambient {1..m} spanned by the given faces."""
         masks = []
         for face in facets:
-            mask = vertex_mask(face)
-            if mask >> m:
-                raise ValueError(f"face {tuple(face)} out of range 1..{m}")
-            masks.append(mask)
+            face = tuple(face)
+            if not all(1 <= v <= m for v in face):
+                raise ValueError(f"face {face} out of range 1..{m}")
+            masks.append(vertex_mask(face))
         return cls((1 << m) - 1, masks)
 
     @classmethod

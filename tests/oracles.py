@@ -115,6 +115,34 @@ def reduced_betti_dense(faces):
     return betti
 
 
+def restriction_trivial_dense(x_faces, a_faces):
+    """Whether restriction H̃*(X) -> H̃*(A) is zero, A a subcomplex of X.
+
+    Faces are vertex collections, the empty face included. In every
+    degree d, each vector of a basis of the cocycles Z^d(X) is
+    restricted to the d-faces of A and must lie in the coboundaries
+    B^d(A), the row space spanned by the coboundaries of A's
+    (d-1)-faces.
+    """
+
+    def by_dim(faces):
+        out = {}
+        for f in sorted({frozenset(f) for f in faces}, key=lambda f: (len(f), sorted(f))):
+            out.setdefault(len(f) - 1, []).append(f)
+        return out
+
+    x_dim, a_dim = by_dim(x_faces), by_dim(a_faces)
+    for d, x_d in x_dim.items():
+        cob = [[1 if f < tau else 0 for f in x_d] for tau in x_dim.get(d + 1, [])]
+        a_d = a_dim.get(d, [])
+        boundaries = [[1 if g < f else 0 for f in a_d] for g in a_dim.get(d - 1, [])]
+        for z in dense_kernel(cob, len(x_d)):
+            value = dict(zip(x_d, z))
+            if not in_row_space([value[f] for f in a_d], boundaries):
+                return False
+    return True
+
+
 def faces_of(facets):
     """Downward closure of an iterable of vertex collections."""
     out = set()

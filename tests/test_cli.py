@@ -2,10 +2,15 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rzformal import census
+import rzformal
+from rzformal import SimplicialComplex, census
 from rzformal.cli import run
 from rzformal.moment_angle import CubicalComplex, SpaceBettiTable
 
@@ -337,3 +342,44 @@ def test_check_reports_a_fixed_point_model_disagreement_in_one_line(
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: fixed-point model disagreement")
+
+
+HUGE = 1 << 40
+
+
+@pytest.mark.parametrize("case", ["facet", "I", "verify"])
+def test_a_huge_vertex_label_is_refused_before_any_mask_is_built(files, case):
+    # a 2^40 label would ask for a 2^40-bit mask; the child's address
+    # space is capped, so building one would end in a MemoryError
+    tmp, write = files
+    c3 = write("c3.json", {"m": 3, "facets": [[1, 2], [3]]})
+    if case == "facet":
+        argv, expected = ["check", write("bad.json", {"m": 3, "facets": [[1, 2], [HUGE]]})], 3
+    elif case == "I":
+        argv, expected = ["check", c3, "--I", str(HUGE)], 3
+    else:
+        k = SimplicialComplex.from_facets(3, [[1, 2], [3]])
+        obj = json.loads(census.compute_record(k, 1).json_line())
+        obj["facets"] = [[1, 2], [HUGE]]
+        path = tmp / "huge.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        argv, expected = ["verify", str(path)], 2
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rzformal.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rzformal.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if case == "verify":
+        assert "line 1: corrupt record" in proc.stderr
+    else:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import faces_of, reduced_betti_dense
+from oracles import faces_of, reduced_betti_dense, restriction_trivial_dense
 from rzformal import (
     BettiTable,
     Graph,
@@ -21,10 +21,13 @@ def as_dict(table):
     return {d: b for d, b in table.nonzero()}
 
 
+def dense_betti(faces):
+    """Reduced Betti numbers of a bitmask face list from the dense oracle."""
+    return reduced_betti_dense({frozenset(mask_vertices(f)) for f in faces})
+
+
 def dense_of(k):
-    return reduced_betti_dense(
-        {frozenset(mask_vertices(f)) for f in k.faces()} if not k.is_void else set()
-    )
+    return dense_betti(k.faces())
 
 
 def test_three_points():
@@ -180,22 +183,15 @@ def random_complex(rng, m, cone=False):
     return SimplicialComplex.from_facets(m, facets)
 
 
-def basis_betti(faces):
-    """Reduced Betti numbers read off the cohomology bases, per degree."""
-    data = cohomology.hom_data(faces)
-    return {d: len(dd.h_basis) for d, dd in data.degrees.items()}
-
-
-def test_rank_betti_equals_the_basis_count_per_degree():
+def test_rank_betti_equals_the_dense_betti_per_degree():
     rng = random.Random(17)
     for _ in range(150):
         m = rng.randint(1, 8)
         k = random_complex(rng, m)
         j = rng.getrandbits(m)
         for faces in (k.faces(), k.subfaces(j)):
-            data = cohomology._build_hom_data(faces)
-            assert data.betti == {d: len(dd.h_basis) for d, dd in data.degrees.items()}
-            assert data.betti == basis_betti(faces)
+            betti = cohomology._build_hom_data(faces).betti
+            assert {d: b for d, b in betti.items() if b} == dense_betti(faces)
 
 
 def test_cone_test_is_sound_on_every_subset():
@@ -206,8 +202,36 @@ def test_cone_test_is_sound_on_every_subset():
         for c in (k, k.link(k.facets[0] & -k.facets[0])):
             for j in submasks(c.ambient):
                 if c.is_cone_on(j):
-                    assert not any(basis_betti(c.subfaces(j)).values())
+                    assert dense_betti(c.subfaces(j)) == {}
         if n % 3 == 0:
             # on a cone over m, every J containing the apex is found
             apex = 1 << (m - 1)
             assert all(k.is_cone_on(j) for j in submasks(k.ambient) if j & apex)
+
+
+def test_restriction_map_matches_the_dense_oracle():
+    # star deletions, full subcomplexes and downward closures of random
+    # face subsets, each compared with the textbook cocycle restriction
+    rng = random.Random(41)
+    verdicts = {kind: [] for kind in ("star", "full", "closure")}
+    for n in range(600):
+        m = rng.randint(1, 7)
+        k = random_complex(rng, m)
+        faces = k.faces()
+        kind = ("star", "full", "closure")[n % 3]
+        if kind == "star":
+            sigma = rng.choice(faces[1:])
+            tgt = tuple(f for f in faces if f & sigma != sigma)
+        elif kind == "full":
+            tgt = k.subfaces(rng.getrandbits(m))
+        else:
+            picked = [f for f in faces if rng.random() < 0.3]
+            tgt = tuple(f for f in faces if any(f & ~g == 0 for g in picked))
+        trivial = cohomology._restriction_map_trivial(faces, tgt)
+        expected = restriction_trivial_dense(
+            [mask_vertices(f) for f in faces], [mask_vertices(f) for f in tgt]
+        )
+        assert trivial == expected, (k, tgt)
+        verdicts[kind].append(trivial)
+    for kind, seen in verdicts.items():
+        assert True in seen and False in seen, kind

@@ -18,7 +18,7 @@ from rzformal import (
     reports_agree,
     torus_oracle,
 )
-from rzformal import cohomology, formality
+from rzformal import formality
 from rzformal.simplicial import submasks, vertex_mask
 
 C4 = Graph.cycle(4).clique_complex()
@@ -170,25 +170,18 @@ def test_general_criterion_on_a_cone_skips_every_j_with_the_apex(monkeypatch):
     rng = random.Random(10)
     base = [[v] for v in range(1, 10)] + [rng.sample(range(1, 10), 3) for _ in range(12)]
     k = SimplicialComplex.from_facets(10, [f + [10] for f in base])
-    calls, bases = [], []
+    calls = []
     trivial = formality._restriction_map_trivial
-    build = cohomology._build_bases
 
     def spy_trivial(src, tgt):
         calls.append(src)
         return trivial(src, tgt)
 
-    def spy_build(faces):
-        bases.append(faces)
-        return build(faces)
-
     monkeypatch.setattr(formality, "_restriction_map_trivial", spy_trivial)
-    monkeypatch.setattr(cohomology, "_build_bases", spy_build)
     assert general_criterion(k, [10]).formal
     # with I = {apex}, only J containing the apex have I ∩ J nonempty,
     # and each such K_J is a cone over the apex
     assert calls == []
-    assert bases == []
 
 
 def test_decide_uses_the_hull():
