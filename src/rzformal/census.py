@@ -66,7 +66,9 @@ def compute_record(k: SimplicialComplex, i_mask: int) -> CensusRecord:
     reports = evaluate_all(k, i_mask)
     flag = reports.get("flag_criterion")
     oracle = reports["betti_sum_oracle"]
-    facets = tuple(tuple(f) for f in k.to_json_obj()["facets"])
+    facets = k._cache.get("json_facets")
+    if facets is None:  # once per complex, not once per I
+        facets = k._cache["json_facets"] = tuple(map(tuple, k.to_json_obj()["facets"]))
     assert oracle.totals is not None
     return CensusRecord(
         m=k.m,
@@ -242,7 +244,7 @@ def verify_census(path: str) -> dict:
                 if line_k != k:
                     k = line_k
                 recomputed = compute_record(k, i_mask).json_line()
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, RecursionError):
                 corrupt.append(lineno)
                 continue
             except FixedPointModelError:

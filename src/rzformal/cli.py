@@ -42,7 +42,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str) -> dict:
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_complex(path: str) -> SimplicialComplex:

@@ -6,10 +6,9 @@ Conventions for the augmented cochain complex:
   cohomology F2 there and a nonvoid complex with a vertex has none;
 * the void complex has no faces and zero cohomology everywhere.
 
-Cochain bases are ordered by face bitmask within each degree. Per-face
-computations are memoized globally under a relabeling that compresses
-the face supports, so restrictions of one complex to many vertex
-subsets share work.
+A complex is given by a face list in any order. Its cohomology data is
+memoized globally, keyed by the face tuple itself; a cached value
+depends only on the set of faces in its key.
 
 A cache entry takes its Betti numbers from boundary ranks alone,
 b_d = n_d - rank ∂_d - rank ∂_(d+1). A face list need not be closed
@@ -84,34 +83,8 @@ def clear_caches() -> None:
     _hom_cache.clear()
 
 
-def _compress(faces: tuple[int, ...]) -> tuple[int, ...]:
-    """Relabel face bits onto 0..k-1, preserving order within degrees."""
-    supp = 0
-    for f in faces:
-        supp |= f
-    if supp & (supp + 1) == 0:
-        return faces
-    shift = {}
-    i = 0
-    s = supp
-    while s:
-        low = s & -s
-        shift[low] = 1 << i
-        i += 1
-        s ^= low
-    out = []
-    for f in faces:
-        g = 0
-        while f:
-            low = f & -f
-            g |= shift[low]
-            f ^= low
-        out.append(g)
-    return tuple(out)
-
-
 def group_by_dim(faces: Iterable[int]) -> dict[int, list[int]]:
-    """Split a (dimension, mask)-sorted face list into per-dimension runs."""
+    """Split a face list by dimension, keeping the list's order in each."""
     out: dict[int, list[int]] = {}
     for f in faces:
         out.setdefault(f.bit_count() - 1, []).append(f)
@@ -154,12 +127,10 @@ def _build_hom_data(faces: tuple[int, ...]) -> _HomData:
 
 
 def hom_data(faces: tuple[int, ...]) -> _HomData:
-    """Memoized cohomology data for a (dimension, mask)-sorted face list."""
-    key = _compress(faces)
-    data = _hom_cache.get(key)
+    """Memoized cohomology data of a face list in any order, keyed by the tuple."""
+    data = _hom_cache.get(faces)
     if data is None:
-        data = _build_hom_data(key)
-        _hom_cache[key] = data
+        data = _hom_cache[faces] = _build_hom_data(faces)
     return data
 
 
@@ -173,8 +144,8 @@ def _restriction_map_trivial(
 ) -> bool:
     """Whether restriction onto a subcomplex of the face list kills H̃*.
 
-    ``tgt_faces`` must be a subcomplex (downward closed) and an
-    order-preserving selection from ``src_faces``. The restriction is
+    ``tgt_faces`` must be a subcomplex (downward closed) of the faces
+    ``src_faces``; either list may come in any order. The restriction is
     zero exactly when β(X, A) = β̃(X) + β̃(A), where the faces of X not
     in A span the relative cochain complex.
     """
@@ -197,5 +168,4 @@ def restriction_is_trivial(k: SimplicialComplex, j_sub: Iterable[int] | int) -> 
     j_mask = j_sub if isinstance(j_sub, int) else vertex_mask(j_sub)
     if j_mask & ~k.vertices_mask:
         raise ValueError("subset must consist of non-ghost vertices")
-    faces = k.faces()
-    return _restriction_map_trivial(faces, tuple(f for f in faces if f & ~j_mask == 0))
+    return _restriction_map_trivial(k.faces(), k.subfaces(j_mask))

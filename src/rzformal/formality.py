@@ -24,7 +24,7 @@ from typing import Iterable
 from . import moment_angle
 from .cohomology import _restriction_map_trivial
 from .f2 import Subgroup
-from .simplicial import SimplicialComplex, mask_vertices, submasks, vertex_mask
+from .simplicial import SimplicialComplex, mask_vertices, vertex_mask
 
 
 class FixedPointModelError(RuntimeError):
@@ -82,18 +82,6 @@ def flag_criterion(k: SimplicialComplex, i_set: Iterable[int] | int) -> Formalit
     return FormalityReport("formal", "flag_criterion", hull)
 
 
-def _lex_subsets(k: SimplicialComplex) -> list[tuple[int, tuple[int, ...]]]:
-    """All ambient vertex subsets as (mask, tuple), tuple-lexicographic."""
-    try:
-        return k._cache["lex_subsets"]
-    except KeyError:
-        pass
-    subsets = [(mask, mask_vertices(mask)) for mask in submasks(k.ambient)]
-    subsets.sort(key=lambda pair: pair[1])
-    k._cache["lex_subsets"] = subsets
-    return subsets
-
-
 def general_criterion(
     k: SimplicialComplex,
     i_set: Iterable[int] | int,
@@ -110,10 +98,10 @@ def general_criterion(
     Betti count on every complex.  Each map is decided from three
     Betti totals; the relative term, the faces of K_J that contain
     I ∩ J, is the link of I ∩ J in K_J shifted up by |I ∩ J|.  The
-    loop over all 2^m subsets J is capped like the Hochster sums, and
-    ``max_vertices`` overrides it.
-    A cone K_J is acyclic, so its restriction is trivial and it is
-    skipped; the cone test is sound, so the witness is unchanged.
+    witness is the first failing J of ``k.full_subcomplexes()``, whose
+    2^m-step walk is capped like the Hochster sums (``max_vertices``
+    overrides the cap).  A cone K_J is acyclic and skipped; the cone
+    test is sound, so the witness is unchanged.
     """
     i_mask = _as_mask(k, i_set)
     moment_angle.check_cap("hochster", k.m, max_vertices)
@@ -121,14 +109,14 @@ def general_criterion(
     if not k.has_face(i_mask):
         witness = {"kind": "not_a_face", "I": list(hull)}
         return FormalityReport("not_formal", "general_criterion", hull, witness)
-    for j_mask, j_vertices in _lex_subsets(k):
+    for j_mask, j_faces in k.full_subcomplexes():
         sigma = j_mask & i_mask
         if sigma == 0 or k.is_cone_on(j_mask):
             continue
-        j_faces = k.subfaces(j_mask)
         deleted = tuple(f for f in j_faces if f & sigma != sigma)
         if not _restriction_map_trivial(j_faces, deleted):
-            witness = {"kind": "nontrivial_restriction", "J": list(j_vertices)}
+            j_vertices = list(mask_vertices(j_mask))
+            witness = {"kind": "nontrivial_restriction", "J": j_vertices}
             return FormalityReport("not_formal", "general_criterion", hull, witness)
     return FormalityReport("formal", "general_criterion", hull)
 

@@ -92,7 +92,8 @@ def _hochster_tables(
     """Real and complex tables from one pass over the full subcomplexes K_J.
 
     Degree d of K_J lands in degree d + 1 of the real space and in
-    degree d + |J| + 1 of the complex one. Both are cached on k. A cone
+    degree d + |J| + 1 of the complex one. One walk of
+    ``k.full_subcomplexes()`` fills both, cached on k. A cone
     K_J is contractible, so it is skipped; the cone test is sound, so
     the sums are exact.
     """
@@ -102,11 +103,11 @@ def _hochster_tables(
     check_cap("hochster", k.m, max_vertices)
     real: dict[int, int] = {}
     cplx: dict[int, int] = {}
-    for j_mask in submasks(k.ambient):
+    for j_mask, j_faces in k.full_subcomplexes():
         if k.is_cone_on(j_mask):
             continue
         size = j_mask.bit_count()
-        for d, b in hom_data(k.subfaces(j_mask)).betti.items():
+        for d, b in hom_data(j_faces).betti.items():
             if b:
                 real[d + 1] = real.get(d + 1, 0) + b
                 cplx[d + size + 1] = cplx.get(d + size + 1, 0) + b

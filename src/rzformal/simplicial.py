@@ -249,28 +249,38 @@ class SimplicialComplex:
 
     def faces(self) -> tuple[int, ...]:
         """All faces as masks, sorted by (dimension, mask)."""
-        try:
-            return self._cache["faces"]
-        except KeyError:
-            pass
-        seen: set[int] = set()
-        for facet in self.facets:
-            for sub in submasks(facet):
-                seen.add(sub)
-        faces = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
-        self._cache["faces"] = faces
+        faces = self._cache.get("faces")
+        if faces is None:
+            seen = {sub for facet in self.facets for sub in submasks(facet)}
+            faces = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
+            self._cache["faces"] = faces
         return faces
 
     def subfaces(self, j_mask: int) -> tuple[int, ...]:
-        """Faces contained in ``j_mask``, same order as ``faces()``."""
-        key = ("subfaces", j_mask)
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
-        out = tuple(f for f in self.faces() if f & ~j_mask == 0)
-        self._cache[key] = out
-        return out
+        """Faces of K_J, same order as ``faces()``; not cached."""
+        return tuple(f for f in self.faces() if f & ~j_mask == 0)
+
+    def full_subcomplexes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(J, faces of K_J) for each ambient J, lexicographic in its vertices.
+
+        A depth-first walk appending a larger vertex v: K_(J ∪ v) is K_J
+        plus the faces f | v, f in K_J, so faces ascend by mask. K_∅ is
+        (0,), or () if K is void. Only the current path's children wait.
+        """
+        root = (0,) if self.has_face(0) else ()  # also builds the face set
+        face_set = self._cache["face_set"]
+        stack = [(0, root, self.ambient)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            j_mask, faces, above = pop()
+            yield j_mask, faces
+            higher = 0  # push the largest v first, so the smallest pops next
+            while above:
+                v = 1 << (above.bit_length() - 1)
+                above ^= v
+                grown = [g for f in faces if (g := f | v) in face_set]
+                push((j_mask | v, faces + tuple(grown), higher))
+                higher |= v
 
     def is_cone_on(self, j_mask: int) -> bool:
         """Whether a vertex of J lies in every facet meeting J, so K_J is a cone.
@@ -338,16 +348,10 @@ class SimplicialComplex:
 
     def is_flag(self) -> bool:
         """Whether every pairwise-adjacent vertex set is a face."""
-        try:
-            return self._cache["is_flag"]
-        except KeyError:
-            pass
-        adj = self._skeleton_adj()
-        flag = all(
-            self.has_face(clique)
-            for clique in _maximal_cliques(adj, self.vertices_mask)
-        )
-        self._cache["is_flag"] = flag
+        flag = self._cache.get("is_flag")
+        if flag is None:
+            cliques = _maximal_cliques(self._skeleton_adj(), self.vertices_mask)
+            flag = self._cache["is_flag"] = all(map(self.has_face, cliques))
         return flag
 
     def missing_edges(self) -> tuple[tuple[int, int], ...]:

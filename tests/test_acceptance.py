@@ -10,9 +10,13 @@ here resolves a disagreement automatically.
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rzformal
 from rzformal import (
     Graph,
     SimplicialComplex,
@@ -225,3 +229,43 @@ def test_criterion_9_census_determinism_and_verify(tmp_path):
         assert cli_run(["verify", str(serial)]) == 0
 
     _report(9, "parallel determinism and verify", body)
+
+
+# Run one CLI command and report the peak RSS of its process on stderr
+# (ru_maxrss is in KiB on Linux).
+_PEAK_RSS = (
+    "import resource, sys\n"
+    "from rzformal.cli import run\n"
+    "rc = run(sys.argv[1:])\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+
+
+@pytest.mark.skipif(
+    os.environ.get("RZFORMAL_EXTENDED") != "1",
+    reason="formal check at m=18; set RZFORMAL_EXTENDED=1 to run",
+)
+def test_criterion_10_formal_check_at_m18_peaks_under_100_mb(tmp_path):
+    def body():
+        # a cone with apex 18 over six random triangles that cover 1..17,
+        # as the benchmark's check inputs are built; I = {apex} is formal,
+        # so no witness stops the loops over all 2^18 subsets J
+        rng = random.Random("big:18:cone")
+        perm = rng.sample(range(1, 18), 17)
+        perm += perm[:1]
+        triangles = [sorted(perm[i : i + 3]) for i in range(0, 18, 3)]
+        facets = [[v, 18] for v in range(1, 18)] + [t + [18] for t in triangles]
+        path = tmp_path / "cone18.json"
+        path.write_text(json.dumps({"m": 18, "facets": facets}))
+        env = dict(os.environ, PYTHONPATH=str(Path(rzformal.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "check", str(path), "--I", "18",
+             "--method", "all"],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stderr.split()[-1]) / 1024
+        assert peak_mb <= 100, f"peak RSS {peak_mb:.1f} MB"
+
+    _report(10, "formal check at m=18 under 100 MB", body)

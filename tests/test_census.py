@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rzformal import Graph, census, run_census, verify_census
+from rzformal import Graph, SimplicialComplex, census, run_census, verify_census
 from rzformal.census import all_complexes, compute_record, census_tasks, flag_complexes
 from rzformal.moment_angle import CubicalComplex, SpaceBettiTable
 from rzformal.simplicial import vertex_mask
@@ -175,6 +175,8 @@ def test_verify_reuses_the_complex_and_reports_only_the_flipped_line(tmp_path, m
         '{"m": 2, "facets": [[true], [2]], "I": [1]}',
         # rejected before any mask is built for it
         '{"m": 2, "facets": [[1], [2]], "I": [1099511627776]}',
+        # nested past the recursion limit of the JSON decoder
+        pytest.param("[" * 200_000, id="deep-nesting"),
     ],
 )
 def test_verify_reports_only_a_corrupt_line_inside_one_complex(tmp_path, bad):
@@ -187,6 +189,20 @@ def test_verify_reports_only_a_corrupt_line_inside_one_complex(tmp_path, bad):
     assert result["records"] == 9
     assert result["corrupt"] == [3]
     assert result["mismatches"] == []
+
+
+def test_one_complex_serializes_its_facets_once(monkeypatch):
+    calls = []
+    to_json_obj = SimplicialComplex.to_json_obj
+
+    def counted(k):
+        calls.append(k)
+        return to_json_obj(k)
+
+    monkeypatch.setattr(SimplicialComplex, "to_json_obj", counted)
+    lines, _ = census._task_records((3, ((1, 2), (2, 3), (1, 3))))
+    assert len(lines) == 8
+    assert len(calls) <= 1
 
 
 def test_verify_reports_a_line_that_is_not_utf8_as_corrupt_and_goes_on(tmp_path):

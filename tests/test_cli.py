@@ -18,8 +18,9 @@ from rzformal.moment_angle import CubicalComplex, SpaceBettiTable
 @pytest.fixture
 def files(tmp_path):
     def write(name, obj):
+        # a str is written as it is, for text that json.dumps cannot make
         p = tmp_path / name
-        p.write_text(json.dumps(obj))
+        p.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         return str(p)
 
     return tmp_path, write
@@ -115,8 +116,12 @@ def test_check_malformed_json_is_input_error(files, capsys):
             "report",  # non-pair edge
             [{"m": 3, "edges": [[1, 2], 3]}, {"m": 3, "generators": ["100"]}],
         ),
+        ("check", ["[" * 200_000]),  # nested past the recursion limit
     ],
-    ids=["missing-field", "non-int-vertex", "bool-m", "non-list-facet", "non-pair-edge"],
+    ids=[
+        "missing-field", "non-int-vertex", "bool-m", "non-list-facet", "non-pair-edge",
+        "deep-nesting",
+    ],
 )
 def test_malformed_input_fields_are_input_errors(files, capsys, command, payloads):
     _, write = files

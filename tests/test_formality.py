@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import restriction_trivial_dense
 
 from rzformal import (
     FixedPointModelError,
@@ -19,7 +20,7 @@ from rzformal import (
     torus_oracle,
 )
 from rzformal import formality
-from rzformal.simplicial import submasks, vertex_mask
+from rzformal.simplicial import mask_vertices, submasks, vertex_mask
 
 C4 = Graph.cycle(4).clique_complex()
 THREE_POINTS = SimplicialComplex.from_facets(3, [[1], [2], [3]])
@@ -105,6 +106,38 @@ def test_general_criterion_star_deletion_regression():
     oracle = betti_sum_oracle(k, [2, 3])
     assert oracle.totals == (2, 4)
     assert not oracle.formal
+
+
+def test_general_criterion_witness_is_the_first_nontrivial_j_in_lex_order():
+    # the dense restriction oracle, run on the star deletion of I ∩ J for
+    # every J in sorted-tuple order, stops at the criterion's witness
+    rng = random.Random(53)
+    witnesses = 0
+    for _ in range(60):
+        m = rng.randint(2, 7)
+        facets = [[v] for v in range(1, m + 1)] + [
+            rng.sample(range(1, m + 1), rng.randint(2, min(m, 4)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        k = SimplicialComplex.from_facets(m, facets)
+        faces = k.faces()
+        i_mask = rng.choice(faces[1:])
+        expected = None
+        for j in sorted(submasks(k.ambient), key=mask_vertices):
+            sigma = j & i_mask
+            if sigma == 0:
+                continue
+            j_faces = [f for f in faces if f & ~j == 0]
+            deleted = [f for f in j_faces if f & sigma != sigma]
+            if not restriction_trivial_dense(
+                [mask_vertices(f) for f in j_faces], [mask_vertices(f) for f in deleted]
+            ):
+                j_vertices = list(mask_vertices(j))
+                expected = {"kind": "nontrivial_restriction", "J": j_vertices}
+                break
+        assert general_criterion(k, i_mask).witness == expected, (k, i_mask)
+        witnesses += expected is not None
+    assert 10 < witnesses < 50
 
 
 def test_betti_sum_oracle_examples():

@@ -225,14 +225,28 @@ def test_faces_are_downward_closed(case):
 
 
 @settings(max_examples=120, deadline=None)
-@given(complexes(), st.integers(min_value=0, max_value=31))
-def test_full_subcomplex_faces_are_exactly_the_contained_ones(case, raw):
+@given(
+    complexes(),
+    st.integers(min_value=0, max_value=31),
+    st.sampled_from(["facets", "void", "{}"]),
+)
+def test_full_subcomplex_faces_are_exactly_the_contained_ones(case, raw, kind):
     m, facets = case
+    facets = {"facets": facets, "void": [], "{}": [[]]}[kind]
     k = SimplicialComplex.from_facets(m, facets)
     j = raw & k.vertices_mask
     sub = k.full_subcomplex(j)
     assert set(sub.faces()) == {f for f in k.faces() if f & ~j == 0}
     assert set(sub.faces()) == set(k.subfaces(j))
+    # the walk yields every ambient J once, ghost vertices included, in
+    # lexicographic order of its vertices, with exactly the faces of K_J
+    walk = list(k.full_subcomplexes())
+    assert sorted(j for j, _ in walk) == list(submasks(k.ambient))
+    order = [mask_vertices(j) for j, _ in walk]
+    assert order == sorted(order)
+    for j, faces in walk:
+        assert list(faces) == sorted(set(faces))
+        assert set(faces) == set(k.subfaces(j))
 
 
 @settings(max_examples=80, deadline=None)
