@@ -25,7 +25,6 @@ from .formality import (
 from .group_report import GroupReport, PoincareSeries, coabelian_report, poincare_series
 from .moment_angle import (
     CubicalComplex,
-    SpaceBettiTable,
     build_cubical,
     fixed_betti_via_link,
     hochster_complex_betti,
@@ -45,7 +44,6 @@ __all__ = [
     "GroupReport",
     "PoincareSeries",
     "SimplicialComplex",
-    "SpaceBettiTable",
     "Subgroup",
     "betti_sum_oracle",
     "build_cubical",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 from multiprocessing import Pool
@@ -180,22 +181,11 @@ def run_census(m: int, mode: str, out_path: str, jobs: int = 1) -> dict:
     tasks = census_tasks(m, mode)
     records = 0
     disagreements = 0
-    with open(out_path, "w") as out:
-        if jobs > 1:
-            with Pool(jobs) as pool:
-                results: Iterator[tuple[list[str], int]] = pool.imap(
-                    _task_records, tasks
-                )
-                for lines, bad in results:
-                    disagreements += bad
-                    records += len(lines)
-                    out.write("\n".join(lines) + "\n")
-        else:
-            for task in tasks:
-                lines, bad = _task_records(task)
-                disagreements += bad
-                records += len(lines)
-                out.write("\n".join(lines) + "\n")
+    with open(out_path, "w") as out, Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        for lines, bad in (pool.imap if pool else map)(_task_records, tasks):
+            disagreements += bad
+            records += len(lines)
+            out.write("\n".join(lines) + "\n")
     return {
         "mode": mode,
         "m": m,

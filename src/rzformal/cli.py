@@ -73,19 +73,19 @@ def cmd_check(args) -> int:
         if not 1 <= v <= k.m:
             raise ValueError(f"--I holds {v}, not a vertex in 1..{k.m}")
     if args.method == "all":
-        reports = formality.evaluate_all(k, i_set, args.max_vertices)
+        reports = formality.evaluate_all(k, i_set)
         _emit([r.to_json_obj() for r in reports.values()])
         if not formality.reports_agree(reports):
             return 2
         return 0 if next(iter(reports.values())).formal else 1
     if args.method == "oracle":
-        report = formality.betti_sum_oracle(k, i_set, args.max_vertices)
+        report = formality.betti_sum_oracle(k, i_set)
     elif args.method == "torus":
-        report = formality.torus_oracle(k, i_set, args.max_vertices)
+        report = formality.torus_oracle(k, i_set)
     elif args.method == "flag":
         report = formality.flag_criterion(k, i_set)
     else:
-        report = formality.general_criterion(k, i_set, args.max_vertices)
+        report = formality.general_criterion(k, i_set)
     _emit(report.to_json_obj())
     return 0 if report.formal else 1
 
@@ -94,11 +94,9 @@ def cmd_betti(args) -> int:
     k = _load_complex(args.complex)
     out = {}
     if args.which in ("real", "both"):
-        out["real"] = moment_angle.hochster_real_betti(k, args.max_vertices).to_json_obj()
+        out["real"] = moment_angle.hochster_real_betti(k).to_json_obj()
     if args.which in ("complex", "both"):
-        out["complex"] = moment_angle.hochster_complex_betti(
-            k, args.max_vertices
-        ).to_json_obj()
+        out["complex"] = moment_angle.hochster_complex_betti(k).to_json_obj()
     _emit(out)
     return 0
 
@@ -157,21 +155,11 @@ def build_parser() -> _Parser:
         choices=["flag", "general", "oracle", "torus", "all"],
         default="general",
     )
-    p.add_argument(
-        "--max-vertices",
-        type=int,
-        default=None,
-        help="lift the cap on every 2^m loop over vertex subsets; "
-        "the cubical cross-check keeps its own cap",
-    )
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("betti", help="Betti numbers of the moment-angle complexes")
     p.add_argument("complex", help="complex JSON file")
     p.add_argument("--which", choices=["real", "complex", "both"], default="both")
-    p.add_argument(
-        "--max-vertices", type=int, default=None, help="override the Hochster-sum cap"
-    )
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("hull", help="coordinate hull of a subgroup")
@@ -204,7 +192,7 @@ def run(argv: Iterable[str] | None = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except formality.FixedPointModelError as exc:

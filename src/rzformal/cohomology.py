@@ -32,7 +32,11 @@ from .simplicial import SimplicialComplex, vertex_mask
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Reduced Betti numbers, indexed from degree ``min_degree``."""
+    """Betti numbers from degree ``min_degree``, trailing zeros cut.
+
+    ``min_degree`` is -1 for the reduced cohomology of a complex and 0
+    for the spaces built from one.
+    """
 
     min_degree: int
     dims: tuple[int, ...]
@@ -59,7 +63,8 @@ class BettiTable:
         return sum(self.dims)
 
     def to_json_obj(self) -> dict:
-        return {"min_degree": self.min_degree, "dims": list(self.dims)}
+        dims = list(self.dims)
+        return {"min_degree": self.min_degree, "dims": dims, "total": self.total}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BettiTable":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .simplicial import mask_vertices
+from .simplicial import json_m, mask_vertices
 
 
 def rank(rows: list[int], ncols: int) -> int:
@@ -170,12 +170,8 @@ class Subgroup:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Subgroup":
-        if not isinstance(obj, dict) or "m" not in obj or "generators" not in obj:
-            raise ValueError("subgroup JSON needs fields 'm' and 'generators'")
-        m = obj["m"]
+        m = json_m(obj, "generators", "subgroup")
         gens = obj["generators"]
-        if type(m) is not int or m < 0:
-            raise ValueError("subgroup field 'm' must be a nonnegative integer")
         if not isinstance(gens, list):
             raise ValueError("subgroup field 'generators' must be a list")
         for g in gens:

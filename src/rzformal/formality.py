@@ -83,9 +83,7 @@ def flag_criterion(k: SimplicialComplex, i_set: Iterable[int] | int) -> Formalit
 
 
 def general_criterion(
-    k: SimplicialComplex,
-    i_set: Iterable[int] | int,
-    max_vertices: int | None = None,
+    k: SimplicialComplex, i_set: Iterable[int] | int
 ) -> FormalityReport:
     """Restriction-map test; works for arbitrary complexes.
 
@@ -99,12 +97,12 @@ def general_criterion(
     Betti totals; the relative term, the faces of K_J that contain
     I ∩ J, is the link of I ∩ J in K_J shifted up by |I ∩ J|.  The
     witness is the first failing J of ``k.full_subcomplexes()``, whose
-    2^m-step walk is capped like the Hochster sums (``max_vertices``
-    overrides the cap).  A cone K_J is acyclic and skipped; the cone
-    test is sound, so the witness is unchanged.
+    2^m-step walk is capped like the Hochster sums.  A cone K_J is
+    acyclic and skipped; the cone test is sound, so the witness is
+    unchanged.
     """
     i_mask = _as_mask(k, i_set)
-    moment_angle.check_cap("hochster", k.m, max_vertices)
+    moment_angle.check_cap("hochster", k.m)
     hull = mask_vertices(i_mask)
     if not k.has_face(i_mask):
         witness = {"kind": "not_a_face", "I": list(hull)}
@@ -122,22 +120,18 @@ def general_criterion(
 
 
 def betti_sum_oracle(
-    k: SimplicialComplex,
-    i_set: Iterable[int] | int,
-    max_vertices: int | None = None,
+    k: SimplicialComplex, i_set: Iterable[int] | int
 ) -> FormalityReport:
     """Ground-truth comparison of fixed and ambient total Betti numbers.
 
     The fixed side comes from the link formula; for complexes within
     the cubical cap it is recomputed on the subdivided cubical model
     and any mismatch raises FixedPointModelError rather than guessing.
-    ``max_vertices`` overrides the cap on the Hochster sums only, so it
-    never asks for a cubical model beyond the cubical cap.
     """
     i_mask = _as_mask(k, i_set)
     hull = mask_vertices(i_mask)
-    ambient_total = moment_angle.hochster_real_betti(k, max_vertices).total
-    fixed_table = moment_angle.fixed_betti_via_link(k, i_mask, max_vertices)
+    ambient_total = moment_angle.hochster_real_betti(k).total
+    fixed_table = moment_angle.fixed_betti_via_link(k, i_mask)
     if k.m <= moment_angle.cap("cubical"):
         recomputed = moment_angle.build_cubical(k).fixed_subcomplex(i_mask).betti()
         if recomputed.dims != fixed_table.dims:
@@ -152,18 +146,14 @@ def betti_sum_oracle(
     return FormalityReport("not_formal", "betti_sum_oracle", hull, witness, totals)
 
 
-def torus_oracle(
-    k: SimplicialComplex,
-    i_set: Iterable[int] | int,
-    max_vertices: int | None = None,
-) -> FormalityReport:
+def torus_oracle(k: SimplicialComplex, i_set: Iterable[int] | int) -> FormalityReport:
     """Betti-sum comparison for the coordinate torus acting on Z_K."""
     i_mask = _as_mask(k, i_set)
     hull = mask_vertices(i_mask)
-    ambient_total = moment_angle.hochster_complex_betti(k, max_vertices).total
+    ambient_total = moment_angle.hochster_complex_betti(k).total
     if k.has_face(i_mask):
         link = k.link(i_mask)
-        fixed_total = moment_angle.hochster_complex_betti(link, max_vertices).total
+        fixed_total = moment_angle.hochster_complex_betti(link).total
     else:
         fixed_total = 0
     totals = (fixed_total, ambient_total)
@@ -191,18 +181,16 @@ def decide(k: SimplicialComplex, a: Subgroup) -> FormalityReport:
 
 
 def evaluate_all(
-    k: SimplicialComplex,
-    i_set: Iterable[int] | int,
-    max_vertices: int | None = None,
+    k: SimplicialComplex, i_set: Iterable[int] | int
 ) -> dict[str, FormalityReport]:
     """Run every applicable method; key order is the report order."""
     i_mask = i_set if isinstance(i_set, int) else vertex_mask(i_set)
     reports = {}
     if k.is_flag():
         reports["flag_criterion"] = flag_criterion(k, i_mask)
-    reports["general_criterion"] = general_criterion(k, i_mask, max_vertices)
-    reports["betti_sum_oracle"] = betti_sum_oracle(k, i_mask, max_vertices)
-    reports["torus_oracle"] = torus_oracle(k, i_mask, max_vertices)
+    reports["general_criterion"] = general_criterion(k, i_mask)
+    reports["betti_sum_oracle"] = betti_sum_oracle(k, i_mask)
+    reports["torus_oracle"] = torus_oracle(k, i_mask)
     return reports
 
 

@@ -29,11 +29,10 @@ to 5^m cells, and census enumeration.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import f2
-from .cohomology import hom_data
+from .cohomology import BettiTable, hom_data
 from .simplicial import SimplicialComplex, submasks, vertex_mask
 
 # name: (environment variable, default vertex cap, what it guards)
@@ -45,50 +44,21 @@ CAPS = {
 }
 
 
-def cap(name: str, override: int | None = None) -> int:
-    """The vertex cap ``name``: the override, else its variable, else its default."""
-    if override is not None:
-        return override
+def cap(name: str) -> int:
+    """The vertex cap ``name``: its variable, else its default."""
     env, default, _ = CAPS[name]
     return int(os.environ.get(env, default))
 
 
-def check_cap(name: str, m: int, override: int | None = None) -> None:
+def check_cap(name: str, m: int) -> None:
     """Refuse an m-vertex input over the cap ``name``."""
-    limit = cap(name, override)
+    limit = cap(name)
     if m > limit:
         env, _, what = CAPS[name]
-        source = env if override is None else "max_vertices"
-        raise ValueError(f"{what} for m = {m} exceeds the cap {limit} ({source})")
+        raise ValueError(f"{what} for m = {m} exceeds the cap {limit} ({env})")
 
 
-@dataclass(frozen=True)
-class SpaceBettiTable:
-    """F2 Betti numbers of a space, degree 0 upward, trailing zeros cut."""
-
-    dims: tuple[int, ...]
-
-    @classmethod
-    def from_dict(cls, table: dict[int, int]) -> "SpaceBettiTable":
-        top = max((d for d, v in table.items() if v), default=-1)
-        return cls(tuple(table.get(d, 0) for d in range(top + 1)))
-
-    def __getitem__(self, degree: int) -> int:
-        if 0 <= degree < len(self.dims):
-            return self.dims[degree]
-        return 0
-
-    @property
-    def total(self) -> int:
-        return sum(self.dims)
-
-    def to_json_obj(self) -> dict:
-        return {"min_degree": 0, "dims": list(self.dims), "total": self.total}
-
-
-def _hochster_tables(
-    k: SimplicialComplex, max_vertices: int | None
-) -> tuple[SpaceBettiTable, SpaceBettiTable]:
+def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
     """Real and complex tables from one pass over the full subcomplexes K_J.
 
     Degree d of K_J lands in degree d + 1 of the real space and in
@@ -100,7 +70,7 @@ def _hochster_tables(
     cached = k._cache.get("hochster")
     if cached is not None:
         return cached
-    check_cap("hochster", k.m, max_vertices)
+    check_cap("hochster", k.m)
     real: dict[int, int] = {}
     cplx: dict[int, int] = {}
     for j_mask, j_faces in k.full_subcomplexes():
@@ -111,30 +81,24 @@ def _hochster_tables(
             if b:
                 real[d + 1] = real.get(d + 1, 0) + b
                 cplx[d + size + 1] = cplx.get(d + size + 1, 0) + b
-    tables = SpaceBettiTable.from_dict(real), SpaceBettiTable.from_dict(cplx)
+    tables = BettiTable.from_dict(real, 0), BettiTable.from_dict(cplx, 0)
     k._cache["hochster"] = tables
     return tables
 
 
-def hochster_real_betti(
-    k: SimplicialComplex, max_vertices: int | None = None
-) -> SpaceBettiTable:
+def hochster_real_betti(k: SimplicialComplex) -> BettiTable:
     """Betti numbers of the real moment-angle complex of k."""
-    return _hochster_tables(k, max_vertices)[0]
+    return _hochster_tables(k)[0]
 
 
-def hochster_complex_betti(
-    k: SimplicialComplex, max_vertices: int | None = None
-) -> SpaceBettiTable:
+def hochster_complex_betti(k: SimplicialComplex) -> BettiTable:
     """Betti numbers of the complex moment-angle complex of k."""
-    return _hochster_tables(k, max_vertices)[1]
+    return _hochster_tables(k)[1]
 
 
 def fixed_betti_via_link(
-    k: SimplicialComplex,
-    i_set: Iterable[int] | int,
-    max_vertices: int | None = None,
-) -> SpaceBettiTable:
+    k: SimplicialComplex, i_set: Iterable[int] | int
+) -> BettiTable:
     """Betti numbers of the points fixed by reflections on ``i_set``.
 
     The fixed set is the real moment-angle complex of the link of I
@@ -145,8 +109,8 @@ def fixed_betti_via_link(
     if i_mask & ~k.ambient:
         raise ValueError("coordinate set is not contained in the vertex set")
     if not k.has_face(i_mask):
-        return SpaceBettiTable(())
-    return hochster_real_betti(k.link(i_mask), max_vertices)
+        return BettiTable(0, ())
+    return hochster_real_betti(k.link(i_mask))
 
 
 def _spread(mask: int, code: int) -> int:
@@ -183,7 +147,7 @@ class CubicalComplex:
         self.subdivide = subdivide
         self.zero = zero
         self._cells: tuple[tuple[int, ...], ...] | None = None
-        self._betti: SpaceBettiTable | None = None
+        self._betti: BettiTable | None = None
 
     @property
     def m(self) -> int:
@@ -241,7 +205,7 @@ class CubicalComplex:
             shift += 3
         return out
 
-    def betti(self) -> SpaceBettiTable:
+    def betti(self) -> BettiTable:
         """Cellular F2 homology Betti numbers."""
         if self._betti is None:
             by_dim = self.cells_by_dim
@@ -255,8 +219,9 @@ class CubicalComplex:
                         row ^= 1 << column[child]
                     rows.append(row)
                 ranks[d] = f2.rank(rows, len(column))
-            self._betti = SpaceBettiTable.from_dict(
-                {d: len(cells) - ranks[d] - ranks[d + 1] for d, cells in enumerate(by_dim)}
+            self._betti = BettiTable.from_dict(
+                {d: len(cells) - ranks[d] - ranks[d + 1] for d, cells in enumerate(by_dim)},
+                0,
             )
         return self._betti
 
@@ -282,18 +247,14 @@ class CubicalComplex:
         )
 
 
-def build_cubical(
-    k: SimplicialComplex,
-    subdivided: bool = False,
-    max_vertices: int | None = None,
-) -> CubicalComplex:
+def build_cubical(k: SimplicialComplex, subdivided: bool = False) -> CubicalComplex:
     """Cell model of the real moment-angle complex of ``k``, cut at 0
     along every coordinate when ``subdivided``."""
     cache_key = ("cubical", subdivided)
     cached = k._cache.get(cache_key)
     if cached is not None:
         return cached
-    check_cap("cubical", k.m, max_vertices)
+    check_cap("cubical", k.m)
     model = CubicalComplex(k.ambient, k.faces(), k.ambient if subdivided else 0, 0)
     k._cache[cache_key] = model
     return model

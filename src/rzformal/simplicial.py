@@ -50,6 +50,23 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
+# the largest vertex count a JSON input may give, far above every cap
+MAX_M = 1024
+
+
+def json_m(obj: dict, field: str, what: str) -> int:
+    """``obj["m"]`` of a JSON ``what`` with fields "m" and ``field``.
+
+    Refused outside 0..MAX_M before anything of size m is built.
+    """
+    if not isinstance(obj, dict) or "m" not in obj or field not in obj:
+        raise ValueError(f"{what} JSON needs fields 'm' and {field!r}")
+    m = obj["m"]
+    if type(m) is not int or not 0 <= m <= MAX_M:
+        raise ValueError(f"{what} field 'm' must be an integer in 0..{MAX_M}")
+    return m
+
+
 def _int_lists(obj: dict, field: str, what: str) -> list[list[int]]:
     """``obj[field]``, checked to be a JSON list of lists of integers."""
     value = obj[field]
@@ -122,11 +139,7 @@ class Graph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Graph":
-        if not isinstance(obj, dict) or "m" not in obj or "edges" not in obj:
-            raise ValueError("graph JSON needs fields 'm' and 'edges'")
-        m = obj["m"]
-        if type(m) is not int or m < 0:
-            raise ValueError("graph field 'm' must be a nonnegative integer")
+        m = json_m(obj, "edges", "graph")
         edges = _int_lists(obj, "edges", "graph")
         for e in edges:
             if len(e) != 2:
@@ -372,11 +385,7 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimplicialComplex":
-        if not isinstance(obj, dict) or "m" not in obj or "facets" not in obj:
-            raise ValueError("complex JSON needs fields 'm' and 'facets'")
-        m = obj["m"]
-        if type(m) is not int or m < 0:
-            raise ValueError("complex field 'm' must be a nonnegative integer")
+        m = json_m(obj, "facets", "complex")
         return cls.from_facets(m, _int_lists(obj, "facets", "complex"))
 
     def to_json_obj(self) -> dict:

@@ -7,7 +7,8 @@ import pytest
 
 from rzformal import Graph, SimplicialComplex, census, run_census, verify_census
 from rzformal.census import all_complexes, compute_record, census_tasks, flag_complexes
-from rzformal.moment_angle import CubicalComplex, SpaceBettiTable
+from rzformal.cohomology import BettiTable
+from rzformal.moment_angle import CubicalComplex
 from rzformal.simplicial import vertex_mask
 
 
@@ -224,7 +225,7 @@ def test_verify_reports_a_fixed_point_model_disagreement_and_goes_on(tmp_path, m
 
     def disagree_once(model):
         calls.append(model)
-        return SpaceBettiTable((99,)) if len(calls) == 1 else betti(model)
+        return BettiTable(0, (99,)) if len(calls) == 1 else betti(model)
 
     monkeypatch.setattr(CubicalComplex, "betti", disagree_once)
     result = verify_census(out)

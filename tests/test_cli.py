@@ -12,7 +12,9 @@ import pytest
 import rzformal
 from rzformal import SimplicialComplex, census
 from rzformal.cli import run
-from rzformal.moment_angle import CubicalComplex, SpaceBettiTable
+from rzformal.cohomology import BettiTable
+from rzformal.moment_angle import CubicalComplex
+from rzformal.simplicial import MAX_M
 
 
 @pytest.fixture
@@ -117,10 +119,11 @@ def test_check_malformed_json_is_input_error(files, capsys):
             [{"m": 3, "edges": [[1, 2], 3]}, {"m": 3, "generators": ["100"]}],
         ),
         ("check", ["[" * 200_000]),  # nested past the recursion limit
+        ("hull", [{"m": MAX_M + 1, "generators": []}]),  # m over the input bound
     ],
     ids=[
         "missing-field", "non-int-vertex", "bool-m", "non-list-facet", "non-pair-edge",
-        "deep-nesting",
+        "deep-nesting", "m-over-max",
     ],
 )
 def test_malformed_input_fields_are_input_errors(files, capsys, command, payloads):
@@ -139,6 +142,53 @@ def test_check_unknown_option_is_input_error(files, capsys):
         run(["check", c4, "--frobnicate"])
     assert exc.value.code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["check", "betti"])
+def test_max_vertices_is_a_census_option_only(files, capsys, command):
+    _, write = files
+    c4 = write("c4.json", {"m": 4, "facets": [[1, 2]]})
+    with pytest.raises(SystemExit) as exc:
+        run([command, c4, "--max-vertices", "4"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --max-vertices 4" in err
+
+
+C4_BETTI = """\
+{
+  "real": {
+    "min_degree": 0,
+    "dims": [
+      1,
+      2,
+      1
+    ],
+    "total": 4
+  },
+  "complex": {
+    "min_degree": 0,
+    "dims": [
+      1,
+      0,
+      0,
+      2,
+      0,
+      0,
+      1
+    ],
+    "total": 4
+  }
+}
+"""
+
+
+def test_betti_output_of_the_four_cycle_is_pinned(files, capsys):
+    _, write = files
+    c4 = write("c4.json", C4)
+    assert run(["betti", c4]) == 0
+    assert capsys.readouterr().out == C4_BETTI
 
 
 def test_betti_both_spaces(files, capsys):
@@ -275,7 +325,8 @@ def test_check_max_vertices_lifts_the_hochster_cap(files, capsys, monkeypatch, m
     monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "3")
     assert run(["check", c4, "--I", "1", "--method", method]) == 3
     assert "exceeds the cap 3" in capsys.readouterr().err
-    assert run(["check", c4, "--I", "1", "--method", method, "--max-vertices", "4"]) in (0, 1)
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "4")
+    assert run(["check", c4, "--I", "1", "--method", method]) in (0, 1)
     capsys.readouterr()
 
 
@@ -293,18 +344,6 @@ def test_check_over_the_cap_refuses_before_the_general_loop(files, capsys, monke
     assert run(["check", c4, "--I", "1", "--method", "all"]) == 3
     assert "exceeds the cap 3" in capsys.readouterr().err
     assert calls == []
-
-
-def test_check_max_vertices_never_lifts_the_cubical_cap(files, capsys, monkeypatch):
-    _, write = files
-    big = write("big.json", {"m": 9, "facets": [[v] for v in range(1, 10)]})
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("cubical model built over the cubical cap")
-
-    monkeypatch.setattr("rzformal.moment_angle.build_cubical", refuse)
-    assert run(["check", big, "--I", "1", "--method", "all", "--max-vertices", "9"]) == 1
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -340,7 +379,7 @@ def test_check_reports_a_fixed_point_model_disagreement_in_one_line(
 ):
     _, write = files
     c4 = write("c4.json", {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]})
-    monkeypatch.setattr(CubicalComplex, "betti", lambda model: SpaceBettiTable((99,)))
+    monkeypatch.setattr(CubicalComplex, "betti", lambda model: BettiTable(0, (99,)))
     assert run(["check", c4, "--I", "1", "--method", method]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -350,6 +389,23 @@ def test_check_reports_a_fixed_point_model_disagreement_in_one_line(
 
 
 HUGE = 1 << 40
+
+
+def run_with_capped_memory(argv):
+    """Run the CLI in a child process whose address space is capped at 400 MB."""
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rzformal.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "rzformal.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_address_space,
+        timeout=60,
+    )
 
 
 @pytest.mark.parametrize("case", ["facet", "I", "verify"])
@@ -369,22 +425,30 @@ def test_a_huge_vertex_label_is_refused_before_any_mask_is_built(files, case):
         path = tmp / "huge.jsonl"
         path.write_text(json.dumps(obj) + "\n")
         argv, expected = ["verify", str(path)], 2
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
-
-    env = dict(os.environ, PYTHONPATH=str(Path(rzformal.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rzformal.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        preexec_fn=cap_address_space,
-        timeout=60,
-    )
+    proc = run_with_capped_memory(argv)
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     if case == "verify":
         assert "line 1: corrupt record" in proc.stderr
     else:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check-flag", "check", "betti", "report"])
+def test_a_huge_vertex_count_is_refused_before_anything_of_its_size(files, command):
+    # m = 10^12 would ask for a 10^12-bit mask or a list of 10^12 ints;
+    # never run this input without the child's address-space cap
+    _, write = files
+    complex_path = write("k.json", {"m": 10**12, "facets": [[1]]})
+    if command == "check-flag":
+        argv = ["check", complex_path, "--method", "flag"]
+    elif command == "report":
+        graph = write("g.json", {"m": 10**12, "edges": []})
+        argv = ["report", graph, write("a.json", {"m": 1, "generators": ["1"]})]
+    else:
+        argv = [command, complex_path]
+    proc = run_with_capped_memory(argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"0..{MAX_M}" in proc.stderr

@@ -196,7 +196,8 @@ def test_general_criterion_is_capped_like_the_hochster_sums(monkeypatch):
     # decide reaches the general criterion on a non-flag complex
     with pytest.raises(ValueError, match="exceeds the cap 2"):
         decide(TRIANGLE_BOUNDARY, Subgroup(3, ["100"]))
-    assert general_criterion(TRIANGLE_BOUNDARY, [1], max_vertices=3).formal
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "3")
+    assert general_criterion(TRIANGLE_BOUNDARY, [1]).formal
 
 
 def test_general_criterion_on_a_cone_skips_every_j_with_the_apex(monkeypatch):

@@ -25,7 +25,8 @@ from rzformal import (
     torus_oracle,
 )
 from rzformal.census import all_complexes
-from rzformal.moment_angle import CubicalComplex, SpaceBettiTable
+from rzformal.cohomology import BettiTable
+from rzformal.moment_angle import CubicalComplex
 from rzformal.simplicial import mask_vertices, submasks, vertex_mask
 
 
@@ -347,8 +348,8 @@ def test_pruned_hochster_sums_equal_the_sum_over_every_subset():
                     real[d + 1] = real.get(d + 1, 0) + b
                     shift = d + j.bit_count() + 1
                     cplx[shift] = cplx.get(shift, 0) + b
-            assert hochster_real_betti(c) == SpaceBettiTable.from_dict(real)
-            assert hochster_complex_betti(c) == SpaceBettiTable.from_dict(cplx)
+            assert hochster_real_betti(c) == BettiTable.from_dict(real, 0)
+            assert hochster_complex_betti(c) == BettiTable.from_dict(cplx, 0)
 
 
 def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():
@@ -381,17 +382,19 @@ def test_hochster_cap(monkeypatch):
         hochster_real_betti(SimplicialComplex.void(21))
     with pytest.raises(ValueError, match="exceeds the cap 20"):
         hochster_complex_betti(SimplicialComplex.void(21))
-    # an explicit override wins over the cap
+    # the variable moves the cap either way, and the error names it
     monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "3")
-    with pytest.raises(ValueError, match="exceeds the cap 3"):
+    with pytest.raises(ValueError, match=r"exceeds the cap 3 \(RZFORMAL_HOCHSTER_CAP\)"):
         hochster_real_betti(SimplicialComplex.void(4))
-    assert hochster_real_betti(SimplicialComplex.void(4), max_vertices=4).total == 0
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "4")
+    assert hochster_real_betti(SimplicialComplex.void(4)).total == 0
 
 
 def test_cubical_cap(monkeypatch):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"exceeds the cap 8 \(RZFORMAL_CUBICAL_CAP\)"):
         build_cubical(SimplicialComplex.void(9))
-    assert build_cubical(SimplicialComplex.void(9), max_vertices=9).counts() == ()
+    monkeypatch.setenv("RZFORMAL_CUBICAL_CAP", "9")
+    assert build_cubical(SimplicialComplex.void(9)).counts() == ()
     monkeypatch.setenv("RZFORMAL_CUBICAL_CAP", "3")
     with pytest.raises(ValueError):
         build_cubical(SimplicialComplex.simplex(4))
