@@ -8,7 +8,7 @@ over its polynomial part. Several independent criteria are implemented
 and cross-checked; see the README for the CLI and census harness.
 """
 
-from .cohomology import BettiTable, reduced_betti, restriction_is_trivial
+from .cohomology import BettiTable, reduced_betti
 from .census import CensusRecord, run_census, verify_census
 from .f2 import Subgroup
 from .formality import (
@@ -58,7 +58,6 @@ __all__ = [
     "poincare_series",
     "reduced_betti",
     "reports_agree",
-    "restriction_is_trivial",
     "run_census",
     "torus_oracle",
     "verify_census",

@@ -23,8 +23,7 @@ from multiprocessing import Pool
 from typing import Iterator
 
 from .formality import FixedPointModelError, evaluate_all, reports_agree
-from .moment_angle import cap, check_cap
-from .simplicial import Graph, SimplicialComplex, mask_vertices
+from .simplicial import Graph, SimplicialComplex, cap, check_cap, mask_vertices
 
 MODES = ("flag", "all-complexes")
 

@@ -24,7 +24,7 @@ from typing import Iterable
 from . import moment_angle
 from .cohomology import _restriction_map_trivial
 from .f2 import Subgroup
-from .simplicial import SimplicialComplex, mask_vertices, vertex_mask
+from .simplicial import SimplicialComplex, cap, check_cap, mask_vertices, vertex_mask
 
 
 class FixedPointModelError(RuntimeError):
@@ -94,15 +94,15 @@ def general_criterion(
     two deletions agree when I meets J in at most one vertex but not
     in general, and only the star deletion matches the fixed-point
     Betti count on every complex.  Each map is decided from three
-    Betti totals; the relative term, the faces of K_J that contain
-    I ∩ J, is the link of I ∩ J in K_J shifted up by |I ∩ J|.  The
-    witness is the first failing J of ``k.full_subcomplexes()``, whose
-    2^m-step walk is capped like the Hochster sums.  A cone K_J is
-    acyclic and skipped; the cone test is sound, so the witness is
-    unchanged.
+    Betti totals; the relative term is the link of σ = I ∩ J in K_J,
+    the same cache entry as J ∖ σ in the Hochster walk of lk σ, which
+    the oracles make when J contains I.  The witness is the first
+    failing J of ``k.full_subcomplexes()``, whose 2^m-step walk is
+    capped like the Hochster sums.  A cone K_J is acyclic and skipped;
+    the cone test is sound, so the witness is unchanged.
     """
     i_mask = _as_mask(k, i_set)
-    moment_angle.check_cap("hochster", k.m)
+    check_cap("hochster", k.m)
     hull = mask_vertices(i_mask)
     if not k.has_face(i_mask):
         witness = {"kind": "not_a_face", "I": list(hull)}
@@ -111,8 +111,7 @@ def general_criterion(
         sigma = j_mask & i_mask
         if sigma == 0 or k.is_cone_on(j_mask):
             continue
-        deleted = tuple(f for f in j_faces if f & sigma != sigma)
-        if not _restriction_map_trivial(j_faces, deleted):
+        if not _restriction_map_trivial(j_faces, sigma):
             j_vertices = list(mask_vertices(j_mask))
             witness = {"kind": "nontrivial_restriction", "J": j_vertices}
             return FormalityReport("not_formal", "general_criterion", hull, witness)
@@ -132,7 +131,7 @@ def betti_sum_oracle(
     hull = mask_vertices(i_mask)
     ambient_total = moment_angle.hochster_real_betti(k).total
     fixed_table = moment_angle.fixed_betti_via_link(k, i_mask)
-    if k.m <= moment_angle.cap("cubical"):
+    if k.m <= cap("cubical"):
         recomputed = moment_angle.build_cubical(k).fixed_subcomplex(i_mask).betti()
         if recomputed.dims != fixed_table.dims:
             raise FixedPointModelError(

@@ -21,41 +21,18 @@ most 3^m cells, and reading it off the cube never uses the link
 formula that it checks.
 
 Every computation exponential in the vertex count m checks one entry of
-``CAPS`` with ``check_cap`` before it starts: the 2^m sums over vertex
-subsets here and in the general criterion, the cubical models with up
-to 5^m cells, and census enumeration.
+``simplicial.CAPS`` with ``check_cap`` before it starts: the 2^m sums
+over vertex subsets here and in the general criterion, the cubical
+models with up to 5^m cells, and census enumeration.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable
 
 from . import f2
 from .cohomology import BettiTable, hom_data
-from .simplicial import SimplicialComplex, submasks, vertex_mask
-
-# name: (environment variable, default vertex cap, what it guards)
-CAPS = {
-    "hochster": ("RZFORMAL_HOCHSTER_CAP", 20, "loop over vertex subsets"),
-    "cubical": ("RZFORMAL_CUBICAL_CAP", 8, "cubical model"),
-    "census flag": ("RZFORMAL_CENSUS_FLAG_CAP", 5, "census flag mode"),
-    "census all-complexes": ("RZFORMAL_CENSUS_ALL_CAP", 4, "census all-complexes mode"),
-}
-
-
-def cap(name: str) -> int:
-    """The vertex cap ``name``: its variable, else its default."""
-    env, default, _ = CAPS[name]
-    return int(os.environ.get(env, default))
-
-
-def check_cap(name: str, m: int) -> None:
-    """Refuse an m-vertex input over the cap ``name``."""
-    limit = cap(name)
-    if m > limit:
-        env, _, what = CAPS[name]
-        raise ValueError(f"{what} for m = {m} exceeds the cap {limit} ({env})")
+from .simplicial import SimplicialComplex, check_cap, submasks, vertex_mask
 
 
 def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:

@@ -12,6 +12,7 @@ faces at all, and the complex {}, whose only face is the empty one.
 
 from __future__ import annotations
 
+import os
 from typing import Iterable, Iterator
 
 
@@ -52,6 +53,33 @@ def submasks(mask: int) -> Iterator[int]:
 
 # the largest vertex count a JSON input may give, far above every cap
 MAX_M = 1024
+
+# name: (environment variable, default vertex cap, what it guards)
+CAPS = {
+    "hochster": ("RZFORMAL_HOCHSTER_CAP", 20, "loop over vertex subsets"),
+    "cubical": ("RZFORMAL_CUBICAL_CAP", 8, "cubical model"),
+    "census flag": ("RZFORMAL_CENSUS_FLAG_CAP", 5, "census flag mode"),
+    "census all-complexes": ("RZFORMAL_CENSUS_ALL_CAP", 4, "census all-complexes mode"),
+}
+
+
+def cap(name: str) -> int:
+    """The vertex cap ``name``: its variable, else its default."""
+    env, default, _ = CAPS[name]
+    raw = os.environ.get(env)
+    if raw is None:
+        return default
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{env} must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
+def check_cap(name: str, m: int) -> None:
+    """Refuse an m-vertex input over the cap ``name``."""
+    limit = cap(name)
+    if m > limit:
+        env, _, what = CAPS[name]
+        raise ValueError(f"{what} on {m} vertices exceeds the cap {limit} ({env})")
 
 
 def json_m(obj: dict, field: str, what: str) -> int:
@@ -243,7 +271,7 @@ class SimplicialComplex:
         """Dimension; -1 for {} and -2 for the void complex."""
         if not self.facets:
             return -2
-        return max(f.bit_count() for f in self.facets) - 1
+        return self.facets[-1].bit_count() - 1  # facets ascend by size
 
     @property
     def vertices_mask(self) -> int:
@@ -261,16 +289,23 @@ class SimplicialComplex:
         return mask_vertices(self.ambient)
 
     def faces(self) -> tuple[int, ...]:
-        """All faces as masks, sorted by (dimension, mask)."""
+        """All faces as masks, sorted by (dimension, mask).
+
+        A facet on s vertices has 2^s faces, so s is capped like 2^m loops.
+        """
         faces = self._cache.get("faces")
         if faces is None:
+            check_cap("hochster", self.dim + 1)
             seen = {sub for facet in self.facets for sub in submasks(facet)}
             faces = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
             self._cache["faces"] = faces
         return faces
 
     def subfaces(self, j_mask: int) -> tuple[int, ...]:
-        """Faces of K_J, same order as ``faces()``; not cached."""
+        """Faces of K_J, same order as ``faces()``; not cached.
+
+        No caller in the package; kept for the tests and the benchmark hook.
+        """
         return tuple(f for f in self.faces() if f & ~j_mask == 0)
 
     def full_subcomplexes(self) -> Iterator[tuple[int, tuple[int, ...]]]:

@@ -452,3 +452,52 @@ def test_a_huge_vertex_count_is_refused_before_anything_of_its_size(files, comma
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert f"0..{MAX_M}" in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["simplex-flag", "simplex-all", "report", "big-facet"])
+def test_a_facet_over_the_hochster_cap_is_refused_before_its_faces_are_listed(files, case):
+    # a facet on s vertices has 2^s faces: 2^26 ints for the simplex, which
+    # the child's address-space cap turns into a MemoryError if listed
+    _, write = files
+    simplex = write("simplex.json", {"m": 26, "facets": [list(range(1, 27))]})
+    if case == "simplex-flag":
+        argv = ["check", simplex, "--method", "flag"]
+    elif case == "simplex-all":
+        argv = ["check", simplex, "--method", "all"]
+    elif case == "report":
+        edges = [[u, v] for u in range(1, 27) for v in range(u + 1, 27)]
+        graph = write("k26.json", {"m": 26, "edges": edges})
+        a = write("a.json", {"m": 26, "generators": ["1" + "0" * 25]})
+        argv = ["report", graph, a]
+    else:
+        facets = [list(range(1, 23))] + [[v] for v in range(23, 31)]
+        big = write("big.json", {"m": 30, "facets": facets})
+        argv = ["check", big, "--method", "flag"]
+    proc = run_with_capped_memory(argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "RZFORMAL_HOCHSTER_CAP" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_a_malformed_cap_variable_is_named_in_one_line(
+    files, capsys, monkeypatch, command, value
+):
+    tmp, write = files
+    if command == "check":
+        variable = "RZFORMAL_HOCHSTER_CAP"
+        argv = ["check", write("c4.json", C4), "--I", "1"]
+    else:
+        variable = "RZFORMAL_CENSUS_FLAG_CAP"
+        path = tmp / "c.jsonl"
+        assert run(["census", "--max-vertices", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["verify", str(path)]
+    monkeypatch.setenv(variable, value)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{variable} must be a non-negative integer" in captured.err

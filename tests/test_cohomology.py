@@ -11,10 +11,10 @@ from rzformal import (
     Graph,
     SimplicialComplex,
     cohomology,
+    hochster_real_betti,
     reduced_betti,
-    restriction_is_trivial,
 )
-from rzformal.simplicial import mask_vertices, submasks, vertex_mask
+from rzformal.simplicial import mask_vertices, submasks
 
 
 def as_dict(table):
@@ -82,25 +82,19 @@ def test_betti_table_accessors():
     assert BettiTable.from_json_obj(blob) == t
 
 
+def deletion(faces, sigma):
+    """The faces not containing sigma: the deletion of its open star."""
+    return tuple(f for f in faces if f & sigma != sigma)
+
+
 def test_restriction_trivial_examples():
+    # deleting the star of vertex 1 leaves the full subcomplex K_{2,3}
     pts = SimplicialComplex.from_facets(3, [[1], [2], [3]])
-    assert not restriction_is_trivial(pts, vertex_mask([2, 3]))
+    assert not cohomology._restriction_map_trivial(pts.faces(), 0b001)
     path = SimplicialComplex.from_facets(3, [[1, 2], [1, 3]])
-    assert restriction_is_trivial(path, vertex_mask([2, 3]))
+    assert cohomology._restriction_map_trivial(path.faces(), 0b001)
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    assert restriction_is_trivial(tri, vertex_mask([2, 3]))
-
-
-def test_restriction_to_whole_complex_iff_acyclic():
-    tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    assert not restriction_is_trivial(tri, tri.vertices_mask)
-    simplex = SimplicialComplex.simplex(3)
-    assert restriction_is_trivial(simplex, simplex.vertices_mask)
-
-
-def test_restriction_to_empty_set_is_trivial():
-    tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    assert restriction_is_trivial(tri, 0)
+    assert cohomology._restriction_map_trivial(tri.faces(), 0b001)
 
 
 def complexes(max_m=6):
@@ -139,25 +133,31 @@ def test_euler_characteristic(case):
     assert chi_faces == chi_betti
 
 
+def some_face(k, raw):
+    """A nonempty face of k picked by ``raw``."""
+    faces = k.faces()
+    return faces[1 + raw % (len(faces) - 1)]
+
+
 @settings(max_examples=100, deadline=None)
-@given(complexes(max_m=5), st.integers(min_value=0, max_value=31))
+@given(complexes(max_m=5), st.integers(min_value=0, max_value=63))
 def test_restriction_from_acyclic_source_is_trivial(case, raw):
     m, facets = case
     k = SimplicialComplex.from_facets(m, facets)
     if reduced_betti(k).total != 0:
         return
-    assert restriction_is_trivial(k, raw & k.vertices_mask)
+    assert cohomology._restriction_map_trivial(k.faces(), some_face(k, raw))
 
 
 @settings(max_examples=100, deadline=None)
-@given(complexes(max_m=5), st.integers(min_value=0, max_value=31))
+@given(complexes(max_m=5), st.integers(min_value=0, max_value=63))
 def test_restriction_to_acyclic_target_is_trivial(case, raw):
     m, facets = case
     k = SimplicialComplex.from_facets(m, facets)
-    j = raw & k.vertices_mask
-    if reduced_betti(k.full_subcomplex(j)).total != 0:
+    sigma = some_face(k, raw)
+    if dense_betti(deletion(k.faces(), sigma)):
         return
-    assert restriction_is_trivial(k, j)
+    assert cohomology._restriction_map_trivial(k.faces(), sigma)
 
 
 def test_exhaustive_small_against_dense_oracle():
@@ -210,28 +210,52 @@ def test_cone_test_is_sound_on_every_subset():
 
 
 def test_restriction_map_matches_the_dense_oracle():
-    # star deletions, full subcomplexes and downward closures of random
-    # face subsets, each compared with the textbook cocycle restriction
+    # star deletions of random nonempty faces, each compared with the
+    # textbook cocycle restriction
     rng = random.Random(41)
-    verdicts = {kind: [] for kind in ("star", "full", "closure")}
-    for n in range(600):
+    seen = set()
+    for _ in range(300):
         m = rng.randint(1, 7)
         k = random_complex(rng, m)
         faces = k.faces()
-        kind = ("star", "full", "closure")[n % 3]
-        if kind == "star":
-            sigma = rng.choice(faces[1:])
-            tgt = tuple(f for f in faces if f & sigma != sigma)
-        elif kind == "full":
-            tgt = k.subfaces(rng.getrandbits(m))
-        else:
-            picked = [f for f in faces if rng.random() < 0.3]
-            tgt = tuple(f for f in faces if any(f & ~g == 0 for g in picked))
-        trivial = cohomology._restriction_map_trivial(faces, tgt)
+        sigma = rng.choice(faces[1:])
+        trivial = cohomology._restriction_map_trivial(faces, sigma)
         expected = restriction_trivial_dense(
-            [mask_vertices(f) for f in faces], [mask_vertices(f) for f in tgt]
+            [mask_vertices(f) for f in faces],
+            [mask_vertices(f) for f in deletion(faces, sigma)],
         )
-        assert trivial == expected, (k, tgt)
-        verdicts[kind].append(trivial)
-    for kind, seen in verdicts.items():
-        assert True in seen and False in seen, kind
+        assert trivial == expected, (k, sigma)
+        seen.add(trivial)
+    assert seen == {True, False}
+
+
+def test_the_relative_term_is_the_links_walk_entry(monkeypatch):
+    # once the Hochster walks of K and of lk σ have run, as the oracles
+    # run them, a star deletion on a walk tuple K_J with J ⊇ σ builds at
+    # most one new cache entry, the deletion; K_J and the link, whose
+    # tuple is the link's walk entry for J ∖ σ, are both cache hits
+    built = []
+    build = cohomology._build_hom_data
+    monkeypatch.setattr(
+        cohomology, "_build_hom_data", lambda faces: built.append(faces) or build(faces)
+    )
+    rng = random.Random(59)
+    reached_link = 0
+    for _ in range(40):
+        k = random_complex(rng, rng.randint(3, 7))
+        for sigma in k.faces()[1:]:
+            link = k.link(sigma)
+            hochster_real_betti(k)
+            hochster_real_betti(link)
+            for j_mask, j_faces in k.full_subcomplexes():
+                if j_mask & sigma != sigma or k.is_cone_on(j_mask):
+                    continue
+                if link.is_cone_on(j_mask ^ sigma):
+                    continue
+                built.clear()
+                cohomology._restriction_map_trivial(j_faces, sigma)
+                deleted = deletion(j_faces, sigma)
+                assert built in ([], [deleted]), (k, sigma, j_mask)
+                totals = [cohomology.hom_data(f).total_betti for f in (j_faces, deleted)]
+                reached_link += sigma.bit_count() > 1 and all(totals)
+    assert reached_link > 0
