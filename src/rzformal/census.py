@@ -23,7 +23,7 @@ from multiprocessing import Pool
 from typing import Iterator
 
 from .formality import FixedPointModelError, evaluate_all, reports_agree
-from .simplicial import Graph, SimplicialComplex, cap, check_cap, mask_vertices
+from .simplicial import CAPS, Graph, SimplicialComplex, cap, check_cap, mask_vertices
 
 MODES = ("flag", "all-complexes")
 
@@ -209,7 +209,8 @@ def verify_census(path: str) -> dict:
     mismatches: list[int] = []
     corrupt: list[int] = []
     records = 0
-    max_m = max(cap(f"census {mode}") for mode in MODES)
+    caps = {name: cap(name) for name in CAPS}  # a malformed one fails here, once
+    max_m = max(caps[f"census {mode}"] for mode in MODES)
     k = None
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, 1):

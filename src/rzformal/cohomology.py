@@ -67,10 +67,6 @@ class BettiTable:
         dims = list(self.dims)
         return {"min_degree": self.min_degree, "dims": dims, "total": self.total}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "BettiTable":
-        return cls(obj["min_degree"], tuple(obj["dims"]))
-
 
 class _HomData:
     """Reduced Betti numbers of one face list, per degree and in total."""

@@ -124,7 +124,7 @@ def betti_sum_oracle(
     """Ground-truth comparison of fixed and ambient total Betti numbers.
 
     The fixed side comes from the link formula; for complexes within
-    the cubical cap it is recomputed on the subdivided cubical model
+    the cubical cap it is recomputed on the cubical model cut along I
     and any mismatch raises FixedPointModelError rather than guessing.
     """
     i_mask = _as_mask(k, i_set)
@@ -136,7 +136,7 @@ def betti_sum_oracle(
         if recomputed.dims != fixed_table.dims:
             raise FixedPointModelError(
                 "fixed-point model disagreement: link formula gives "
-                f"{fixed_table.dims}, subdivided model gives {recomputed.dims}"
+                f"{fixed_table.dims}, cubical model gives {recomputed.dims}"
             )
     totals = (fixed_table.total, ambient_total)
     if fixed_table.total == ambient_total:

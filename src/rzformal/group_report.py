@@ -42,10 +42,6 @@ class PoincareSeries:
             total += a * math.comb(n - s + self.r - 1, self.r - 1)
         return total
 
-    def expand(self, upto: int) -> list[int]:
-        """Coefficients of degrees 0..upto."""
-        return [self.coefficient(n) for n in range(upto + 1)]
-
     def to_json_obj(self) -> dict:
         return {"numerator": list(self.numerator), "r": self.r}
 

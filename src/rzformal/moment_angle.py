@@ -224,14 +224,10 @@ class CubicalComplex:
         )
 
 
-def build_cubical(k: SimplicialComplex, subdivided: bool = False) -> CubicalComplex:
-    """Cell model of the real moment-angle complex of ``k``, cut at 0
-    along every coordinate when ``subdivided``."""
-    cache_key = ("cubical", subdivided)
-    cached = k._cache.get(cache_key)
-    if cached is not None:
-        return cached
-    check_cap("cubical", k.m)
-    model = CubicalComplex(k.ambient, k.faces(), k.ambient if subdivided else 0, 0)
-    k._cache[cache_key] = model
+def build_cubical(k: SimplicialComplex) -> CubicalComplex:
+    """Cell model of the real moment-angle complex of ``k``, uncut."""
+    model = k._cache.get("cubical")
+    if model is None:
+        check_cap("cubical", k.m)
+        model = k._cache["cubical"] = CubicalComplex(k.ambient, k.faces(), 0, 0)
     return model

@@ -74,6 +74,12 @@ def cap(name: str) -> int:
     return int(raw)
 
 
+def _over_listing_cap(what: str) -> ValueError:
+    """Refusal of a list of more than 2^cap("hochster") ``what``."""
+    n, env = cap("hochster"), CAPS["hochster"][0]
+    return ValueError(f"listing more than 2^{n} {what} exceeds the cap {n} ({env})")
+
+
 def check_cap(name: str, m: int) -> None:
     """Refuse an m-vertex input over the cap ``name``."""
     limit = cap(name)
@@ -153,17 +159,11 @@ class Graph:
             raise ValueError("a cycle needs at least 3 vertices")
         return cls(m, [(i, i % m + 1) for i in range(1, m + 1)])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return mask_vertices(self.adj[v - 1])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u - 1] >> (v - 1) & 1)
-
     def clique_complex(self) -> "SimplicialComplex":
         """Flag complex whose faces are the cliques of this graph."""
         verts = (1 << self.m) - 1
-        cliques = _maximal_cliques(self.adj, verts)
-        return SimplicialComplex(verts, cliques)
+        maximal = [c for c, common in _cliques(self.adj, verts) if not common]
+        return SimplicialComplex(verts, maximal)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Graph":
@@ -187,35 +187,28 @@ class Graph:
         return f"Graph(m={self.m}, edges={list(self.edges)})"
 
 
-def _maximal_cliques(adj: tuple[int, ...] | list[int], verts: int) -> list[int]:
-    """Bron-Kerbosch with pivoting, on adjacency bitmasks."""
-    out: list[int] = []
-    _expand(adj, out, 0, verts, 0)
-    return out
+def _cliques(adj, verts: int) -> Iterator[tuple[int, int]]:
+    """(clique, common neighbours) for each clique within ``verts``, ∅ first.
 
-
-def _expand(adj, out: list[int], r: int, p: int, x: int) -> None:
-    """Append to ``out`` the maximal cliques containing r, extended within p."""
-    if p == 0 and x == 0:
-        out.append(r)
-        return
-    px = p | x
-    pivot, best = -1, -1
-    t = px
-    while t:
-        v = (t & -t).bit_length() - 1
-        n = (p & adj[v]).bit_count()
-        if n > best:
-            best, pivot = n, v
-        t &= t - 1
-    cand = p & ~adj[pivot]
-    while cand:
-        vbit = cand & -cand
-        v = vbit.bit_length() - 1
-        _expand(adj, out, r | vbit, p & adj[v], x & adj[v])
-        p &= ~vbit
-        x |= vbit
-        cand ^= vbit
+    ``adj[k]`` is the neighbour mask of vertex k+1. A clique grows only by a
+    common neighbour above its largest vertex, so each is listed once, and
+    is maximal when it has none. Refused past 2^cap("hochster") cliques.
+    """
+    bound = 1 << cap("hochster")
+    stack = [(0, verts)]
+    listed = 0
+    while stack:
+        clique, common = stack.pop()
+        yield clique, common
+        listed += 1
+        if listed > bound:
+            raise _over_listing_cap("cliques")
+        top = clique.bit_length()
+        above = common >> top << top
+        while above:
+            v = above & -above
+            above ^= v
+            stack.append((clique | v, common & adj[v.bit_length() - 1]))
 
 
 class SimplicialComplex:
@@ -263,10 +256,6 @@ class SimplicialComplex:
         return self.ambient.bit_count()
 
     @property
-    def is_void(self) -> bool:
-        return not self.facets
-
-    @property
     def dim(self) -> int:
         """Dimension; -1 for {} and -2 for the void complex."""
         if not self.facets:
@@ -291,12 +280,18 @@ class SimplicialComplex:
     def faces(self) -> tuple[int, ...]:
         """All faces as masks, sorted by (dimension, mask).
 
-        A facet on s vertices has 2^s faces, so s is capped like 2^m loops.
+        A facet on s vertices has 2^s faces, so s is capped like 2^m loops,
+        before any is listed; more than 2^cap faces in all are refused.
         """
         faces = self._cache.get("faces")
         if faces is None:
             check_cap("hochster", self.dim + 1)
-            seen = {sub for facet in self.facets for sub in submasks(facet)}
+            bound = 1 << cap("hochster")
+            seen: set[int] = set()
+            for facet in self.facets:
+                seen.update(submasks(facet))
+                if len(seen) > bound:
+                    raise _over_listing_cap("faces")
             faces = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
             self._cache["faces"] = faces
         return faces
@@ -377,16 +372,6 @@ class SimplicialComplex:
         lk = self._cache[key] = SimplicialComplex(self.ambient & ~s_mask, new_facets)
         return lk
 
-    def _skeleton_adj(self) -> list[int]:
-        adj = [0] * self.ambient.bit_length()
-        for f in self.faces():
-            if f.bit_count() == 2:
-                low = f & -f
-                high = f ^ low
-                adj[low.bit_length() - 1] |= high
-                adj[high.bit_length() - 1] |= low
-        return adj
-
     def underlying_graph(self) -> Graph:
         """1-skeleton as a graph on {1..m}; requires a full ambient set."""
         if self.ambient != (1 << self.m) - 1:
@@ -395,11 +380,21 @@ class SimplicialComplex:
         return Graph(self.m, edges)
 
     def is_flag(self) -> bool:
-        """Whether every pairwise-adjacent vertex set is a face."""
+        """Whether every clique of the 1-skeleton is a face.
+
+        Stops at the first that is not: a minimal one, less its largest
+        vertex, is a face that this vertex extends.
+        """
         flag = self._cache.get("is_flag")
         if flag is None:
-            cliques = _maximal_cliques(self._skeleton_adj(), self.vertices_mask)
-            flag = self._cache["is_flag"] = all(map(self.has_face, cliques))
+            adj = [0] * self.ambient.bit_length()
+            for f in self.faces():
+                if f.bit_count() == 2:
+                    low = f & -f
+                    adj[low.bit_length() - 1] |= f ^ low
+                    adj[f.bit_length() - 1] |= low
+            cliques = _cliques(adj, self.vertices_mask)
+            flag = self._cache["is_flag"] = all(self.has_face(c) for c, _ in cliques)
         return flag
 
     def missing_edges(self) -> tuple[tuple[int, int], ...]:

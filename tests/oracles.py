@@ -3,10 +3,14 @@
 Everything here avoids the package's bitmask representation on
 purpose: matrices are dense lists of 0/1 ints, faces are frozensets,
 and elimination is the textbook row-by-row sweep. Slow but obviously
-correct, which is the point.
+correct, which is the point. The exception is ``subdivided_model``, the
+package's cubical model cut at 0 along every coordinate, which the
+tests hold against the model cut along I alone.
 """
 
 from itertools import combinations
+
+from rzformal.moment_angle import CubicalComplex
 
 
 def dense_rank(rows):
@@ -154,6 +158,18 @@ def faces_of(facets):
     return out
 
 
+def cliques_of(vertices, edges):
+    """Every subset of ``vertices`` whose pairs are all edges, empty set included."""
+    vertices = sorted(vertices)
+    edge_set = {frozenset(e) for e in edges}
+    return {
+        frozenset(c)
+        for r in range(len(vertices) + 1)
+        for c in combinations(vertices, r)
+        if all(frozenset(pair) in edge_set for pair in combinations(c, 2))
+    }
+
+
 def hochster_real_dense(facets, m):
     """RZ_K Betti numbers from the dense cohomology oracle.
 
@@ -184,3 +200,8 @@ def hochster_complex_dense(facets, m):
     if not acc:
         return []
     return [acc.get(d, 0) for d in range(max(acc) + 1)]
+
+
+def subdivided_model(k):
+    """Cubical model of RZ_K cut at 0 along every coordinate."""
+    return CubicalComplex(k.ambient, k.faces(), k.ambient, 0)

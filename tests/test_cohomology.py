@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import faces_of, reduced_betti_dense, restriction_trivial_dense
 from rzformal import (
-    BettiTable,
     Graph,
     SimplicialComplex,
     cohomology,
@@ -78,8 +77,7 @@ def test_betti_table_accessors():
     assert t[5] == 0
     assert t[-1] == 0
     assert t.total == 2
-    blob = t.to_json_obj()
-    assert BettiTable.from_json_obj(blob) == t
+    assert t.to_json_obj() == {"min_degree": -1, "dims": [0, 2], "total": 2}
 
 
 def deletion(faces, sigma):

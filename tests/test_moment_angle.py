@@ -11,7 +11,12 @@ import random
 
 import pytest
 
-from oracles import hochster_complex_dense, hochster_real_dense, reduced_betti_dense
+from oracles import (
+    hochster_complex_dense,
+    hochster_real_dense,
+    reduced_betti_dense,
+    subdivided_model,
+)
 from rzformal import (
     Graph,
     SimplicialComplex,
@@ -115,14 +120,14 @@ def test_cubical_counts_single_vertex():
     k = SimplicialComplex.from_facets(1, [[1]])
     plain = build_cubical(k)
     assert plain.counts() == (2, 1)
-    fine = build_cubical(k, subdivided=True)
+    fine = subdivided_model(k)
     assert fine.counts() == (3, 2)
 
 
 def test_cubical_counts_empty_face_complex():
     k = SimplicialComplex.from_facets(1, [[]])
     assert build_cubical(k).counts() == (2,)
-    assert build_cubical(k, subdivided=True).counts() == (2,)
+    assert subdivided_model(k).counts() == (2,)
 
 
 def test_cubical_counts_four_cycle():
@@ -146,7 +151,7 @@ def test_cubical_agrees_with_hochster_exhaustively_m3():
     for k in all_complexes(3):
         want = dims(hochster_real_betti(k))
         assert dims(build_cubical(k).betti()) == want
-        assert dims(build_cubical(k, subdivided=True).betti()) == want
+        assert dims(subdivided_model(k).betti()) == want
 
 
 def test_cubical_agrees_with_hochster_on_ghosts():
@@ -154,13 +159,13 @@ def test_cubical_agrees_with_hochster_on_ghosts():
         k = SimplicialComplex.from_facets(m, facets)
         want = dims(hochster_real_betti(k))
         assert dims(build_cubical(k).betti()) == want
-        assert dims(build_cubical(k, subdivided=True).betti()) == want
+        assert dims(subdivided_model(k).betti()) == want
 
 
 def test_fixed_points_of_triangle_boundary_single_coordinate():
     # the fixed set of the first coordinate reflection is a circle
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    c = build_cubical(tri, subdivided=True)
+    c = subdivided_model(tri)
     f = c.fixed_subcomplex([1])
     assert dims(f.betti()) == [1, 1]
     assert dims(fixed_betti_via_link(tri, [1])) == [1, 1]
@@ -168,7 +173,7 @@ def test_fixed_points_of_triangle_boundary_single_coordinate():
 
 def test_fixed_points_of_triangle_boundary_edge():
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    c = build_cubical(tri, subdivided=True)
+    c = subdivided_model(tri)
     f = c.fixed_subcomplex([1, 2])
     assert dims(f.betti()) == [2]
     assert dims(fixed_betti_via_link(tri, [1, 2])) == [2]
@@ -176,7 +181,7 @@ def test_fixed_points_of_triangle_boundary_edge():
 
 def test_fixed_points_of_non_face_are_empty():
     two = SimplicialComplex.from_facets(2, [[1], [2]])
-    c = build_cubical(two, subdivided=True)
+    c = subdivided_model(two)
     assert c.fixed_subcomplex([1, 2]).counts() == ()
     assert fixed_betti_via_link(two, [1, 2]).total == 0
 
@@ -184,13 +189,13 @@ def test_fixed_points_of_non_face_are_empty():
 def test_fixed_points_of_two_points_single_coordinate():
     two = SimplicialComplex.from_facets(2, [[1], [2]])
     assert dims(fixed_betti_via_link(two, [1])) == [2]
-    c = build_cubical(two, subdivided=True)
+    c = subdivided_model(two)
     assert dims(c.fixed_subcomplex([1]).betti()) == [2]
 
 
 def test_fixed_subcomplex_of_empty_coordinate_set_is_everything():
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    c = build_cubical(tri, subdivided=True)
+    c = subdivided_model(tri)
     assert c.fixed_subcomplex([]).cell_set() == c.cell_set()
     assert dims(fixed_betti_via_link(tri, [])) == dims(hochster_real_betti(tri))
 
@@ -198,7 +203,7 @@ def test_fixed_subcomplex_of_empty_coordinate_set_is_everything():
 def test_fixed_subcomplex_of_plain_model_matches_subdivided_model():
     # cutting the plain model along I alone gives the same fixed set
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    plain, fine = build_cubical(tri), build_cubical(tri, subdivided=True)
+    plain, fine = build_cubical(tri), subdivided_model(tri)
     # over the faces {1}, {1,2}, {1,3}: 4 points and 4 arcs, a circle
     assert plain.fixed_subcomplex([1]).counts() == (4, 4)
     for i_mask in submasks(tri.ambient):
@@ -208,7 +213,7 @@ def test_fixed_subcomplex_of_plain_model_matches_subdivided_model():
 
 def test_fixed_betti_matches_cubical_exhaustively_m3():
     for k in all_complexes(3):
-        c = build_cubical(k, subdivided=True)
+        c = subdivided_model(k)
         for i_mask in submasks(k.vertices_mask):
             link_side = fixed_betti_via_link(k, i_mask)
             cube_side = c.fixed_subcomplex(i_mask).betti()
@@ -246,7 +251,7 @@ def test_fixed_subcomplex_rows_match_rebuilt_complex_and_link():
     # from its model's cells by a full scan, and the link formula agree
     for m in range(1, 5):
         for k in all_complexes(m):
-            c = build_cubical(k, subdivided=True)
+            c = subdivided_model(k)
             for i_mask in submasks(k.ambient):
                 fixed = c.fixed_subcomplex(i_mask)
                 cells, want = rebuilt_fixed_betti(c, i_mask)
@@ -258,7 +263,7 @@ def test_fixed_subcomplex_rows_match_rebuilt_complex_and_link():
 def test_fixed_subcomplex_cut_along_i_equals_the_full_subdivision():
     for m in range(1, 5):
         for k in all_complexes(m):
-            fine = build_cubical(k, subdivided=True)
+            fine = subdivided_model(k)
             for i_mask in submasks(k.ambient):
                 fixed = build_cubical(k).fixed_subcomplex(i_mask)
                 _, want = rebuilt_fixed_betti(fine, i_mask)
@@ -361,7 +366,7 @@ def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():
             size = rng.randint(1, min(m, 3))
             facets.append(rng.sample(range(1, m + 1), size))
         k = SimplicialComplex.from_facets(m, facets)
-        c = build_cubical(k, subdivided=True)
+        c = subdivided_model(k)
         gens = [rng.getrandbits(m) for _ in range(rng.randint(0, 3))]
         fixed = c.cell_set()
         hull = 0

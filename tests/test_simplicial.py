@@ -2,11 +2,14 @@
 
 import gc
 import json
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cliques_of, faces_of
 from rzformal import Graph, SimplicialComplex
 from rzformal.simplicial import mask_vertices, submasks, vertex_mask
 
@@ -27,13 +30,12 @@ def test_submasks_enumerates_all_subsets_ascending():
 
 
 def test_graph_basics():
-    g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    assert g.has_edge(1, 2) and g.has_edge(2, 1)
-    assert not g.has_edge(1, 3)
-    assert g.neighbors(1) == (2, 4)
-    assert Graph.complete(3).has_edge(1, 3)
-    assert Graph.empty(2).neighbors(1) == ()
-    assert Graph.cycle(4).has_edge(4, 1)
+    g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 1)])
+    assert g.edges == ((1, 2), (1, 4), (2, 3), (3, 4))
+    assert g.adj[0] == vertex_mask([2, 4])
+    assert Graph.complete(3).edges == ((1, 2), (1, 3), (2, 3))
+    assert Graph.empty(2).edges == () and Graph.empty(2).adj == (0, 0)
+    assert Graph.cycle(4).edges == g.edges
 
 
 def test_graph_rejects_bad_edges():
@@ -60,6 +62,33 @@ def test_clique_search_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_is_flag_and_clique_complexes_match_the_clique_definition():
+    rng = random.Random(1973)
+    verdicts = []
+    for _ in range(300):
+        m = rng.randint(0, 8)
+        density = rng.random()
+        edges = [e for e in combinations(range(1, m + 1), 2) if rng.random() < density]
+        k = Graph(m, edges).clique_complex()
+        assert {frozenset(mask_vertices(f)) for f in k.faces()} == cliques_of(
+            range(1, m + 1), edges
+        )
+        assert k.is_flag()
+        sizes = [rng.randint(0, m) for _ in range(rng.randint(0, 6))]
+        random_facets = [rng.sample(range(1, m + 1), s) for s in sizes]
+        # the clique complex with its largest facet replaced by its boundary
+        punctured = [mask_vertices(f) for f in k.facets]
+        top = punctured.pop()
+        punctured += combinations(top, max(len(top) - 1, 0))
+        for facets in (random_facets, punctured):
+            faces = faces_of(facets)
+            vertices = {v for f in faces for v in f}
+            flag = cliques_of(vertices, [f for f in faces if len(f) == 2]) <= faces
+            assert SimplicialComplex.from_facets(m, facets).is_flag() == flag, facets
+            verdicts.append(flag)
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 100
+
+
 def test_clique_complex_of_complete_graph_is_simplex():
     k = Graph.complete(3).clique_complex()
     assert facet_sets(k) == [[1, 2, 3]]
@@ -83,9 +112,9 @@ def test_from_facets_closes_downward_and_dedups():
 def test_void_versus_empty_face():
     void = SimplicialComplex.void(2)
     point = SimplicialComplex.from_facets(2, [[]])
-    assert void.is_void
+    assert void.facets == ()
     assert void.dim == -2
-    assert not point.is_void
+    assert point.facets == (0,)
     assert point.dim == -1
     assert not void.has_face(0)
     assert point.has_face(0)
@@ -176,7 +205,7 @@ def test_underlying_graph_keeps_ghosts_isolated():
     k = SimplicialComplex.from_facets(3, [[1, 2]])
     g = k.underlying_graph()
     assert g.m == 3
-    assert g.neighbors(3) == ()
+    assert g.edges == ((1, 2),)
 
 
 def test_underlying_graph_needs_contiguous_labels():
@@ -263,6 +292,6 @@ def test_clique_complex_is_flag_and_matches_graph(m, raw_edges):
         (u, v)
         for u in range(1, m + 1)
         for v in range(u + 1, m + 1)
-        if not g.has_edge(u, v)
+        if (u, v) not in g.edges
     )
     assert k.missing_edges() == non_edges
