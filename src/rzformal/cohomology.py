@@ -6,13 +6,11 @@ Conventions for the augmented cochain complex:
   cohomology F2 there and a nonvoid complex with a vertex has none;
 * the void complex has no faces and zero cohomology everywhere.
 
-A complex is given by a face list in any order. Its cohomology data is
-memoized globally, keyed by the face tuple itself; a cached value
-depends only on the set of faces in its key.
+Betti numbers come from one column reduction, ``add_faces``. The
+Hochster walk caches nothing here; the restriction test memoizes face
+lists in any order, keyed by the tuple itself.
 
-A face list is closed under taking faces, and a cache entry takes its
-Betti numbers from boundary ranks alone, b_d = n_d - rank ∂_d - rank
-∂_(d+1). The one restriction map is onto a star deletion A = X ∖ st σ.
+The one restriction map is onto a star deletion A = X ∖ st σ.
 Over a field the long exact sequence of the pair gives
 
     Σ_d dim H^d(X, A) = β̃(X) + β̃(A) - 2 Σ_d rank(H̃^d(X) -> H̃^d(A)),
@@ -25,9 +23,8 @@ shifted up by |σ|, so β(X, A) is the link's total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from . import f2
 from .simplicial import SimplicialComplex
 
 
@@ -85,42 +82,48 @@ def clear_caches() -> None:
     _hom_cache.clear()
 
 
-def group_by_dim(faces: Iterable[int]) -> dict[int, list[int]]:
-    """Split a face list by dimension, keeping the list's order in each."""
-    out: dict[int, list[int]] = {}
+def boundary_columns(faces: tuple[int, ...]) -> dict[int, int]:
+    """Per face, its boundary as a bitmask over the positions in ``faces``."""
+    index = {f: i for i, f in enumerate(faces)}
+    columns = {}
     for f in faces:
-        out.setdefault(f.bit_count() - 1, []).append(f)
-    return out
+        col = 0
+        rest = f
+        while rest:
+            low = rest & -rest
+            col |= 1 << index[f ^ low]
+            rest ^= low
+        columns[f] = col
+    return columns
 
 
-def _boundary_rows(by_dim: dict[int, list[int]]) -> dict[int, list[int]]:
-    """Per t >= 0, the boundary of each t-face as bits over the (t-1)-faces."""
-    rows = {}
-    for t, faces_t in by_dim.items():
-        if t < 0:
-            continue
-        index = {f: i for i, f in enumerate(by_dim.get(t - 1, ()))}
-        out = []
-        for tau in faces_t:
-            row = 0
-            rest = tau
-            while rest:
-                low = rest & -rest
-                row |= 1 << index[tau ^ low]
-                rest ^= low
-            out.append(row)
-        rows[t] = out
-    return rows
+def add_faces(faces, columns, pivots: dict[int, int], betti: list[int], added: list[int]):
+    """Reduce the columns of ``faces`` into ``pivots``, keyed by highest bit.
+
+    A d-face bears a d-cycle if its column reduces to zero and else kills
+    a (d-1)-class; ``betti[d + 1]`` counts β̃_d, exact whenever the faces
+    added so far form a complex. New pivot keys go to ``added``.
+    """
+    for f in faces:
+        col = columns[f]
+        d = f.bit_count()
+        while col:
+            p = col.bit_length()
+            other = pivots.get(p)
+            if other is None:
+                pivots[p] = col
+                added.append(p)
+                betti[d - 1] -= 1
+                break
+            col ^= other
+        else:
+            betti[d] += 1
 
 
 def _build_hom_data(faces: tuple[int, ...]) -> _HomData:
-    by_dim = group_by_dim(faces)
-    rows = _boundary_rows(by_dim)
-    ranks = {t: f2.rank(r, len(by_dim.get(t - 1, ()))) for t, r in rows.items()}
-    betti = {
-        d: len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, fs in by_dim.items()
-    }
-    return _HomData(betti)
+    betti = [0] * (max(map(int.bit_count, faces), default=-1) + 1)
+    add_faces(faces, boundary_columns(faces), {}, betti, [])
+    return _HomData({d - 1: b for d, b in enumerate(betti)})
 
 
 def hom_data(faces: tuple[int, ...]) -> _HomData:
@@ -141,10 +144,7 @@ def _restriction_map_trivial(faces: tuple[int, ...], sigma: int) -> bool:
 
     Decided from β̃(X), then β̃ of the deletion (the faces not containing
     σ), then β̃(lk_X σ) = β(X, X ∖ st σ), each only if the ones before
-    are nonzero. Any face order gives the same verdict; a walk tuple K_J
-    of ``full_subcomplexes()`` ascends by mask, so the link is the entry
-    that the walk of lk σ caches for J ∖ σ, and for |σ| = 1 the deletion
-    is the walk entry of K_(J∖σ).
+    are nonzero. Any face order gives the same verdict.
     """
     total = hom_data(faces).total_betti
     if total == 0:

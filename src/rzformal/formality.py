@@ -94,12 +94,12 @@ def general_criterion(
     two deletions agree when I meets J in at most one vertex but not
     in general, and only the star deletion matches the fixed-point
     Betti count on every complex.  Each map is decided from three
-    Betti totals; the relative term is the link of σ = I ∩ J in K_J,
-    the same cache entry as J ∖ σ in the Hochster walk of lk σ, which
-    the oracles make when J contains I.  The witness is the first
-    failing J of ``k.full_subcomplexes()``, whose 2^m-step walk is
-    capped like the Hochster sums.  A cone K_J is acyclic and skipped;
-    the cone test is sound, so the witness is unchanged.
+    Betti totals; the relative term is the link of σ = I ∩ J in K_J.
+    The witness is the first failing J of ``k.full_subcomplexes()``,
+    whose 2^m-step walk is capped like the Hochster sums.  A cone K_J
+    is acyclic and skipped, as the walk itself skips the cones that
+    hold the top vertex; the cone test is sound, so the witness is
+    unchanged.
     """
     i_mask = _as_mask(k, i_set)
     check_cap("hochster", k.m)

@@ -31,34 +31,48 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import f2
-from .cohomology import BettiTable, hom_data
+from .cohomology import BettiTable, add_faces, boundary_columns
 from .simplicial import SimplicialComplex, check_cap, submasks, vertex_mask
 
 
 def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
-    """Real and complex tables from one pass over the full subcomplexes K_J.
+    """Real and complex tables from one walk of ``k.full_subcomplexes()``.
 
-    Degree d of K_J lands in degree d + 1 of the real space and in
-    degree d + |J| + 1 of the complex one. One walk of
-    ``k.full_subcomplexes()`` fills both, cached on k. A cone
-    K_J is contractible, so it is skipped; the cone test is sound, so
-    the sums are exact.
+    β̃_d(K_J) adds to degree d + 1 of the real space, d + |J| + 1 of the
+    complex one. Only the faces J adds to its parent's are reduced, and
+    leaving J undoes them. A ghost vertex is a factor S^0, resp. S^1.
     """
     cached = k._cache.get("hochster")
     if cached is not None:
         return cached
     check_cap("hochster", k.m)
-    real: dict[int, int] = {}
-    cplx: dict[int, int] = {}
-    for j_mask, j_faces in k.full_subcomplexes():
-        if k.is_cone_on(j_mask):
-            continue
-        size = j_mask.bit_count()
-        for d, b in hom_data(j_faces).betti.items():
+    columns = boundary_columns(k.faces())
+    size = k.dim + 2  # β̃_d sits at d + 1
+    betti, real, cplx = [0] * size, [0] * size, [0] * (size + k.m)
+    pivots: dict[int, int] = {}
+    added: list[int] = []
+    path = []  # J, face count, len(added) and betti before J, down to here
+    for j_mask, faces in k.full_subcomplexes():
+        parent = j_mask ^ (1 << j_mask.bit_length() >> 1)
+        while path and path[-1][0] != parent:
+            _, _, n, betti = path.pop()
+            for p in added[n:]:
+                del pivots[p]
+            del added[n:]
+        start = path[-1][1] if path else 0
+        path.append((j_mask, len(faces), len(added), betti[:]))
+        add_faces(faces[start:], columns, pivots, betti, added)
+        shift = j_mask.bit_count()
+        for d, b in enumerate(betti):
             if b:
-                real[d + 1] = real.get(d + 1, 0) + b
-                cplx[d + size + 1] = cplx.get(d + size + 1, 0) + b
-    tables = BettiTable.from_dict(real, 0), BettiTable.from_dict(cplx, 0)
+                real[d] += b
+                cplx[d + shift] += b
+    ghosts = k.ghost_mask.bit_count()
+    for _ in range(ghosts):  # times (1 + t)^ghosts
+        for d in range(len(cplx) - 1, 0, -1):
+            cplx[d] += cplx[d - 1]
+    real = {d: b << ghosts for d, b in enumerate(real)}
+    tables = BettiTable.from_dict(real, 0), BettiTable.from_dict(dict(enumerate(cplx)), 0)
     k._cache["hochster"] = tables
     return tables
 

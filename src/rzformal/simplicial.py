@@ -59,7 +59,7 @@ CAPS = {
     "hochster": ("RZFORMAL_HOCHSTER_CAP", 20, "loop over vertex subsets"),
     "cubical": ("RZFORMAL_CUBICAL_CAP", 8, "cubical model"),
     "census flag": ("RZFORMAL_CENSUS_FLAG_CAP", 5, "census flag mode"),
-    "census all-complexes": ("RZFORMAL_CENSUS_ALL_CAP", 4, "census all-complexes mode"),
+    "census all-complexes": ("RZFORMAL_CENSUS_ALL_CAP", 5, "census all-complexes mode"),
 }
 
 
@@ -114,10 +114,13 @@ def _int_lists(obj: dict, field: str, what: str) -> list[list[int]]:
 
 def _canonical_facets(masks: Iterable[int]) -> tuple[int, ...]:
     """Drop faces contained in others; sort by (dimension, mask)."""
-    unique = set(masks)
-    facets = [
-        f for f in unique if not any(f != g and f & ~g == 0 for g in unique)
-    ]
+    facets: list[int] = []
+    larger = size = 0  # facets[:larger] are larger than size
+    for f in sorted(set(masks), key=int.bit_count, reverse=True):
+        if f.bit_count() != size:
+            larger, size = len(facets), f.bit_count()
+        if not any(f & ~g == 0 for g in facets[:larger]):
+            facets.append(f)
     facets.sort(key=lambda f: (f.bit_count(), f))
     return tuple(facets)
 
@@ -304,15 +307,19 @@ class SimplicialComplex:
         return tuple(f for f in self.faces() if f & ~j_mask == 0)
 
     def full_subcomplexes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(J, faces of K_J) for each ambient J, lexicographic in its vertices.
+        """(J, faces of K_J) for J ⊆ ``vertices_mask``, lexicographic in J.
 
-        A depth-first walk appending a larger vertex v: K_(J ∪ v) is K_J
-        plus the faces f | v, f in K_J, so faces ascend by mask. K_∅ is
-        (0,), or () if K is void. Only the current path's children wait.
+        Depth first: K_(J ∪ v), v above J, adds the faces in J ∪ v with
+        top vertex v, so faces ascend by mask. K_∅ is (0,), or () if K is
+        void. Left out: J holding K's top vertex with ``is_cone_on(J)``.
         """
-        root = (0,) if self.has_face(0) else ()  # also builds the face set
-        face_set = self._cache["face_set"]
-        stack = [(0, root, self.ambient)]
+        tops = self._cache.get("tops")
+        if tops is None:  # nonempty faces by top vertex
+            tops = self._cache["tops"] = {}
+            for f in sorted(self.faces()[1:]):
+                tops.setdefault(1 << f.bit_length() >> 1, []).append(f)
+        is_cone_on = self.is_cone_on
+        stack = [(0, self.faces()[:1], self.vertices_mask)]
         pop, push = stack.pop, stack.append
         while stack:
             j_mask, faces, above = pop()
@@ -321,8 +328,10 @@ class SimplicialComplex:
             while above:
                 v = 1 << (above.bit_length() - 1)
                 above ^= v
-                grown = [g for f in faces if (g := f | v) in face_set]
-                push((j_mask | v, faces + tuple(grown), higher))
+                grown = j_mask | v
+                if higher or not is_cone_on(grown):
+                    new = tuple([f for f in tops[v] if f | grown == grown])
+                    push((grown, faces + new, higher))
                 higher |= v
 
     def is_cone_on(self, j_mask: int) -> bool:

@@ -7,6 +7,7 @@ disagreement between independent methods as a hard failure; nothing
 here resolves a disagreement automatically.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -30,7 +31,7 @@ from rzformal import (
     hochster_real_betti,
     run_census,
 )
-from rzformal.census import all_complexes, compute_record, flag_complexes
+from rzformal.census import all_complexes, compute_record, flag_complexes, verify_census
 from rzformal.cli import run as cli_run
 from rzformal.simplicial import submasks
 
@@ -109,6 +110,40 @@ def test_criterion_2_all_complexes_census_agrees():
         assert records == 2 + 8 + 72 + 1824
 
     _report(2, "all-complexes census m<=4, three methods", body)
+
+
+def _sha256(path):
+    """Digest of a file read in chunks: a 55 MB census held whole would
+    raise this process's peak RSS, which the memory tests' children
+    inherit through ru_maxrss."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(
+    os.environ.get("RZFORMAL_EXTENDED") != "1",
+    reason="extended all-complexes census; set RZFORMAL_EXTENDED=1 to run",
+)
+def test_criterion_2_extended_all_complexes_census_m5(tmp_path):
+    def body():
+        serial = tmp_path / "all5.jsonl"
+        summary = run_census(5, "all-complexes", serial)
+        assert summary["complexes"] == 6894
+        assert summary["records"] == 220608
+        assert summary["disagreements"] == 0
+        digest = _sha256(serial)
+        assert digest == "653e09a856346a529648ddaf9fb1b57d6a2a8f793098c1939891f457cd082b03"
+        parallel = tmp_path / "all5_jobs2.jsonl"
+        run_census(5, "all-complexes", parallel, jobs=2)
+        assert _sha256(parallel) == digest
+        result = verify_census(serial)
+        assert result["records"] == 220608
+        assert result["mismatches"] == [] and result["corrupt"] == []
+
+    _report(2, "extended all-complexes census m=5, pinned and verified", body)
 
 
 def test_criterion_3_hochster_equals_cubical():
@@ -242,23 +277,24 @@ _PEAK_RSS = (
 
 @pytest.mark.skipif(
     os.environ.get("RZFORMAL_EXTENDED") != "1",
-    reason="formal check at m=18; set RZFORMAL_EXTENDED=1 to run",
+    reason="formal checks at m=18 and 20; set RZFORMAL_EXTENDED=1 to run",
 )
-def test_criterion_10_formal_check_at_m18_peaks_under_100_mb(tmp_path):
+@pytest.mark.parametrize("m", [18, 20])
+def test_criterion_10_formal_cone_check_peaks_under_100_mb(tmp_path, m):
     def body():
-        # a cone with apex 18 over six random triangles that cover 1..17,
-        # as the benchmark's check inputs are built; I = {apex} is formal,
-        # so no witness stops the loops over all 2^18 subsets J
-        rng = random.Random("big:18:cone")
-        perm = rng.sample(range(1, 18), 17)
+        # a cone with apex m over random triangles that cover 1..m-1, as
+        # the benchmark's check inputs are built; I = {apex} is formal, so
+        # no witness stops the loops over all 2^m subsets J
+        rng = random.Random(f"big:{m}:cone")
+        perm = rng.sample(range(1, m), m - 1)
         perm += perm[:1]
-        triangles = [sorted(perm[i : i + 3]) for i in range(0, 18, 3)]
-        facets = [[v, 18] for v in range(1, 18)] + [t + [18] for t in triangles]
-        path = tmp_path / "cone18.json"
-        path.write_text(json.dumps({"m": 18, "facets": facets}))
+        triangles = [sorted(perm[i : i + 3]) for i in range(0, m, 3)]
+        facets = [[v, m] for v in range(1, m)] + [t + [m] for t in triangles]
+        path = tmp_path / f"cone{m}.json"
+        path.write_text(json.dumps({"m": m, "facets": facets}))
         env = dict(os.environ, PYTHONPATH=str(Path(rzformal.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, "check", str(path), "--I", "18",
+            [sys.executable, "-c", _PEAK_RSS, "check", str(path), "--I", str(m),
              "--method", "all"],
             capture_output=True, text=True, env=env, timeout=600,
         )
@@ -266,4 +302,4 @@ def test_criterion_10_formal_check_at_m18_peaks_under_100_mb(tmp_path):
         peak_mb = int(proc.stderr.split()[-1]) / 1024
         assert peak_mb <= 100, f"peak RSS {peak_mb:.1f} MB"
 
-    _report(10, "formal check at m=18 under 100 MB", body)
+    _report(10, f"formal check at m={m} under 100 MB", body)

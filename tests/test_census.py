@@ -271,7 +271,7 @@ def test_census_caps(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         run_census(6, "flag", tmp_path / "x.jsonl")
     with pytest.raises(ValueError):
-        run_census(5, "all-complexes", tmp_path / "y.jsonl")
+        run_census(6, "all-complexes", tmp_path / "y.jsonl")
     monkeypatch.setenv("RZFORMAL_CENSUS_FLAG_CAP", "2")
     with pytest.raises(ValueError):
         run_census(3, "flag", tmp_path / "z.jsonl")

@@ -10,7 +10,7 @@ from rzformal import (
     Graph,
     SimplicialComplex,
     cohomology,
-    hochster_real_betti,
+    general_criterion,
     reduced_betti,
 )
 from rzformal.simplicial import mask_vertices, submasks
@@ -227,33 +227,29 @@ def test_restriction_map_matches_the_dense_oracle():
     assert seen == {True, False}
 
 
-def test_the_relative_term_is_the_links_walk_entry(monkeypatch):
-    # once the Hochster walks of K and of lk σ have run, as the oracles
-    # run them, a star deletion on a walk tuple K_J with J ⊇ σ builds at
-    # most one new cache entry, the deletion; K_J and the link, whose
-    # tuple is the link's walk entry for J ∖ σ, are both cache hits
-    built = []
-    build = cohomology._build_hom_data
+def test_the_restriction_test_builds_each_entry_once_over_every_i(monkeypatch):
+    # a census decides every I of one complex; the criterion walks K once
+    # per I and asks for the same K_J tuples each time, and the cache
+    # builds each face list once
+    built, asked = [], []
+    build, get = cohomology._build_hom_data, cohomology.hom_data
     monkeypatch.setattr(
         cohomology, "_build_hom_data", lambda faces: built.append(faces) or build(faces)
     )
+    monkeypatch.setattr(cohomology, "hom_data", lambda faces: asked.append(faces) or get(faces))
     rng = random.Random(59)
-    reached_link = 0
+    reused = 0
     for _ in range(40):
         k = random_complex(rng, rng.randint(3, 7))
-        for sigma in k.faces()[1:]:
-            link = k.link(sigma)
-            hochster_real_betti(k)
-            hochster_real_betti(link)
-            for j_mask, j_faces in k.full_subcomplexes():
-                if j_mask & sigma != sigma or k.is_cone_on(j_mask):
-                    continue
-                if link.is_cone_on(j_mask ^ sigma):
-                    continue
-                built.clear()
-                cohomology._restriction_map_trivial(j_faces, sigma)
-                deleted = deletion(j_faces, sigma)
-                assert built in ([], [deleted]), (k, sigma, j_mask)
-                totals = [cohomology.hom_data(f).total_betti for f in (j_faces, deleted)]
-                reached_link += sigma.bit_count() > 1 and all(totals)
-    assert reached_link > 0
+        k = k.full_subcomplex(k.vertices_mask)  # the criterion refuses ghosts
+        cohomology.clear_caches()
+        built.clear()
+        asked.clear()
+        for i_mask in submasks(k.ambient):
+            general_criterion(k, i_mask)
+        assert len(built) == len(set(built)) and set(built) == set(asked), k
+        walk = {faces for _, faces in k.full_subcomplexes()}
+        for faces in walk & set(asked):
+            assert built.count(faces) == 1, (k, faces)
+        reused += len(asked) - len(built)
+    assert reused > 0

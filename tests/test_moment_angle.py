@@ -22,11 +22,11 @@ from rzformal import (
     SimplicialComplex,
     betti_sum_oracle,
     build_cubical,
+    cohomology,
     f2,
     fixed_betti_via_link,
     hochster_complex_betti,
     hochster_real_betti,
-    moment_angle,
     torus_oracle,
 )
 from rzformal.census import all_complexes
@@ -303,34 +303,26 @@ def test_oracle_builds_and_ranks_only_the_fixed_cells(monkeypatch, i_set):
 
 
 def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
-    seen = []
-    hom_data = moment_angle.hom_data
+    walked = []
+    walk = SimplicialComplex.full_subcomplexes
 
-    def counted(faces):
-        seen.append(faces)
-        return hom_data(faces)
+    def counted(c):
+        walked.append(c)
+        return walk(c)
 
-    def non_cone_faces(c):
-        # face sets of the non-cone K_J, J in lexicographic order of its vertices
-        lex = sorted(submasks(c.ambient), key=mask_vertices)
-        return [set(c.subfaces(j)) for j in lex if not c.is_cone_on(j)]
-
-    monkeypatch.setattr(moment_angle, "hom_data", counted)
+    monkeypatch.setattr(SimplicialComplex, "full_subcomplexes", counted)
+    cohomology.clear_caches()
     k = Graph.cycle(4).clique_complex()
     hochster_real_betti(k)
     hochster_complex_betti(k)
-    # one call per non-cone J of K, for both tables
-    assert [set(faces) for faces in seen] == non_cone_faces(k)
-    n = len(seen)
+    # one walk of K fills both tables
+    assert walked == [k]
     fixed_betti_via_link(k, vertex_mask([1]))
     # the torus oracle reuses the memoized link and its tables
     torus_oracle(k, vertex_mask([1]))
-    link = k.link(vertex_mask([1]))
-    assert [set(faces) for faces in seen[n:]] == non_cone_faces(link)
-    # cones found: the 4 vertices of C4 (an edge J meets the facets on
-    # both sides of it in one vertex each, so the test misses it), and
-    # in the link the points {2} and {4}, alone or with ghost vertex 3
-    assert len(seen) == (2**4 - 4) + (2**3 - 4)
+    assert len(walked) == 2 and walked[1] is k.link(vertex_mask([1]))
+    # the sums reduce along the walk and never touch the cohomology cache
+    assert cohomology._hom_cache == {}
 
 
 def test_pruned_hochster_sums_equal_the_sum_over_every_subset():
@@ -355,6 +347,29 @@ def test_pruned_hochster_sums_equal_the_sum_over_every_subset():
                     cplx[shift] = cplx.get(shift, 0) + b
             assert hochster_real_betti(c) == BettiTable.from_dict(real, 0)
             assert hochster_complex_betti(c) == BettiTable.from_dict(cplx, 0)
+
+
+def test_ghost_vertices_multiply_the_tables_exactly():
+    # K_(J ∪ g) = K_J for a ghost vertex g: each ghost doubles the real
+    # table and shifts a copy of the complex one up by a degree, while the
+    # walk visits only the J of non-ghost vertices
+    rng = random.Random(67)
+    cases = [(m, []) for m in range(7)] + [(m, [[]]) for m in range(7)]
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        used = rng.sample(range(1, m + 1), rng.randint(1, m))
+        facets = [
+            rng.sample(used, rng.randint(1, min(len(used), 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        cases.append((m, facets))
+    ghosted = 0
+    for m, facets in cases:
+        k = SimplicialComplex.from_facets(m, facets)
+        ghosted += k.ghost_mask != 0
+        assert dims(hochster_real_betti(k)) == hochster_real_dense(facets, m), (m, facets)
+        assert dims(hochster_complex_betti(k)) == hochster_complex_dense(facets, m), (m, facets)
+    assert ghosted > 40
 
 
 def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -87,6 +88,17 @@ def test_is_flag_and_clique_complexes_match_the_clique_definition():
             assert SimplicialComplex.from_facets(m, facets).is_flag() == flag, facets
             verdicts.append(flag)
     assert verdicts.count(False) > 100 and verdicts.count(True) > 100
+
+
+def test_clique_complex_of_a_large_complete_bipartite_graph_is_fast():
+    # K_(80,80) has 6,400 maximal cliques, its edges; each is tested only
+    # against kept facets of larger size, so none against the others
+    g = Graph(160, [(u, v) for u in range(1, 81) for v in range(81, 161)])
+    start = time.process_time()
+    k = g.clique_complex()
+    elapsed = time.process_time() - start
+    assert len(k.facets) == 6400
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 def test_clique_complex_of_complete_graph_is_simplex():
@@ -267,10 +279,13 @@ def test_full_subcomplex_faces_are_exactly_the_contained_ones(case, raw, kind):
     sub = k.full_subcomplex(j)
     assert set(sub.faces()) == {f for f in k.faces() if f & ~j == 0}
     assert set(sub.faces()) == set(k.subfaces(j))
-    # the walk yields every ambient J once, ghost vertices included, in
-    # lexicographic order of its vertices, with exactly the faces of K_J
+    # the walk yields every J of non-ghost vertices once, except the leaf
+    # cones (J holds the top vertex and is a cone), in lexicographic order
+    # of its vertices, with exactly the faces of K_J
     walk = list(k.full_subcomplexes())
-    assert sorted(j for j, _ in walk) == list(submasks(k.ambient))
+    top = 1 << k.vertices_mask.bit_length() >> 1
+    kept = [j for j in submasks(k.vertices_mask) if not (j & top and k.is_cone_on(j))]
+    assert sorted(j for j, _ in walk) == kept
     order = [mask_vertices(j) for j, _ in walk]
     assert order == sorted(order)
     for j, faces in walk:
