@@ -23,7 +23,6 @@ shifted up by |σ|, so β(X, A) is the link's total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .simplicial import SimplicialComplex
 
@@ -45,17 +44,6 @@ class BettiTable:
         dims = tuple(table.get(d, 0) for d in range(min_degree, top + 1))
         return cls(min_degree, dims)
 
-    def __getitem__(self, degree: int) -> int:
-        i = degree - self.min_degree
-        if 0 <= i < len(self.dims):
-            return self.dims[i]
-        return 0
-
-    def nonzero(self) -> Iterator[tuple[int, int]]:
-        for i, v in enumerate(self.dims):
-            if v:
-                yield self.min_degree + i, v
-
     @property
     def total(self) -> int:
         return sum(self.dims)
@@ -65,17 +53,7 @@ class BettiTable:
         return {"min_degree": self.min_degree, "dims": dims, "total": self.total}
 
 
-class _HomData:
-    """Reduced Betti numbers of one face list, per degree and in total."""
-
-    __slots__ = ("betti", "total_betti")
-
-    def __init__(self, betti: dict[int, int]):
-        self.betti = betti
-        self.total_betti = sum(betti.values())
-
-
-_hom_cache: dict[tuple[int, ...], _HomData] = {}
+_hom_cache: dict[tuple[int, ...], BettiTable] = {}
 
 
 def clear_caches() -> None:
@@ -120,14 +98,14 @@ def add_faces(faces, columns, pivots: dict[int, int], betti: list[int], added: l
             betti[d] += 1
 
 
-def _build_hom_data(faces: tuple[int, ...]) -> _HomData:
+def _build_hom_data(faces: tuple[int, ...]) -> BettiTable:
     betti = [0] * (max(map(int.bit_count, faces), default=-1) + 1)
     add_faces(faces, boundary_columns(faces), {}, betti, [])
-    return _HomData({d - 1: b for d, b in enumerate(betti)})
+    return BettiTable.from_dict(dict(enumerate(betti, -1)))
 
 
-def hom_data(faces: tuple[int, ...]) -> _HomData:
-    """Memoized cohomology data of a face list in any order, keyed by the tuple."""
+def hom_data(faces: tuple[int, ...]) -> BettiTable:
+    """Memoized reduced Betti table of a face list in any order, keyed by the tuple."""
     data = _hom_cache.get(faces)
     if data is None:
         data = _hom_cache[faces] = _build_hom_data(faces)
@@ -136,7 +114,7 @@ def hom_data(faces: tuple[int, ...]) -> _HomData:
 
 def reduced_betti(k: SimplicialComplex) -> BettiTable:
     """Reduced F2 Betti numbers of a complex (ghost vertices ignored)."""
-    return BettiTable.from_dict(hom_data(k.faces()).betti)
+    return hom_data(k.faces())
 
 
 def _restriction_map_trivial(faces: tuple[int, ...], sigma: int) -> bool:
@@ -146,11 +124,11 @@ def _restriction_map_trivial(faces: tuple[int, ...], sigma: int) -> bool:
     σ), then β̃(lk_X σ) = β(X, X ∖ st σ), each only if the ones before
     are nonzero. Any face order gives the same verdict.
     """
-    total = hom_data(faces).total_betti
+    total = hom_data(faces).total
     if total == 0:
         return True
-    deleted = hom_data(tuple(f for f in faces if f & sigma != sigma)).total_betti
+    deleted = hom_data(tuple(f for f in faces if f & sigma != sigma)).total
     if deleted == 0:
         return True
     link = hom_data(tuple(f ^ sigma for f in faces if f & sigma == sigma))
-    return link.total_betti == total + deleted
+    return link.total == total + deleted

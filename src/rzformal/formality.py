@@ -96,10 +96,7 @@ def general_criterion(
     Betti count on every complex.  Each map is decided from three
     Betti totals; the relative term is the link of σ = I ∩ J in K_J.
     The witness is the first failing J of ``k.full_subcomplexes()``,
-    whose 2^m-step walk is capped like the Hochster sums.  A cone K_J
-    is acyclic and skipped, as the walk itself skips the cones that
-    hold the top vertex; the cone test is sound, so the witness is
-    unchanged.
+    whose 2^m-step walk is capped like the Hochster sums.
     """
     i_mask = _as_mask(k, i_set)
     check_cap("hochster", k.m)
@@ -109,7 +106,7 @@ def general_criterion(
         return FormalityReport("not_formal", "general_criterion", hull, witness)
     for j_mask, j_faces in k.full_subcomplexes():
         sigma = j_mask & i_mask
-        if sigma == 0 or k.is_cone_on(j_mask):
+        if sigma == 0:
             continue
         if not _restriction_map_trivial(j_faces, sigma):
             j_vertices = list(mask_vertices(j_mask))

@@ -170,20 +170,8 @@ class CubicalComplex:
             by_dim.pop()
         return tuple(tuple(cells) for cells in by_dim)
 
-    @property
-    def dim(self) -> int:
-        return len(self.cells_by_dim) - 1
-
     def counts(self) -> tuple[int, ...]:
         return tuple(len(cells) for cells in self.cells_by_dim)
-
-    def cells(self, d: int) -> tuple[int, ...]:
-        if 0 <= d < len(self.cells_by_dim):
-            return self.cells_by_dim[d]
-        return ()
-
-    def cell_set(self) -> frozenset[int]:
-        return frozenset(c for cells in self.cells_by_dim for c in cells)
 
     def boundary(self, cell: int) -> list[int]:
         """Cells of one dimension lower in the F2 boundary of ``cell``."""

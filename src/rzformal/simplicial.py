@@ -354,13 +354,6 @@ class SimplicialComplex:
             face_set = self._cache["face_set"] = frozenset(self.faces())
         return mask in face_set
 
-    def full_subcomplex(self, j: Iterable[int] | int) -> "SimplicialComplex":
-        """Restriction to the vertex subset ``j``, ambient set ``j``."""
-        j_mask = j if isinstance(j, int) else vertex_mask(j)
-        if j_mask & ~self.ambient:
-            raise ValueError("subset is not contained in the ambient vertex set")
-        return SimplicialComplex(j_mask, (f & j_mask for f in self.facets))
-
     def link(self, sigma: Iterable[int] | int) -> "SimplicialComplex":
         """Link of a face, on ambient set ambient minus sigma.
 
@@ -380,13 +373,6 @@ class SimplicialComplex:
         new_facets = [f & ~s_mask for f in self.facets if f & s_mask == s_mask]
         lk = self._cache[key] = SimplicialComplex(self.ambient & ~s_mask, new_facets)
         return lk
-
-    def underlying_graph(self) -> Graph:
-        """1-skeleton as a graph on {1..m}; requires a full ambient set."""
-        if self.ambient != (1 << self.m) - 1:
-            raise ValueError("underlying graph needs contiguous vertex labels")
-        edges = [mask_vertices(f) for f in self.faces() if f.bit_count() == 2]
-        return Graph(self.m, edges)
 
     def is_flag(self) -> bool:
         """Whether every clique of the 1-skeleton is a face.

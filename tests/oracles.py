@@ -5,7 +5,8 @@ purpose: matrices are dense lists of 0/1 ints, faces are frozensets,
 and elimination is the textbook row-by-row sweep. Slow but obviously
 correct, which is the point. The exception is ``subdivided_model``, the
 package's cubical model cut at 0 along every coordinate, which the
-tests hold against the model cut along I alone.
+tests hold against the model cut along I alone; ``cell_set`` lists the
+cells of such a model.
 """
 
 from itertools import combinations
@@ -205,3 +206,8 @@ def hochster_complex_dense(facets, m):
 def subdivided_model(k):
     """Cubical model of RZ_K cut at 0 along every coordinate."""
     return CubicalComplex(k.ambient, k.faces(), k.ambient, 0)
+
+
+def cell_set(model):
+    """Every cell of a cubical model, of any dimension."""
+    return frozenset(c for cells in model.cells_by_dim for c in cells)

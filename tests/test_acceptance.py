@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import rzformal
-from oracles import subdivided_model
+from oracles import cell_set, subdivided_model
 from rzformal import (
     Graph,
     SimplicialComplex,
@@ -113,9 +113,8 @@ def test_criterion_2_all_complexes_census_agrees():
 
 
 def _sha256(path):
-    """Digest of a file read in chunks: a 55 MB census held whole would
-    raise this process's peak RSS, which the memory tests' children
-    inherit through ru_maxrss."""
+    """Digest of a file read in chunks, so that a 55 MB census is never
+    held whole."""
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -190,10 +189,10 @@ def test_criterion_5_fixed_point_lemmas():
             c = subdivided_model(k)
             gens = [rng.getrandbits(k.m) for _ in range(rng.randint(0, 3))]
             a = Subgroup(k.m, gens)
-            fixed = c.cell_set()
+            fixed = cell_set(c)
             for g in gens:
-                fixed &= c.fixed_subcomplex(g).cell_set()
-            assert fixed == c.fixed_subcomplex(a.hull_mask).cell_set(), (k, gens)
+                fixed &= cell_set(c.fixed_subcomplex(g))
+            assert fixed == cell_set(c.fixed_subcomplex(a.hull_mask)), (k, gens)
             checked += 1
 
     _report(5, "fixed sets: cellular = link, subgroup = hull", body)
@@ -264,13 +263,21 @@ def test_criterion_9_census_determinism_and_verify(tmp_path):
     _report(9, "parallel determinism and verify", body)
 
 
-# Run one CLI command and report the peak RSS of its process on stderr
-# (ru_maxrss is in KiB on Linux).
+# Run one CLI command and report the peak RSS of its process on stderr, in
+# KiB. On Linux a child started by subprocess inherits its parent's
+# ru_maxrss, which would then read pytest's own peak when that is higher;
+# VmHWM in /proc/self/status is the child's own. Without that file,
+# ru_maxrss is the fallback.
 _PEAK_RSS = (
-    "import resource, sys\n"
+    "import os, resource, sys\n"
     "from rzformal.cli import run\n"
     "rc = run(sys.argv[1:])\n"
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "if os.path.exists('/proc/self/status'):\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        hwm = [line for line in status if line.startswith('VmHWM:')]\n"
+    "    peak = int(hwm[0].split()[1])\n"
+    "print(peak, file=sys.stderr)\n"
     "sys.exit(rc)\n"
 )
 

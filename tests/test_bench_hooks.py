@@ -27,7 +27,9 @@ def test_every_name_the_benchmark_uses_resolves():
     hooks = tracing.SPAN_HOOKS + tracing.COUNTER_HOOKS
     missing = [f"{m}.{p}" for m, p, _ in hooks if tracing._resolve(m, p) is None]
     assert missing == []
-    # read by bench/run.py directly, outside the hook tables
+    # read by bench/run.py directly, outside the hook tables; without
+    # clear_caches every command would run warm, with no warning
     assert isinstance(cohomology._hom_cache, dict)
+    assert callable(getattr(cohomology, "clear_caches", None))
     for name in ("rank", "rref", "kernel_basis", "reduce_batch"):
         assert callable(getattr(f2, name)), name

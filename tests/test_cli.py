@@ -90,9 +90,11 @@ def test_check_flag_method_on_non_flag_is_input_error(files, capsys):
 
 def test_check_bad_vertex_list_is_input_error(files, capsys):
     _, write = files
-    c4 = write("c4.json", {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]})
-    assert run(["check", c4, "--I", "1,zebra"]) == 3
-    capsys.readouterr()
+    c3 = write("c3.json", {"m": 3, "facets": [[1, 2], [2, 3], [1, 3]]})
+    for bad in ("1,zebra", "0", "-1", "4"):
+        assert run(["check", c3, "--I", bad]) == 3, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
 
 
 def test_check_missing_file_is_input_error(capsys):

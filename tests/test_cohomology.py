@@ -17,7 +17,7 @@ from rzformal.simplicial import mask_vertices, submasks
 
 
 def as_dict(table):
-    return {d: b for d, b in table.nonzero()}
+    return {d: b for d, b in enumerate(table.dims, table.min_degree) if b}
 
 
 def dense_betti(faces):
@@ -73,9 +73,7 @@ def test_projective_plane_like_gluing_is_mod2_sensitive():
 def test_betti_table_accessors():
     k = SimplicialComplex.from_facets(3, [[1], [2], [3]])
     t = reduced_betti(k)
-    assert t[0] == 2
-    assert t[5] == 0
-    assert t[-1] == 0
+    assert dict(enumerate(t.dims, t.min_degree)) == {-1: 0, 0: 2}
     assert t.total == 2
     assert t.to_json_obj() == {"min_degree": -1, "dims": [0, 2], "total": 2}
 
@@ -127,7 +125,8 @@ def test_euler_characteristic(case):
     m, facets = case
     k = SimplicialComplex.from_facets(m, facets)
     chi_faces = sum((-1) ** (f.bit_count() - 1) for f in k.faces())
-    chi_betti = sum((-1) ** d * b for d, b in reduced_betti(k).nonzero())
+    t = reduced_betti(k)
+    chi_betti = sum((-1) ** d * b for d, b in enumerate(t.dims, t.min_degree))
     assert chi_faces == chi_betti
 
 
@@ -188,8 +187,7 @@ def test_rank_betti_equals_the_dense_betti_per_degree():
         k = random_complex(rng, m)
         j = rng.getrandbits(m)
         for faces in (k.faces(), k.subfaces(j)):
-            betti = cohomology._build_hom_data(faces).betti
-            assert {d: b for d, b in betti.items() if b} == dense_betti(faces)
+            assert as_dict(cohomology._build_hom_data(faces)) == dense_betti(faces)
 
 
 def test_cone_test_is_sound_on_every_subset():
@@ -241,7 +239,7 @@ def test_the_restriction_test_builds_each_entry_once_over_every_i(monkeypatch):
     reused = 0
     for _ in range(40):
         k = random_complex(rng, rng.randint(3, 7))
-        k = k.full_subcomplex(k.vertices_mask)  # the criterion refuses ghosts
+        k = SimplicialComplex(k.vertices_mask, k.facets)  # the criterion refuses ghosts
         cohomology.clear_caches()
         built.clear()
         asked.clear()

@@ -140,25 +140,6 @@ def test_faces_sorted_by_size_then_mask():
     assert faces[0] == 0
 
 
-def test_full_subcomplex():
-    k = Graph.cycle(4).clique_complex()
-    sub = k.full_subcomplex(vertex_mask([1, 2, 3]))
-    assert facet_sets(sub) == [[1, 2], [2, 3]]
-    # the ambient set shrinks to J but labels are preserved
-    assert sub.m == 3
-    assert sub.vertex_labels() == (1, 2, 3)
-    empty = k.full_subcomplex(0)
-    assert facet_sets(empty) == [[]]
-    assert empty.dim == -1
-
-
-def test_full_subcomplex_composition():
-    k = Graph.cycle(5).clique_complex()
-    a = vertex_mask([1, 2, 3, 4])
-    b = vertex_mask([2, 3])
-    assert k.full_subcomplex(a).full_subcomplex(b) == k.full_subcomplex(a & b)
-
-
 def test_link_examples():
     c4 = Graph.cycle(4).clique_complex()
     lk = c4.link(vertex_mask([1]))
@@ -206,24 +187,6 @@ def test_is_flag_and_missing_edges():
     pts = SimplicialComplex.from_facets(3, [[1], [2], [3]])
     assert pts.is_flag()
     assert pts.missing_edges() == ((1, 2), (1, 3), (2, 3))
-
-
-def test_underlying_graph_round_trip():
-    g = Graph.cycle(5)
-    assert g.clique_complex().underlying_graph() == g
-
-
-def test_underlying_graph_keeps_ghosts_isolated():
-    k = SimplicialComplex.from_facets(3, [[1, 2]])
-    g = k.underlying_graph()
-    assert g.m == 3
-    assert g.edges == ((1, 2),)
-
-
-def test_underlying_graph_needs_contiguous_labels():
-    sub = Graph.cycle(4).clique_complex().full_subcomplex(vertex_mask([2, 3, 4]))
-    with pytest.raises(ValueError):
-        sub.underlying_graph()
 
 
 def test_json_round_trips():
@@ -276,7 +239,7 @@ def test_full_subcomplex_faces_are_exactly_the_contained_ones(case, raw, kind):
     facets = {"facets": facets, "void": [], "{}": [[]]}[kind]
     k = SimplicialComplex.from_facets(m, facets)
     j = raw & k.vertices_mask
-    sub = k.full_subcomplex(j)
+    sub = SimplicialComplex(j, (f & j for f in k.facets))
     assert set(sub.faces()) == {f for f in k.faces() if f & ~j == 0}
     assert set(sub.faces()) == set(k.subfaces(j))
     # the walk yields every J of non-ghost vertices once, except the leaf
@@ -301,7 +264,7 @@ def test_clique_complex_is_flag_and_matches_graph(m, raw_edges):
     g = Graph(m, edges)
     k = g.clique_complex()
     assert k.is_flag()
-    assert k.underlying_graph() == g
+    assert {f for f in k.faces() if f.bit_count() == 2} == {vertex_mask(e) for e in g.edges}
     # missing edges of a clique complex are exactly the non-edges
     non_edges = tuple(
         (u, v)
