@@ -96,7 +96,9 @@ def general_criterion(
     Betti count on every complex.  Each map is decided from three
     Betti totals; the relative term is the link of σ = I ∩ J in K_J.
     The witness is the first failing J of ``k.full_subcomplexes()``,
-    whose 2^m-step walk is capped like the Hochster sums.
+    whose 2^m-step walk is capped like the Hochster sums. A K_J that
+    meets the apexes A is a cone and any other is (lk A)_J, so the walk
+    is that of lk A for I ∖ A, and none if I ⊆ A.
     """
     i_mask = _as_mask(k, i_set)
     check_cap("hochster", k.m)
@@ -104,7 +106,9 @@ def general_criterion(
     if not k.has_face(i_mask):
         witness = {"kind": "not_a_face", "I": list(hull)}
         return FormalityReport("not_formal", "general_criterion", hull, witness)
-    for j_mask, j_faces in k.full_subcomplexes():
+    apexes = k.apexes
+    k, i_mask = k.link(apexes), i_mask & ~apexes
+    for j_mask, j_faces in k.full_subcomplexes() if i_mask else ():
         sigma = j_mask & i_mask
         if sigma == 0:
             continue

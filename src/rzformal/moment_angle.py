@@ -41,11 +41,17 @@ def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
     β̃_d(K_J) adds to degree d + 1 of the real space, d + |J| + 1 of the
     complex one. Only the faces J adds to its parent's are reduced, and
     leaving J undoes them. A ghost vertex is a factor S^0, resp. S^1.
+    A cone is walked once, as the link L of its apexes A: a K_J that
+    meets A is a cone, any other is L_J, and L keeps K's ghosts.
     """
     cached = k._cache.get("hochster")
     if cached is not None:
         return cached
     check_cap("hochster", k.m)
+    apexes = k.apexes
+    if apexes:
+        tables = k._cache["hochster"] = _hochster_tables(k.link(apexes))
+        return tables
     columns = boundary_columns(k.faces())
     size = k.dim + 2  # β̃_d sits at d + 1
     betti, real, cplx = [0] * size, [0] * size, [0] * (size + k.m)

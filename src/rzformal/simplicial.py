@@ -277,6 +277,17 @@ class SimplicialComplex:
     def ghost_mask(self) -> int:
         return self.ambient & ~self.vertices_mask
 
+    @property
+    def apexes(self) -> int:
+        """Mask A of the vertices in every facet; 0 if K is void or {}.
+
+        K is the join of the simplex on A with ``link(A)``.
+        """
+        mask = -1 if self.facets else 0
+        for f in self.facets:
+            mask &= f
+        return mask
+
     def vertex_labels(self) -> tuple[int, ...]:
         return mask_vertices(self.ambient)
 

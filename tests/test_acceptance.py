@@ -290,8 +290,9 @@ _PEAK_RSS = (
 def test_criterion_10_formal_cone_check_peaks_under_100_mb(tmp_path, m):
     def body():
         # a cone with apex m over random triangles that cover 1..m-1, as
-        # the benchmark's check inputs are built; I = {apex} is formal, so
-        # no witness stops the loops over all 2^m subsets J
+        # the benchmark's check inputs are built; I = {apex} is formal.
+        # The general criterion walks no J, and the Hochster sums of K and
+        # of lk(apex) share one walk over the subsets of 1..m-1
         rng = random.Random(f"big:{m}:cone")
         perm = rng.sample(range(1, m), m - 1)
         perm += perm[:1]

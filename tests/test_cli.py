@@ -349,6 +349,44 @@ def test_check_over_the_cap_refuses_before_the_general_loop(files, capsys, monke
     assert calls == []
 
 
+CONE = {"m": 6, "facets": [[1, 2, 6], [2, 3, 6], [3, 4, 6], [4, 5, 6], [1, 5, 6]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--I", "6", "--method", "general"],
+    ["check", "--I", "6", "--method", "all"],
+    ["betti"],
+])
+def test_the_cone_reduction_does_not_lift_the_hochster_cap(files, capsys, monkeypatch, argv):
+    # a cone is reduced to the link of its apex, on m - 1 vertices; the cap
+    # applies to the m vertices of the input all the same
+    _, write = files
+    cone = write("cone.json", CONE)
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "5")
+    assert run([argv[0], cone, *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: loop over vertex subsets on 6 vertices exceeds the cap 5"
+        " (RZFORMAL_HOCHSTER_CAP)\n"
+    )
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "6")
+    assert run([argv[0], cone, *argv[1:]]) == 0
+    capsys.readouterr()
+
+
+def test_the_package_runs_as_a_module(files, capsys):
+    _, write = files
+    cone = write("cone.json", CONE)
+    env = dict(os.environ, PYTHONPATH=str(Path(rzformal.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rzformal", "betti", cone],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run(["betti", cone]) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_census_jobs_below_one_is_input_error(files, capsys, jobs):
     tmp_path, _ = files

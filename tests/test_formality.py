@@ -1,9 +1,15 @@
 """The four formality deciders and their agreement."""
 
 import random
+from itertools import combinations
 
 import pytest
-from oracles import restriction_trivial_dense
+from oracles import (
+    faces_of,
+    hochster_complex_dense,
+    hochster_real_dense,
+    restriction_trivial_dense,
+)
 
 from rzformal import (
     FixedPointModelError,
@@ -16,6 +22,8 @@ from rzformal import (
     evaluate_all,
     flag_criterion,
     general_criterion,
+    hochster_complex_betti,
+    hochster_real_betti,
     reports_agree,
     torus_oracle,
 )
@@ -216,6 +224,119 @@ def test_general_criterion_on_a_cone_skips_every_j_with_the_apex(monkeypatch):
     # with I = {apex}, only J containing the apex have I ∩ J nonempty,
     # and each such K_J is a cone over the apex
     assert calls == []
+
+
+def _cones(rng, count):
+    """(m, facets): {}, void, a vertex, a simplex, then seeded cones.
+
+    Each cone joins random faces with one or two apexes at random
+    positions; every third leaves some vertices as ghosts.
+    """
+    cases = [(0, [[]]), (0, []), (2, [[]]), (3, []), (1, [[1]]), (4, [[1, 2, 3, 4]])]
+    for n in range(count):
+        m = rng.randint(2, 6)
+        apexes = rng.sample(range(1, m + 1), rng.randint(1, 2))
+        rest = [v for v in range(1, m + 1) if v not in apexes]
+        used = rng.sample(rest, rng.randint(0, len(rest))) if n % 3 == 0 else rest
+        facets = [
+            rng.sample(used, rng.randint(0, min(len(used), 3))) + apexes
+            for _ in range(rng.randint(1, 4))
+        ]
+        facets += [[v] + apexes for v in used]
+        cases.append((m, facets))
+    return cases
+
+
+def test_cones_match_the_dense_oracles_unreduced():
+    # the tables and the criterion split off the apexes; the dense oracles
+    # sum and test every J of K itself, and the witness is the first
+    # failing J in sorted-tuple order
+    ghosted = restrictions = 0
+    for m, facets in _cones(random.Random(83), 60):
+        k = SimplicialComplex.from_facets(m, facets)
+        faces = faces_of(facets)
+        apexes = [v for v in range(1, m + 1) if all(f | {v} in faces for f in faces)]
+        assert k.apexes == (vertex_mask(apexes) if faces else 0)
+        assert list(hochster_real_betti(k).dims) == hochster_real_dense(facets, m)
+        assert list(hochster_complex_betti(k).dims) == hochster_complex_dense(facets, m)
+        if k.ghost_mask:
+            ghosted += 1
+            continue
+        trivial = {}
+        for i_mask in submasks(k.ambient):
+            i_set = frozenset(mask_vertices(i_mask))
+            expected = None if i_set in faces else {"kind": "not_a_face", "I": sorted(i_set)}
+            for j_mask in sorted(submasks(k.ambient), key=mask_vertices) if not expected else ():
+                j_set = frozenset(mask_vertices(j_mask))
+                sigma = i_set & j_set
+                if sigma and (j_set, sigma) not in trivial:
+                    x = [f for f in faces if f <= j_set]
+                    deleted = [f for f in x if not sigma <= f]
+                    trivial[j_set, sigma] = restriction_trivial_dense(x, deleted)
+                if sigma and not trivial[j_set, sigma]:
+                    expected = {"kind": "nontrivial_restriction", "J": sorted(j_set)}
+                    break
+            r = general_criterion(k, i_mask)
+            assert (r.formal, r.witness) == (expected is None, expected), (m, facets, i_mask)
+            restrictions += r.witness is not None and r.witness["kind"] != "not_a_face"
+    assert ghosted > 10 and restrictions > 100
+
+
+def test_a_cone_is_walked_once_as_the_link_of_its_apexes(monkeypatch):
+    walked = []
+    walk = SimplicialComplex.full_subcomplexes
+
+    def counted(c):
+        walked.append(c)
+        return walk(c)
+
+    monkeypatch.setattr(SimplicialComplex, "full_subcomplexes", counted)
+    # the pentagon on 1, 3, 4, 6, 7 joined with the edge {2, 5}
+    pentagon = [[1, 3], [3, 4], [4, 6], [6, 7], [1, 7]]
+    k = SimplicialComplex.from_facets(7, [f + [2, 5] for f in pentagon])
+    apexes = vertex_mask([2, 5])
+    assert k.apexes == apexes
+    hochster_real_betti(k)
+    hochster_complex_betti(k)
+    assert walked == [k.link(apexes)]
+    # reflections on apexes only, I = ∅ included, walk no J
+    walked.clear()
+    for i_mask in submasks(apexes):
+        assert general_criterion(k, i_mask).formal
+    assert walked == []
+    # any other I walks the link alone
+    general_criterion(k, vertex_mask([1, 2]))
+    assert walked == [k.link(apexes)]
+
+
+def test_a_formal_non_cone_walks_every_j(monkeypatch):
+    # the general criterion's worst case: C4 * L with I = {1} is formal
+    # for every L, and with no apex to split off and no witness to stop
+    # at, the criterion runs to the end of the walk of K
+    rng = random.Random(26)
+    base = [(u, v) for u, v in combinations(range(5, 9), 2) if rng.random() < 0.5]
+    assert Graph(4, [(u - 4, v - 4) for u, v in base]).clique_complex().apexes == 0
+    cycle = [(1, 2), (2, 3), (3, 4), (1, 4)]
+    joins = [(u, v) for u in range(1, 5) for v in range(5, 9)]
+    k = Graph(8, cycle + joins + base).clique_complex()
+    assert k.apexes == 0
+    reports = evaluate_all(k, [1])
+    assert list(reports) == [
+        "flag_criterion", "general_criterion", "betti_sum_oracle", "torus_oracle"
+    ]
+    assert all(r.formal for r in reports.values())
+    visited = []
+    walk = SimplicialComplex.full_subcomplexes
+
+    def counted(c):
+        for j_mask, faces in walk(c):
+            visited.append(j_mask)
+            yield j_mask, faces
+
+    monkeypatch.setattr(SimplicialComplex, "full_subcomplexes", counted)
+    assert general_criterion(k, [1]).formal
+    assert visited == [j_mask for j_mask, _ in walk(k)]
+    assert len(visited) > 2 ** 7
 
 
 def test_decide_uses_the_hull():
