@@ -31,11 +31,22 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import f2
-from .cohomology import BettiTable, add_faces, boundary_columns
+from .cohomology import BettiTable, add_faces, boundary_columns, memoized
 from .simplicial import SimplicialComplex, check_cap, submasks, vertex_mask
 
 
 def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
+    """Real and complex tables of ``k``, memoized on its ambient set and facets.
+
+    The ambient set is in the key because ghost vertices scale the tables;
+    so every complex with the same facets and vertices shares one entry,
+    such as the links lk_K(I) that recur across a census.
+    """
+    check_cap("hochster", k.m)
+    return memoized((k.ambient, k.facets), _walk_tables, k)
+
+
+def _walk_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
     """Real and complex tables from one walk of ``k.full_subcomplexes()``.
 
     β̃_d(K_J) adds to degree d + 1 of the real space, d + |J| + 1 of the
@@ -44,14 +55,9 @@ def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
     A cone is walked once, as the link L of its apexes A: a K_J that
     meets A is a cone, any other is L_J, and L keeps K's ghosts.
     """
-    cached = k._cache.get("hochster")
-    if cached is not None:
-        return cached
-    check_cap("hochster", k.m)
     apexes = k.apexes
     if apexes:
-        tables = k._cache["hochster"] = _hochster_tables(k.link(apexes))
-        return tables
+        return _hochster_tables(k.link(apexes))
     columns = boundary_columns(k.faces())
     size = k.dim + 2  # β̃_d sits at d + 1
     betti, real, cplx = [0] * size, [0] * size, [0] * (size + k.m)
@@ -78,9 +84,7 @@ def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
         for d in range(len(cplx) - 1, 0, -1):
             cplx[d] += cplx[d - 1]
     real = {d: b << ghosts for d, b in enumerate(real)}
-    tables = BettiTable.from_dict(real, 0), BettiTable.from_dict(dict(enumerate(cplx)), 0)
-    k._cache["hochster"] = tables
-    return tables
+    return BettiTable.from_dict(real, 0), BettiTable.from_dict(dict(enumerate(cplx)), 0)
 
 
 def hochster_real_betti(k: SimplicialComplex) -> BettiTable:
@@ -132,10 +136,10 @@ class CubicalComplex:
     {0}, 2 is {1}, 3 is [-1,0], 4 is [0,1] and 5 is [-1,1]. Besides the
     face masks, a complex keeps two coordinate masks: ``subdivide``, the
     coordinates cut at 0, and ``zero``, the coordinates held at 0 (a
-    subset of ``subdivide``). For each face sigma containing ``zero``
-    its cells carry {0} on ``zero``, [-1,1] on sigma outside
-    ``subdivide``, {0}, [-1,0] or [0,1] on the rest of sigma, and -1
-    or 1 off sigma. The cells are generated on first use.
+    subset of ``subdivide``). Every face sigma must contain ``zero``; its
+    cells carry {0} on ``zero``, [-1,1] on sigma outside ``subdivide``,
+    {0}, [-1,0] or [0,1] on the rest of sigma, and -1 or 1 off sigma.
+    The cells are generated on first use.
     """
 
     def __init__(self, ambient: int, faces: tuple[int, ...], subdivide: int, zero: int):
@@ -144,7 +148,6 @@ class CubicalComplex:
         self.subdivide = subdivide
         self.zero = zero
         self._cells: tuple[tuple[int, ...], ...] | None = None
-        self._betti: BettiTable | None = None
 
     @property
     def m(self) -> int:
@@ -160,8 +163,6 @@ class CubicalComplex:
         by_dim: list[list[int]] = [[] for _ in range(self.m + 1)]
         zero = self.zero
         for face in self.faces:
-            if face & zero != zero:
-                continue
             whole = face & ~self.subdivide
             cut = face & self.subdivide & ~zero
             base = _spread(zero, 1) + _spread(whole, 5)
@@ -191,24 +192,32 @@ class CubicalComplex:
         return out
 
     def betti(self) -> BettiTable:
-        """Cellular F2 homology Betti numbers."""
-        if self._betti is None:
-            by_dim = self.cells_by_dim
-            ranks = [0] * (len(by_dim) + 1)
-            for d in range(1, len(by_dim)):
-                column = {c: j for j, c in enumerate(by_dim[d - 1])}
-                rows = []
-                for cell in by_dim[d]:
-                    row = 0
-                    for child in self.boundary(cell):
-                        row ^= 1 << column[child]
-                    rows.append(row)
-                ranks[d] = f2.rank(rows, len(column))
-            self._betti = BettiTable.from_dict(
-                {d: len(cells) - ranks[d] - ranks[d + 1] for d, cells in enumerate(by_dim)},
-                0,
-            )
-        return self._betti
+        """Cellular F2 homology Betti numbers.
+
+        Memoized on the data the cells are generated from, the ambient set,
+        ``subdivide``, ``zero`` and the faces, so models with the same cells
+        share one rank and no other result is ever read for them.
+        """
+        # four fields, where a Hochster key has two: the kinds never collide
+        key = (self.ambient, self.subdivide, self.zero, self.faces)
+        return memoized(key, CubicalComplex._rank, self)
+
+    def _rank(self) -> BettiTable:
+        by_dim = self.cells_by_dim
+        ranks = [0] * (len(by_dim) + 1)
+        for d in range(1, len(by_dim)):
+            column = {c: j for j, c in enumerate(by_dim[d - 1])}
+            rows = []
+            for cell in by_dim[d]:
+                row = 0
+                for child in self.boundary(cell):
+                    row ^= 1 << column[child]
+                rows.append(row)
+            ranks[d] = f2.rank(rows, len(column))
+        return BettiTable.from_dict(
+            {d: len(cells) - ranks[d] - ranks[d + 1] for d, cells in enumerate(by_dim)},
+            0,
+        )
 
     def fixed_subcomplex(self, i_set: Iterable[int] | int) -> "CubicalComplex":
         """The points fixed by reflections on ``i_set``: those at 0 there.
@@ -216,14 +225,14 @@ class CubicalComplex:
         Cutting the coordinates of I at 0 makes {x_i = 0 for i in I} a
         union of cells, closed under taking faces, and a point of RZ_K
         lies there only if its face contains I. So the fixed set is the
-        subcomplex of the faces sigma containing I with {0} on I.
+        subcomplex of the faces sigma containing I with {0} on I, and only
+        those faces, the star of I, are passed on.
         """
         i_mask = i_set if isinstance(i_set, int) else vertex_mask(i_set)
         if i_mask & ~self.ambient:
             raise ValueError("coordinate set is not contained in the vertex set")
-        return CubicalComplex(
-            self.ambient, self.faces, self.subdivide | i_mask, self.zero | i_mask
-        )
+        star = tuple([f for f in self.faces if f & i_mask == i_mask])
+        return CubicalComplex(self.ambient, star, self.subdivide | i_mask, self.zero | i_mask)
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,8 @@ import importlib.util
 from pathlib import Path
 
 import rzformal.cli  # noqa: F401  the tracer hooks cli.run
-from rzformal import cohomology, f2
+from rzformal import Graph, cohomology, f2, hochster_real_betti
+from rzformal.cohomology import hom_data
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -33,3 +34,12 @@ def test_every_name_the_benchmark_uses_resolves():
     assert callable(getattr(cohomology, "clear_caches", None))
     for name in ("rank", "rref", "kernel_basis", "reduce_batch"):
         assert callable(getattr(f2, name)), name
+
+
+def test_clear_caches_empties_the_memo():
+    # bench/run.py clears before every command, so that each runs cold
+    hochster_real_betti(Graph.cycle(4).clique_complex())
+    hom_data((0, 1))
+    assert cohomology._memo and cohomology._hom_cache
+    cohomology.clear_caches()
+    assert cohomology._memo == {} and cohomology._hom_cache == {}

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rzformal import Graph, SimplicialComplex, census, run_census, verify_census
+from rzformal import Graph, SimplicialComplex, census, cohomology, run_census, verify_census
 from rzformal.census import all_complexes, compute_record, census_tasks, flag_complexes
 from rzformal.cohomology import BettiTable
 from rzformal.moment_angle import CubicalComplex
@@ -129,17 +129,39 @@ def test_verify_census_reports_tampered_line(tmp_path):
     assert result["mismatches"] == [3]
 
 
-@pytest.mark.parametrize(
-    "mode, sha256",
-    [
-        ("flag", "3272ea637e4a4266d2c8a6799392ae47e7525625c996e2c900398668cca60311"),
-        ("all-complexes", "7f518e558acb9ced171637dbe673f73243e934492e7ceb691131a7f79699ef8a"),
-    ],
-)
+M4_SHA256 = [
+    ("flag", "3272ea637e4a4266d2c8a6799392ae47e7525625c996e2c900398668cca60311"),
+    ("all-complexes", "7f518e558acb9ced171637dbe673f73243e934492e7ceb691131a7f79699ef8a"),
+]
+
+
+@pytest.mark.parametrize("mode, sha256", M4_SHA256)
 def test_census_m4_bytes_are_pinned(tmp_path, mode, sha256):
     out = tmp_path / "c.jsonl"
     run_census(4, mode, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+class _Watched(dict):
+    """A dict that remembers its largest size."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+@pytest.mark.parametrize("mode, sha256", M4_SHA256)
+def test_a_census_under_a_tiny_memo_bound_keeps_its_bytes(tmp_path, monkeypatch, mode, sha256):
+    # nearly every lookup misses and evicts; the bytes may not change
+    memo = _Watched()
+    monkeypatch.setattr(cohomology, "_memo", memo)
+    monkeypatch.setattr(cohomology, "MEMO_BOUND", 4)
+    out = tmp_path / "c.jsonl"
+    run_census(4, mode, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+    assert memo.peak == 4
 
 
 def test_verify_reuses_the_complex_and_reports_only_the_flipped_line(tmp_path, monkeypatch):

@@ -362,17 +362,48 @@ def test_the_cone_reduction_does_not_lift_the_hochster_cap(files, capsys, monkey
     # applies to the m vertices of the input all the same
     _, write = files
     cone = write("cone.json", CONE)
+    refused = (
+        "",
+        "error: loop over vertex subsets on 6 vertices exceeds the cap 5"
+        " (RZFORMAL_HOCHSTER_CAP)\n",
+    )
     monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "5")
     assert run([argv[0], cone, *argv[1:]]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: loop over vertex subsets on 6 vertices exceeds the cap 5"
-        " (RZFORMAL_HOCHSTER_CAP)\n"
-    )
+    assert tuple(capsys.readouterr()) == refused
     monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "6")
     assert run([argv[0], cone, *argv[1:]]) == 0
+    # the memo now holds the tables of the cone and its link; the cap is
+    # checked before any of them is read
+    assert run(["check", cone, "--I", "6", "--method", "all"]) == 0
     capsys.readouterr()
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "5")
+    assert run([argv[0], cone, *argv[1:]]) == 3
+    assert tuple(capsys.readouterr()) == refused
+
+
+def test_the_cubical_cap_is_read_before_a_memoized_cross_check(files, capsys, monkeypatch):
+    # the cubical cap gates the cross-check, not the check: under it the
+    # oracle skips the model even when the memo holds its Betti numbers,
+    # and a malformed value is refused all the same
+    _, write = files
+    cone = write("cone.json", CONE)
+    argv = ["check", cone, "--I", "6", "--method", "all"]
+    assert run(argv) == 0
+    warm = capsys.readouterr().out
+
+    def refuse(k):
+        raise AssertionError("cubical model built over the cap")
+
+    monkeypatch.setattr("rzformal.moment_angle.build_cubical", refuse)
+    monkeypatch.setenv("RZFORMAL_CUBICAL_CAP", "5")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == warm
+    monkeypatch.setenv("RZFORMAL_CUBICAL_CAP", "five")
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "RZFORMAL_CUBICAL_CAP must be a non-negative integer" in captured.err
 
 
 def test_the_package_runs_as_a_module(files, capsys):

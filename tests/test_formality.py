@@ -27,7 +27,7 @@ from rzformal import (
     reports_agree,
     torus_oracle,
 )
-from rzformal import formality
+from rzformal import cohomology, formality
 from rzformal.simplicial import mask_vertices, submasks, vertex_mask
 
 C4 = Graph.cycle(4).clique_complex()
@@ -291,6 +291,7 @@ def test_a_cone_is_walked_once_as_the_link_of_its_apexes(monkeypatch):
         return walk(c)
 
     monkeypatch.setattr(SimplicialComplex, "full_subcomplexes", counted)
+    cohomology.clear_caches()
     # the pentagon on 1, 3, 4, 6, 7 joined with the edge {2, 5}
     pentagon = [[1, 3], [3, 4], [4, 6], [6, 7], [1, 7]]
     k = SimplicialComplex.from_facets(7, [f + [2, 5] for f in pentagon])

@@ -292,6 +292,7 @@ def test_oracle_builds_and_ranks_only_the_fixed_cells(monkeypatch, i_set):
 
     monkeypatch.setattr(CubicalComplex, "boundary", counted)
     monkeypatch.setattr(CubicalComplex, "_generate", recorded)
+    cohomology.clear_caches()
     k = SimplicialComplex.from_facets(6, [[1, 2, 3], [1, 2, 4], [3, 4, 5], [5, 6], [1, 6]])
     i_mask = vertex_mask(i_set)
     betti_sum_oracle(k, i_mask)
@@ -324,6 +325,91 @@ def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
     assert len(walked) == 2 and walked[1] is k.link(vertex_mask([1]))
     # the sums reduce along the walk and never touch the cohomology cache
     assert cohomology._hom_cache == {}
+
+
+def spy_ranks(monkeypatch):
+    """The models ``CubicalComplex._rank`` ranks from here on, memo cleared."""
+    ranked = []
+    rank = CubicalComplex._rank
+
+    def spy(model):
+        ranked.append(model)
+        return rank(model)
+
+    monkeypatch.setattr(CubicalComplex, "_rank", spy)
+    cohomology.clear_caches()
+    return ranked
+
+
+def test_the_hochster_memo_key_holds_the_ambient_set():
+    # the same facets with a ghost vertex: every table doubles (real) or
+    # is convolved with 1 + t (complex), so the two may not share an entry
+    cohomology.clear_caches()
+    edge = SimplicialComplex(0b011, [0b011])
+    ghosted = SimplicialComplex(0b111, [0b011])
+    for k, m in ((edge, 2), (ghosted, 3)):
+        assert dims(hochster_real_betti(k)) == hochster_real_dense([[1, 2]], m)
+        assert dims(hochster_complex_betti(k)) == hochster_complex_dense([[1, 2]], m)
+    assert hochster_real_betti(ghosted).total == 2 * hochster_real_betti(edge).total
+
+
+def test_the_cubical_memo_key_holds_the_ambient_set(monkeypatch):
+    ranked = spy_ranks(monkeypatch)
+    two_points = SimplicialComplex(0b011, [0b01, 0b10])
+    ghosted = SimplicialComplex(0b111, [0b01, 0b10])
+    for k in (two_points, ghosted):
+        got = build_cubical(k).fixed_subcomplex(0b01).betti()
+        assert got == fixed_betti_via_link(k, 0b01)
+    assert len(ranked) == 2
+
+
+def test_the_same_star_of_i_shares_one_cubical_entry(monkeypatch):
+    # the faces containing I = {1} are {1} and {1, 2} in both; the faces
+    # elsewhere differ, and the plain model of each is ranked on its own
+    ranked = spy_ranks(monkeypatch)
+    k1 = SimplicialComplex.from_facets(4, [[1, 2], [3, 4]])
+    k2 = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
+    fixed = [build_cubical(k).fixed_subcomplex(0b0001) for k in (k1, k2)]
+    assert fixed[0].faces == fixed[1].faces == (0b0001, 0b0011)
+    assert fixed[0].betti() is fixed[1].betti()
+    assert fixed[0].betti() == fixed_betti_via_link(k2, 0b0001)
+    assert ranked == [fixed[0]]
+    assert build_cubical(k1).betti() != build_cubical(k2).betti()
+    assert len(ranked) == 3
+
+
+def test_zero_and_subdivide_are_in_the_cubical_memo_key(monkeypatch):
+    ranked = spy_ranks(monkeypatch)
+    k = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
+    star = build_cubical(k).fixed_subcomplex(0b0010)
+    # the same star of {2}, cut along I alone and along every coordinate:
+    # other cells, the same homotopy type, two entries
+    cut = CubicalComplex(k.ambient, star.faces, k.ambient, star.zero)
+    assert star.faces == cut.faces and star.zero == cut.zero
+    assert star.counts() != cut.counts()
+    assert star.betti() == cut.betti() == fixed_betti_via_link(k, 0b0010)
+    assert ranked == [star, cut]
+    # {1, 3} and {1, 4} are no faces: no faces and no cells, cut alike,
+    # held at 0 on other coordinates, two entries
+    model = CubicalComplex(k.ambient, k.faces(), 0b1101, 0)
+    empty = [model.fixed_subcomplex(i) for i in (0b0101, 0b1001)]
+    assert empty[0].faces == empty[1].faces == ()
+    assert empty[0].subdivide == empty[1].subdivide
+    assert [c.betti().total for c in empty] == [0, 0]
+    assert ranked[2:] == empty
+
+
+def test_a_cubical_entry_is_the_star_of_i_not_its_link(monkeypatch):
+    # lk {1} and lk {2, 3} are both the vertex 4, but the fixed sets have
+    # 8 and 4 components: three and two coordinates at -1 or 1 besides x_4
+    ranked = spy_ranks(monkeypatch)
+    k = SimplicialComplex.from_facets(5, [[1, 4], [2, 3, 4]])
+    for i_mask, total in ((0b00001, 8), (0b00110, 4)):
+        assert k.link(i_mask).facets == (0b01000,)
+        got = build_cubical(k).fixed_subcomplex(i_mask).betti()
+        assert got == fixed_betti_via_link(k, i_mask)
+        assert got.total == total
+    assert len(ranked) == 2
 
 
 def test_pruned_hochster_sums_equal_the_sum_over_every_subset():
