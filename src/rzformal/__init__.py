@@ -8,7 +8,7 @@ over its polynomial part. Several independent criteria are implemented
 and cross-checked; see the README for the CLI and census harness.
 """
 
-from .cohomology import BettiTable, reduced_betti
+from .cohomology import BettiTable
 from .census import CensusRecord, run_census, verify_census
 from .f2 import Subgroup
 from .formality import (
@@ -56,7 +56,6 @@ __all__ = [
     "hochster_complex_betti",
     "hochster_real_betti",
     "poincare_series",
-    "reduced_betti",
     "reports_agree",
     "run_census",
     "torus_oracle",

@@ -17,48 +17,23 @@ from __future__ import annotations
 import json
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
 from itertools import combinations
 from multiprocessing import Pool
 from typing import Iterator
 
 from .formality import FixedPointModelError, evaluate_all, reports_agree
-from .simplicial import CAPS, Graph, SimplicialComplex, cap, check_cap, mask_vertices
+from .simplicial import (
+    CAPS, Graph, SimplicialComplex, cap, check_cap, label_mask, mask_vertices
+)
 
 MODES = ("flag", "all-complexes")
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    m: int
-    facets: tuple[tuple[int, ...], ...]
-    is_flag: bool
-    i_set: tuple[int, ...]
-    verdict_flag: str | None
-    verdict_general: str
-    verdict_oracle: str
-    verdict_torus: str
-    betti_total_ambient: int
-    betti_total_fixed: int
-    agree: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "facets": [list(f) for f in self.facets],
-            "is_flag": self.is_flag,
-            "I": list(self.i_set),
-            "verdict_flag": self.verdict_flag,
-            "verdict_general": self.verdict_general,
-            "verdict_oracle": self.verdict_oracle,
-            "verdict_torus": self.verdict_torus,
-            "betti_total_ambient": self.betti_total_ambient,
-            "betti_total_fixed": self.betti_total_fixed,
-            "agree": self.agree,
-        }
+class CensusRecord(dict):
+    """The fields of one census line, in file order."""
 
     def json_line(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        return json.dumps(self, separators=(",", ":"))
 
 
 def compute_record(k: SimplicialComplex, i_mask: int) -> CensusRecord:
@@ -67,14 +42,14 @@ def compute_record(k: SimplicialComplex, i_mask: int) -> CensusRecord:
     flag = reports.get("flag_criterion")
     oracle = reports["betti_sum_oracle"]
     facets = k._cache.get("json_facets")
-    if facets is None:  # once per complex, not once per I
+    if facets is None:  # once per complex, not per I; tuples, so no reader changes them
         facets = k._cache["json_facets"] = tuple(map(tuple, k.to_json_obj()["facets"]))
     assert oracle.totals is not None
     return CensusRecord(
         m=k.m,
         facets=facets,
         is_flag=flag is not None,
-        i_set=mask_vertices(i_mask),
+        I=mask_vertices(i_mask),
         verdict_flag=flag.verdict if flag is not None else None,
         verdict_general=reports["general_criterion"].verdict,
         verdict_oracle=oracle.verdict,
@@ -147,7 +122,7 @@ def _task_records(task: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[list[s
     disagreements = 0
     for i_mask in range(1 << m):
         record = compute_record(k, i_mask)
-        if not record.agree:
+        if not record["agree"]:
             disagreements += 1
         lines.append(record.json_line())
     return lines, disagreements
@@ -226,11 +201,7 @@ def verify_census(path: str) -> dict:
                 if m > max_m:
                     raise ValueError(f"m = {m} is over the census caps")
                 line_k = SimplicialComplex.from_json_obj(obj)
-                i_mask = 0
-                for v in obj["I"]:
-                    if type(v) is not int or not 1 <= v <= m:
-                        raise ValueError(f"I holds {v!r}, not a vertex in 1..{m}")
-                    i_mask |= 1 << (v - 1)
+                i_mask = label_mask(obj["I"], m, "I")
                 if line_k != k:
                     k = line_k
                 recomputed = compute_record(k, i_mask).json_line()

@@ -23,7 +23,7 @@ from . import census as census_mod
 from . import formality, moment_angle
 from .f2 import Subgroup
 from .group_report import coabelian_report
-from .simplicial import Graph, SimplicialComplex
+from .simplicial import Graph, SimplicialComplex, label_mask
 
 EXIT_INPUT_ERROR = 3
 
@@ -68,24 +68,21 @@ def _emit(obj) -> None:
 
 def cmd_check(args) -> int:
     k = _load_complex(args.complex)
-    i_set = _parse_vertex_list(args.I)
-    for v in i_set:
-        if not 1 <= v <= k.m:
-            raise ValueError(f"--I holds {v}, not a vertex in 1..{k.m}")
+    i_mask = label_mask(_parse_vertex_list(args.I), k.m, "--I")
     if args.method == "all":
-        reports = formality.evaluate_all(k, i_set)
+        reports = formality.evaluate_all(k, i_mask)
         _emit([r.to_json_obj() for r in reports.values()])
         if not formality.reports_agree(reports):
             return 2
         return 0 if next(iter(reports.values())).formal else 1
     if args.method == "oracle":
-        report = formality.betti_sum_oracle(k, i_set)
+        report = formality.betti_sum_oracle(k, i_mask)
     elif args.method == "torus":
-        report = formality.torus_oracle(k, i_set)
+        report = formality.torus_oracle(k, i_mask)
     elif args.method == "flag":
-        report = formality.flag_criterion(k, i_set)
+        report = formality.flag_criterion(k, i_mask)
     else:
-        report = formality.general_criterion(k, i_set)
+        report = formality.general_criterion(k, i_mask)
     _emit(report.to_json_obj())
     return 0 if report.formal else 1
 

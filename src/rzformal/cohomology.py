@@ -6,11 +6,11 @@ Conventions for the augmented cochain complex:
   cohomology F2 there and a nonvoid complex with a vertex has none;
 * the void complex has no faces and zero cohomology everywhere.
 
-Betti numbers come from one column reduction, ``add_faces``. The
-restriction test memoizes face lists in any order, keyed by the tuple
-itself. ``memoized`` keeps the last ``MEMO_BOUND`` results of the Hochster
-walk and the cubical ranks, each keyed by the exact data it is computed
-from.
+Betti numbers come from one column reduction, ``add_faces``. Shared
+results follow one policy, ``memoized``: each cache keeps its last
+``MEMO_BOUND`` entries, each keyed by the exact data it is computed
+from. ``_hom_cache`` holds the restriction test's face lists, keyed by
+the tuple itself, and ``_memo`` the Hochster walks and cubical ranks.
 
 The one restriction map is onto a star deletion A = X ∖ st σ.
 Over a field the long exact sequence of the pair gives
@@ -25,8 +25,6 @@ shifted up by |σ|, so β(X, A) is the link's total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .simplicial import SimplicialComplex
 
 
 @dataclass(frozen=True)
@@ -55,12 +53,13 @@ class BettiTable:
         return {"min_degree": self.min_degree, "dims": dims, "total": self.total}
 
 
-_hom_cache: dict[tuple[int, ...], BettiTable] = {}
-
 # census flag m=5 meets 3,686 distinct keys; the last 1,024 keep nearly
-# every hit and add under 1 MB to its peak
+# every hit and add under 1 MB to its peak. A formal non-cone check at
+# m = 18 would keep 160,984 face lists, over 160 MB, without the bound
 MEMO_BOUND = 1024
 _memo: dict[tuple, object] = {}
+# apart from ``_memo``: sharing one dict makes each evict the other's hits
+_hom_cache: dict[tuple[int, ...], BettiTable] = {}
 
 
 def clear_caches() -> None:
@@ -68,20 +67,22 @@ def clear_caches() -> None:
     _memo.clear()
 
 
-def memoized(key: tuple, compute, arg):
+def memoized(key: tuple, compute, arg, cache: dict | None = None):
     """``compute(arg)``, kept under ``key`` among the last ``MEMO_BOUND`` results.
 
-    The oldest entry goes first. ``key`` must hold everything the result
-    depends on; callers check their caps before they call this.
+    ``cache`` is ``_memo`` unless given, read at each call. The oldest
+    entry goes first. ``key`` must hold everything the result depends
+    on; callers check their caps before they call this.
     """
+    memo = _memo if cache is None else cache
     try:
-        return _memo[key]
+        return memo[key]
     except KeyError:
         pass
     value = compute(arg)
-    if len(_memo) >= MEMO_BOUND:
-        del _memo[next(iter(_memo))]
-    _memo[key] = value
+    if len(memo) >= MEMO_BOUND:
+        del memo[next(iter(memo))]
+    memo[key] = value
     return value
 
 
@@ -130,16 +131,8 @@ def _build_hom_data(faces: tuple[int, ...]) -> BettiTable:
 
 
 def hom_data(faces: tuple[int, ...]) -> BettiTable:
-    """Memoized reduced Betti table of a face list in any order, keyed by the tuple."""
-    data = _hom_cache.get(faces)
-    if data is None:
-        data = _hom_cache[faces] = _build_hom_data(faces)
-    return data
-
-
-def reduced_betti(k: SimplicialComplex) -> BettiTable:
-    """Reduced F2 Betti numbers of a complex (ghost vertices ignored)."""
-    return hom_data(k.faces())
+    """Reduced Betti table of a face list in any order, memoized in ``_hom_cache``."""
+    return memoized(faces, _build_hom_data, faces, _hom_cache)
 
 
 def _restriction_map_trivial(faces: tuple[int, ...], sigma: int) -> bool:

@@ -8,7 +8,7 @@ on Python's arbitrary-precision ints. All routines are deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .simplicial import json_m, mask_vertices
 
@@ -78,11 +78,6 @@ def reduce_batch(vecs: list[int], ech: list[int], pivots: list[int]) -> list[int
     return out
 
 
-def reduce_vector(vec: int, ech: list[int], pivots: list[int]) -> int:
-    """Canonical remainder of one vector modulo an RREF row space."""
-    return reduce_batch([vec], ech, pivots)[0]
-
-
 def vector_from_string(s: str) -> int:
     """Parse a vector like "0110": character k is coordinate k, so bit k-1."""
     v = 0
@@ -109,7 +104,7 @@ class Subgroup:
             instances are equal iff they describe the same subgroup.
     """
 
-    __slots__ = ("m", "basis", "_pivots")
+    __slots__ = ("m", "basis")
 
     def __init__(self, m: int, generators: Iterable[int | str]):
         if m < 0:
@@ -120,18 +115,8 @@ class Subgroup:
             if v < 0 or v >> m:
                 raise ValueError(f"generator {g!r} does not fit in {m} coordinates")
             gens.append(v)
-        ech, pivots = rref(gens, m)
         self.m = m
-        self.basis = tuple(ech)
-        self._pivots = tuple(pivots)
-
-    @classmethod
-    def trivial(cls, m: int) -> "Subgroup":
-        return cls(m, [])
-
-    @classmethod
-    def full(cls, m: int) -> "Subgroup":
-        return cls(m, [1 << i for i in range(m)])
+        self.basis = tuple(rref(gens, m)[0])
 
     @property
     def rank(self) -> int:
@@ -140,11 +125,6 @@ class Subgroup:
     @property
     def corank(self) -> int:
         return self.m - self.rank
-
-    def contains(self, v: int | str) -> bool:
-        if isinstance(v, str):
-            v = vector_from_string(v)
-        return reduce_vector(v, list(self.basis), list(self._pivots)) == 0
 
     @property
     def hull_mask(self) -> int:
@@ -157,16 +137,6 @@ class Subgroup:
     def hull(self) -> tuple[int, ...]:
         """Support of the smallest coordinate subgroup containing this one."""
         return mask_vertices(self.hull_mask)
-
-    def elements(self) -> Iterator[int]:
-        """All 2^rank elements, in generator-combination order."""
-        basis = self.basis
-        for sel in range(1 << len(basis)):
-            v = 0
-            for i, b in enumerate(basis):
-                if (sel >> i) & 1:
-                    v ^= b
-            yield v
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Subgroup":

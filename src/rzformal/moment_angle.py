@@ -242,9 +242,9 @@ class CubicalComplex:
 
 
 def build_cubical(k: SimplicialComplex) -> CubicalComplex:
-    """Cell model of the real moment-angle complex of ``k``, uncut."""
+    """Cell model of the real moment-angle complex of ``k``, uncut; the cap comes first."""
+    check_cap("cubical", k.m)
     model = k._cache.get("cubical")
     if model is None:
-        check_cap("cubical", k.m)
         model = k._cache["cubical"] = CubicalComplex(k.ambient, k.faces(), 0, 0)
     return model

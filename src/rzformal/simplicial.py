@@ -16,6 +16,19 @@ import os
 from typing import Iterable, Iterator
 
 
+def label_mask(labels: Iterable, m: int, what: str) -> int:
+    """Bitmask of the vertex labels of an input ``what``, each an int in 1..m.
+
+    The one check of labels from outside: JSON ``true`` is no vertex.
+    """
+    mask = 0
+    for v in labels:
+        if type(v) is not int or not 1 <= v <= m:
+            raise ValueError(f"{what} holds {v!r}, not a vertex in 1..{m}")
+        mask |= 1 << (v - 1)
+    return mask
+
+
 def vertex_mask(vertices: Iterable[int]) -> int:
     """Bitmask of a collection of 1-based vertex labels."""
     mask = 0
@@ -137,10 +150,9 @@ class Graph:
         adj = [0] * m
         for e in edges:
             u, v = sorted(e)
+            label_mask((u, v), m, "an edge")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (1 <= u and v <= m):
-                raise ValueError(f"edge ({u},{v}) out of range 1..{m}")
             seen.add((u, v))
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
@@ -218,32 +230,34 @@ class SimplicialComplex:
     """An abstract simplicial complex, stored by its maximal faces.
 
     ``ambient`` is the bitmask of ambient vertices and ``facets`` the
-    canonically ordered maximal faces. Equality compares both, so a
-    complex with a ghost vertex differs from the same face set without
-    it.
+    canonically ordered maximal faces. Of the ambient vertices,
+    ``vertices_mask`` holds those that span a face, ``ghost_mask`` the
+    rest and ``apexes`` those in every facet (0 if K is void or {}); K is
+    the join of the simplex on its apexes with ``link(apexes)``. Equality
+    compares ambient set and facets, so a complex with a ghost vertex
+    differs from the same face set without it.
     """
 
     def __init__(self, ambient: int, facet_masks: Iterable[int]):
         facets = _canonical_facets(facet_masks)
+        spanned, apexes = 0, -1 if facets else 0
         for f in facets:
-            if f & ~ambient:
-                raise ValueError(
-                    f"facet {mask_vertices(f)} not contained in the ambient set"
-                )
+            spanned |= f
+            apexes &= f
+        if spanned & ~ambient:
+            outside = mask_vertices(spanned & ~ambient)
+            raise ValueError(f"vertices {outside} not in the ambient set")
         self.ambient = ambient
         self.facets = facets
+        self.vertices_mask = spanned
+        self.ghost_mask = ambient & ~spanned
+        self.apexes = apexes
         self._cache: dict = {}
 
     @classmethod
     def from_facets(cls, m: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Complex on ambient {1..m} spanned by the given faces."""
-        masks = []
-        for face in facets:
-            face = tuple(face)
-            if not all(1 <= v <= m for v in face):
-                raise ValueError(f"face {face} out of range 1..{m}")
-            masks.append(vertex_mask(face))
-        return cls((1 << m) - 1, masks)
+        return cls((1 << m) - 1, [label_mask(face, m, "a face") for face in facets])
 
     @classmethod
     def void(cls, m: int) -> "SimplicialComplex":
@@ -264,29 +278,6 @@ class SimplicialComplex:
         if not self.facets:
             return -2
         return self.facets[-1].bit_count() - 1  # facets ascend by size
-
-    @property
-    def vertices_mask(self) -> int:
-        """Mask of vertices that actually span a face."""
-        mask = 0
-        for f in self.facets:
-            mask |= f
-        return mask
-
-    @property
-    def ghost_mask(self) -> int:
-        return self.ambient & ~self.vertices_mask
-
-    @property
-    def apexes(self) -> int:
-        """Mask A of the vertices in every facet; 0 if K is void or {}.
-
-        K is the join of the simplex on A with ``link(A)``.
-        """
-        mask = -1 if self.facets else 0
-        for f in self.facets:
-            mask &= f
-        return mask
 
     def vertex_labels(self) -> tuple[int, ...]:
         return mask_vertices(self.ambient)

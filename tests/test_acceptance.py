@@ -229,7 +229,7 @@ def test_criterion_7_spot_values():
 
 def test_criterion_8_group_reports():
     def body():
-        r = coabelian_report(Graph.complete(3), Subgroup.full(3))
+        r = coabelian_report(Graph.complete(3), Subgroup(3, ["100", "010", "001"]))
         assert r.verdict == "formal"
         assert r.poincare.numerator == (1,)
         assert r.poincare.r == 3
@@ -282,32 +282,48 @@ _PEAK_RSS = (
 )
 
 
-@pytest.mark.skipif(
-    os.environ.get("RZFORMAL_EXTENDED") != "1",
-    reason="formal checks at m=18 and 20; set RZFORMAL_EXTENDED=1 to run",
-)
-@pytest.mark.parametrize("m", [18, 20])
-def test_criterion_10_formal_cone_check_peaks_under_100_mb(tmp_path, m):
-    def body():
-        # a cone with apex m over random triangles that cover 1..m-1, as
-        # the benchmark's check inputs are built; I = {apex} is formal.
-        # The general criterion walks no J, and the Hochster sums of K and
-        # of lk(apex) share one walk over the subsets of 1..m-1
+def _formal_check_input(m, kind):
+    """(facets, I, method) of a formal check on m vertices.
+
+    A "cone" has apex m over random triangles that cover 1..m-1, as the
+    benchmark's check inputs are built, and I = {apex}: the general
+    criterion walks no J, and the Hochster sums of K and of lk(apex) share
+    one walk over the subsets of 1..m-1. A "c4join" is C4 * L, the 4-cycle
+    on 1..4 joined with every vertex of 5..m plus m random triangles, and
+    I = {1}: it has no apex, so the criterion ranks face lists on every J.
+    """
+    if kind == "cone":
         rng = random.Random(f"big:{m}:cone")
         perm = rng.sample(range(1, m), m - 1)
         perm += perm[:1]
         triangles = [sorted(perm[i : i + 3]) for i in range(0, m, 3)]
         facets = [[v, m] for v in range(1, m)] + [t + [m] for t in triangles]
-        path = tmp_path / f"cone{m}.json"
+        return facets, m, "all"
+    rng = random.Random(f"big:{m}:c4join")
+    link = [[v] for v in range(5, m + 1)]
+    link += [sorted(rng.sample(range(5, m + 1), 3)) for _ in range(m)]
+    c4 = [[1, 2], [2, 3], [3, 4], [1, 4]]
+    return [e + f for e in c4 for f in link], 1, "general"
+
+
+@pytest.mark.skipif(
+    os.environ.get("RZFORMAL_EXTENDED") != "1",
+    reason="formal checks at m=18 and 20; set RZFORMAL_EXTENDED=1 to run",
+)
+@pytest.mark.parametrize("m, kind", [(18, "cone"), (20, "cone"), (18, "c4join")])
+def test_criterion_10_formal_check_peaks_under_100_mb(tmp_path, m, kind):
+    def body():
+        facets, i, method = _formal_check_input(m, kind)
+        path = tmp_path / f"{kind}{m}.json"
         path.write_text(json.dumps({"m": m, "facets": facets}))
         env = dict(os.environ, PYTHONPATH=str(Path(rzformal.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, "check", str(path), "--I", str(m),
-             "--method", "all"],
+            [sys.executable, "-c", _PEAK_RSS, "check", str(path), "--I", str(i),
+             "--method", method],
             capture_output=True, text=True, env=env, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
         peak_mb = int(proc.stderr.split()[-1]) / 1024
         assert peak_mb <= 100, f"peak RSS {peak_mb:.1f} MB"
 
-    _report(10, f"formal check at m={m} under 100 MB", body)
+    _report(10, f"formal {kind} check at m={m} under 100 MB", body)

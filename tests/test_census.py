@@ -154,14 +154,17 @@ class _Watched(dict):
 
 @pytest.mark.parametrize("mode, sha256", M4_SHA256)
 def test_a_census_under_a_tiny_memo_bound_keeps_its_bytes(tmp_path, monkeypatch, mode, sha256):
-    # nearly every lookup misses and evicts; the bytes may not change
-    memo = _Watched()
+    # nearly every lookup misses and evicts; the bytes may not change, and
+    # the restriction test's face lists are bounded like the memo
+    memo, hom_cache = _Watched(), _Watched()
     monkeypatch.setattr(cohomology, "_memo", memo)
+    monkeypatch.setattr(cohomology, "_hom_cache", hom_cache)
     monkeypatch.setattr(cohomology, "MEMO_BOUND", 4)
     out = tmp_path / "c.jsonl"
     run_census(4, mode, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
     assert memo.peak == 4
+    assert hom_cache.peak == 4
 
 
 def test_verify_reuses_the_complex_and_reports_only_the_flipped_line(tmp_path, monkeypatch):

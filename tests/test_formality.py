@@ -343,13 +343,13 @@ def test_a_formal_non_cone_walks_every_j(monkeypatch):
 def test_decide_uses_the_hull():
     # the two-coordinate diagonal has the same hull as the full group
     diag = Subgroup(2, ["11"])
-    full = Subgroup.full(2)
+    full = Subgroup(2, ["10", "01"])
     assert decide(TWO_POINTS, diag).to_json_obj() == decide(TWO_POINTS, full).to_json_obj()
     assert decide(TWO_POINTS, diag).verdict == "not_formal"
 
 
 def test_decide_trivial_subgroup_is_formal():
-    assert decide(TWO_POINTS, Subgroup.trivial(2)).formal
+    assert decide(TWO_POINTS, Subgroup(2, [])).formal
 
 
 def test_decide_rejects_mismatched_sizes():

@@ -13,7 +13,7 @@ from rzformal.simplicial import SimplicialComplex
 
 
 def test_complete_graph_full_subgroup():
-    r = coabelian_report(Graph.complete(3), Subgroup.full(3))
+    r = coabelian_report(Graph.complete(3), Subgroup(3, ["100", "010", "001"]))
     assert r.verdict == "formal"
     assert r.cm_dimension == 3
     assert r.poincare.numerator == (1,)
@@ -43,7 +43,7 @@ def test_empty_graph_diagonal_subgroup():
 
 def test_report_rejects_mismatched_sizes():
     with pytest.raises(ValueError):
-        coabelian_report(Graph.complete(3), Subgroup.full(4))
+        coabelian_report(Graph.complete(3), Subgroup(4, ["1000", "0100", "0010", "0001"]))
 
 
 def test_report_json_schema():
@@ -75,7 +75,7 @@ def test_report_json_schema():
 
 def test_presentation_lists_every_generator_once():
     g = Graph.empty(3)
-    r = coabelian_report(g, Subgroup.trivial(3))
+    r = coabelian_report(g, Subgroup(3, []))
     assert len(r.presentation["generators"]) == 3
     assert r.presentation["commuting_pairs"] == []
 

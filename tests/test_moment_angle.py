@@ -507,6 +507,17 @@ def test_cubical_cap(monkeypatch):
         build_cubical(SimplicialComplex.simplex(4))
 
 
+def test_the_cubical_cap_is_read_before_the_cached_model(monkeypatch):
+    # a model kept on the complex is refused under a lower cap, as an equal
+    # new complex is
+    k = Graph.cycle(4).clique_complex()
+    build_cubical(k)
+    monkeypatch.setenv("RZFORMAL_CUBICAL_CAP", "3")
+    for complex_ in (k, Graph.cycle(4).clique_complex()):
+        with pytest.raises(ValueError, match=r"exceeds the cap 3 \(RZFORMAL_CUBICAL_CAP\)"):
+            build_cubical(complex_)
+
+
 def test_space_betti_table_json():
     k = Graph.cycle(4).clique_complex()
     t = hochster_real_betti(k)
