@@ -93,9 +93,9 @@ def all_complexes(m: int) -> Iterator[SimplicialComplex]:
         yield frozenset(chosen)
         for idx in range(start, len(candidates)):
             face = candidates[idx]
-            closed = all(
-                face ^ low in chosen or (face ^ low).bit_count() < 2
-                for low in _bits(face)
+            # an edge's boundary is two singletons, and those are always faces
+            closed = face.bit_count() == 2 or all(
+                face ^ 1 << (v - 1) in chosen for v in mask_vertices(face)
             )
             if not closed:
                 continue
@@ -105,13 +105,6 @@ def all_complexes(m: int) -> Iterator[SimplicialComplex]:
 
     for family in extend(0, set()):
         yield SimplicialComplex((1 << m) - 1, list(family) + singletons)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def _task_records(task: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[list[str], int]:

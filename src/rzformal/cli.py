@@ -27,6 +27,14 @@ from .simplicial import Graph, SimplicialComplex, label_mask
 
 EXIT_INPUT_ERROR = 3
 
+# the single deciders of ``check --method``; "all" runs every applicable one
+METHODS = {
+    "flag": formality.flag_criterion,
+    "general": formality.general_criterion,
+    "oracle": formality.betti_sum_oracle,
+    "torus": formality.torus_oracle,
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with code 3.
@@ -75,14 +83,7 @@ def cmd_check(args) -> int:
         if not formality.reports_agree(reports):
             return 2
         return 0 if next(iter(reports.values())).formal else 1
-    if args.method == "oracle":
-        report = formality.betti_sum_oracle(k, i_mask)
-    elif args.method == "torus":
-        report = formality.torus_oracle(k, i_mask)
-    elif args.method == "flag":
-        report = formality.flag_criterion(k, i_mask)
-    else:
-        report = formality.general_criterion(k, i_mask)
+    report = METHODS[args.method](k, i_mask)
     _emit(report.to_json_obj())
     return 0 if report.formal else 1
 
@@ -149,7 +150,7 @@ def build_parser() -> _Parser:
     p.add_argument("--I", default="", help="comma-separated vertices, empty for I=∅")
     p.add_argument(
         "--method",
-        choices=["flag", "general", "oracle", "torus", "all"],
+        choices=[*METHODS, "all"],
         default="general",
     )
     p.set_defaults(func=cmd_check)

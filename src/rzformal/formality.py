@@ -3,7 +3,8 @@
 Four routes to the same yes/no question for a subgroup acting on the
 real moment-angle complex of K through coordinate reflections on I:
 
-* ``flag_criterion``: the missing-edge condition, flag complexes only;
+* ``flag_criterion``: the missing-edge condition on the 1-skeleton,
+  flag complexes only;
 * ``general_criterion``: triviality of the restriction maps
   H̃*(K_J) -> H̃*(K_J minus the open star of I ∩ J) over all vertex
   subsets J, plus I in K;
@@ -19,12 +20,11 @@ the verdict is negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import moment_angle
 from .cohomology import _restriction_map_trivial
 from .f2 import Subgroup
-from .simplicial import SimplicialComplex, cap, check_cap, mask_vertices, vertex_mask
+from .simplicial import SimplicialComplex, cap, check_cap, mask_vertices
 
 
 class FixedPointModelError(RuntimeError):
@@ -53,38 +53,44 @@ class FormalityReport:
         }
 
 
-def _as_mask(k: SimplicialComplex, i_set: Iterable[int] | int) -> int:
-    mask = i_set if isinstance(i_set, int) else vertex_mask(i_set)
-    if mask & ~k.ambient:
+def _check_input(k: SimplicialComplex, i_mask: int) -> None:
+    """Refuse a (K, I) that the deciders do not take."""
+    if i_mask & ~k.ambient:
         raise ValueError("coordinate set is not contained in the vertex set")
     if k.ghost_mask:
         raise ValueError("every vertex must be a face")
-    return mask
+    if not k.facets:
+        raise ValueError("the void complex has no faces")
 
 
-def flag_criterion(k: SimplicialComplex, i_set: Iterable[int] | int) -> FormalityReport:
-    """Missing-edge test; valid for flag complexes only."""
-    i_mask = _as_mask(k, i_set)
+def flag_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
+    """Missing-edge test; valid for flag complexes only.
+
+    The witness is the first non-edge {j1 < j2}, in lexicographic order,
+    with a vertex of I off it that is not a common neighbour of j1 and j2,
+    and the least such vertex.
+    """
+    _check_input(k, i_mask)
     hull = mask_vertices(i_mask)
     if not k.is_flag():
         raise ValueError("flag criterion requires flag complex")
     if not k.has_face(i_mask):
         witness = {"kind": "not_a_face", "I": list(hull)}
         return FormalityReport("not_formal", "flag_criterion", hull, witness)
-    for j1, j2 in k.missing_edges():
-        edge_mask = vertex_mask((j1, j2))
-        for i in mask_vertices(i_mask & ~edge_mask):
-            if not k.has_face(vertex_mask((i, j1))) or not k.has_face(
-                vertex_mask((i, j2))
-            ):
+    adj, verts = k.neighbours(), k.vertices_mask
+    for j1 in mask_vertices(verts):
+        n1 = adj[j1 - 1]
+        for j2 in mask_vertices((verts & ~n1) >> j1 << j1):  # non-neighbours above j1
+            ends = 1 << (j1 - 1) | 1 << (j2 - 1)
+            off = i_mask & ~ends & ~(n1 & adj[j2 - 1])
+            if off:
+                i = (off & -off).bit_length()
                 witness = {"kind": "missing_edge", "edge": [j1, j2], "i": i}
                 return FormalityReport("not_formal", "flag_criterion", hull, witness)
     return FormalityReport("formal", "flag_criterion", hull)
 
 
-def general_criterion(
-    k: SimplicialComplex, i_set: Iterable[int] | int
-) -> FormalityReport:
+def general_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     """Restriction-map test; works for arbitrary complexes.
 
     Requires I to be a face and, for every vertex subset J, the faces
@@ -100,7 +106,7 @@ def general_criterion(
     meets the apexes A is a cone and any other is (lk A)_J, so the walk
     is that of lk A for I ∖ A, and none if I ⊆ A.
     """
-    i_mask = _as_mask(k, i_set)
+    _check_input(k, i_mask)
     check_cap("hochster", k.m)
     hull = mask_vertices(i_mask)
     if not k.has_face(i_mask):
@@ -119,16 +125,14 @@ def general_criterion(
     return FormalityReport("formal", "general_criterion", hull)
 
 
-def betti_sum_oracle(
-    k: SimplicialComplex, i_set: Iterable[int] | int
-) -> FormalityReport:
+def betti_sum_oracle(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     """Ground-truth comparison of fixed and ambient total Betti numbers.
 
     The fixed side comes from the link formula; for complexes within
     the cubical cap it is recomputed on the cubical model cut along I
     and any mismatch raises FixedPointModelError rather than guessing.
     """
-    i_mask = _as_mask(k, i_set)
+    _check_input(k, i_mask)
     hull = mask_vertices(i_mask)
     ambient_total = moment_angle.hochster_real_betti(k).total
     fixed_table = moment_angle.fixed_betti_via_link(k, i_mask)
@@ -146,9 +150,9 @@ def betti_sum_oracle(
     return FormalityReport("not_formal", "betti_sum_oracle", hull, witness, totals)
 
 
-def torus_oracle(k: SimplicialComplex, i_set: Iterable[int] | int) -> FormalityReport:
+def torus_oracle(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     """Betti-sum comparison for the coordinate torus acting on Z_K."""
-    i_mask = _as_mask(k, i_set)
+    _check_input(k, i_mask)
     hull = mask_vertices(i_mask)
     ambient_total = moment_angle.hochster_complex_betti(k).total
     if k.has_face(i_mask):
@@ -180,11 +184,8 @@ def decide(k: SimplicialComplex, a: Subgroup) -> FormalityReport:
     return general_criterion(k, i_mask)
 
 
-def evaluate_all(
-    k: SimplicialComplex, i_set: Iterable[int] | int
-) -> dict[str, FormalityReport]:
+def evaluate_all(k: SimplicialComplex, i_mask: int) -> dict[str, FormalityReport]:
     """Run every applicable method; key order is the report order."""
-    i_mask = i_set if isinstance(i_set, int) else vertex_mask(i_set)
     reports = {}
     if k.is_flag():
         reports["flag_criterion"] = flag_criterion(k, i_mask)

@@ -28,11 +28,9 @@ models with up to 5^m cells, and census enumeration.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from . import f2
 from .cohomology import BettiTable, add_faces, boundary_columns, memoized
-from .simplicial import SimplicialComplex, check_cap, submasks, vertex_mask
+from .simplicial import SimplicialComplex, check_cap, submasks
 
 
 def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
@@ -97,16 +95,13 @@ def hochster_complex_betti(k: SimplicialComplex) -> BettiTable:
     return _hochster_tables(k)[1]
 
 
-def fixed_betti_via_link(
-    k: SimplicialComplex, i_set: Iterable[int] | int
-) -> BettiTable:
-    """Betti numbers of the points fixed by reflections on ``i_set``.
+def fixed_betti_via_link(k: SimplicialComplex, i_mask: int) -> BettiTable:
+    """Betti numbers of the points fixed by reflections on ``i_mask``.
 
     The fixed set is the real moment-angle complex of the link of I
     (with the untouched coordinates as ghost vertices) when I is a
     face, and empty otherwise.
     """
-    i_mask = i_set if isinstance(i_set, int) else vertex_mask(i_set)
     if i_mask & ~k.ambient:
         raise ValueError("coordinate set is not contained in the vertex set")
     if not k.has_face(i_mask):
@@ -219,8 +214,8 @@ class CubicalComplex:
             0,
         )
 
-    def fixed_subcomplex(self, i_set: Iterable[int] | int) -> "CubicalComplex":
-        """The points fixed by reflections on ``i_set``: those at 0 there.
+    def fixed_subcomplex(self, i_mask: int) -> "CubicalComplex":
+        """The points fixed by reflections on ``i_mask``: those at 0 there.
 
         Cutting the coordinates of I at 0 makes {x_i = 0 for i in I} a
         union of cells, closed under taking faces, and a point of RZ_K
@@ -228,7 +223,6 @@ class CubicalComplex:
         subcomplex of the faces sigma containing I with {0} on I, and only
         those faces, the star of I, are passed on.
         """
-        i_mask = i_set if isinstance(i_set, int) else vertex_mask(i_set)
         if i_mask & ~self.ambient:
             raise ValueError("coordinate set is not contained in the vertex set")
         star = tuple([f for f in self.faces if f & i_mask == i_mask])

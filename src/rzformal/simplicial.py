@@ -29,16 +29,6 @@ def label_mask(labels: Iterable, m: int, what: str) -> int:
     return mask
 
 
-def vertex_mask(vertices: Iterable[int]) -> int:
-    """Bitmask of a collection of 1-based vertex labels."""
-    mask = 0
-    for v in vertices:
-        if v < 1:
-            raise ValueError(f"vertex labels are 1-based, got {v}")
-        mask |= 1 << (v - 1)
-    return mask
-
-
 def mask_vertices(mask: int) -> tuple[int, ...]:
     """Sorted 1-based vertex labels of a bitmask."""
     out = []
@@ -356,13 +346,12 @@ class SimplicialComplex:
             face_set = self._cache["face_set"] = frozenset(self.faces())
         return mask in face_set
 
-    def link(self, sigma: Iterable[int] | int) -> "SimplicialComplex":
-        """Link of a face, on ambient set ambient minus sigma.
+    def link(self, s_mask: int) -> "SimplicialComplex":
+        """Link of the face ``s_mask``, on ambient set ambient minus it.
 
         Memoized per face, so callers share the link and its caches; the
         link of the empty face is the complex itself.
         """
-        s_mask = sigma if isinstance(sigma, int) else vertex_mask(sigma)
         if not self.has_face(s_mask):
             raise ValueError("not a face")
         if s_mask == 0:
@@ -376,6 +365,17 @@ class SimplicialComplex:
         lk = self._cache[key] = SimplicialComplex(self.ambient & ~s_mask, new_facets)
         return lk
 
+    def neighbours(self) -> tuple[int, ...]:
+        """The 1-skeleton: entry k-1 is the neighbour mask of vertex k."""
+        adj = self._cache.get("neighbours")
+        if adj is None:
+            adj = [0] * self.ambient.bit_length()
+            for f in self.facets:
+                for v in mask_vertices(f):
+                    adj[v - 1] |= f ^ (1 << (v - 1))
+            adj = self._cache["neighbours"] = tuple(adj)
+        return adj
+
     def is_flag(self) -> bool:
         """Whether every clique of the 1-skeleton is a face.
 
@@ -384,31 +384,9 @@ class SimplicialComplex:
         """
         flag = self._cache.get("is_flag")
         if flag is None:
-            adj = [0] * self.ambient.bit_length()
-            for f in self.faces():
-                if f.bit_count() == 2:
-                    low = f & -f
-                    adj[low.bit_length() - 1] |= f ^ low
-                    adj[f.bit_length() - 1] |= low
-            cliques = _cliques(adj, self.vertices_mask)
+            cliques = _cliques(self.neighbours(), self.vertices_mask)
             flag = self._cache["is_flag"] = all(self.has_face(c) for c, _ in cliques)
         return flag
-
-    def missing_edges(self) -> tuple[tuple[int, int], ...]:
-        """Non-adjacent pairs of non-ghost vertices, lexicographic."""
-        try:
-            return self._cache["missing_edges"]
-        except KeyError:
-            pass
-        verts = mask_vertices(self.vertices_mask)
-        missing = tuple(
-            (u, v)
-            for i, u in enumerate(verts)
-            for v in verts[i + 1 :]
-            if not self.has_face(vertex_mask((u, v)))
-        )
-        self._cache["missing_edges"] = missing
-        return missing
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimplicialComplex":

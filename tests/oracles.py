@@ -171,6 +171,25 @@ def cliques_of(vertices, edges):
     }
 
 
+def flag_witness_dense(faces, m, i_set):
+    """The flag criterion's witness for I, None if formal.
+
+    ``faces`` comes from ``faces_of``. I must be a face; then the witness
+    is the first non-edge {j1 < j2} in lexicographic order with a vertex
+    i of I off it that misses an end, with the least such i.
+    """
+    if frozenset(i_set) not in faces:
+        return {"kind": "not_a_face", "I": sorted(i_set)}
+    vertices = [v for v in range(1, m + 1) if frozenset([v]) in faces]
+    for j1, j2 in combinations(vertices, 2):
+        if frozenset((j1, j2)) in faces:
+            continue
+        for i in sorted(set(i_set) - {j1, j2}):
+            if frozenset((i, j1)) not in faces or frozenset((i, j2)) not in faces:
+                return {"kind": "missing_edge", "edge": [j1, j2], "i": i}
+    return None
+
+
 def hochster_real_dense(facets, m):
     """RZ_K Betti numbers from the dense cohomology oracle.
 

@@ -9,7 +9,6 @@ from rzformal import Graph, SimplicialComplex, census, cohomology, run_census, v
 from rzformal.census import all_complexes, compute_record, census_tasks, flag_complexes
 from rzformal.cohomology import BettiTable
 from rzformal.moment_angle import CubicalComplex
-from rzformal.simplicial import vertex_mask
 
 
 def test_flag_complex_counts():
@@ -30,14 +29,12 @@ def test_all_complex_counts():
 
 def test_all_complexes_regression_membership():
     found = {tuple(sorted(k.facets)) for k in all_complexes(2)}
-    two_points = vertex_mask([1]), vertex_mask([2])
-    edge = (vertex_mask([1, 2]),)
-    assert found == {tuple(sorted(two_points)), edge}
+    assert found == {(0b01, 0b10), (0b11,)}
 
 
 def test_record_json_key_order_and_content():
     k = Graph.cycle(4).clique_complex()
-    line = compute_record(k, vertex_mask([1])).json_line()
+    line = compute_record(k, 0b0001).json_line()
     obj = json.loads(line)
     assert list(obj) == [
         "m",

@@ -123,10 +123,11 @@ def test_check_malformed_json_is_input_error(files, capsys):
         ),
         ("check", ["[" * 200_000]),  # nested past the recursion limit
         ("hull", [{"m": MAX_M + 1, "generators": []}]),  # m over the input bound
+        ("check", [{"m": 0, "facets": []}]),  # the void complex, no vertex a ghost
     ],
     ids=[
         "missing-field", "non-int-vertex", "bool-m", "non-list-facet", "non-pair-edge",
-        "deep-nesting", "m-over-max",
+        "deep-nesting", "m-over-max", "void",
     ],
 )
 def test_malformed_input_fields_are_input_errors(files, capsys, command, payloads):

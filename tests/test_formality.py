@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from oracles import (
     faces_of,
+    flag_witness_dense,
     hochster_complex_dense,
     hochster_real_dense,
     restriction_trivial_dense,
@@ -28,7 +29,7 @@ from rzformal import (
     torus_oracle,
 )
 from rzformal import cohomology, formality
-from rzformal.simplicial import mask_vertices, submasks, vertex_mask
+from rzformal.simplicial import label_mask, mask_vertices, submasks
 
 C4 = Graph.cycle(4).clique_complex()
 THREE_POINTS = SimplicialComplex.from_facets(3, [[1], [2], [3]])
@@ -37,7 +38,7 @@ TWO_POINTS = SimplicialComplex.from_facets(2, [[1], [2]])
 
 
 def test_flag_criterion_four_cycle_single_vertex_is_formal():
-    r = flag_criterion(C4, [1])
+    r = flag_criterion(C4, 0b0001)
     assert r.verdict == "formal"
     assert r.method == "flag_criterion"
     assert r.hull == (1,)
@@ -45,7 +46,7 @@ def test_flag_criterion_four_cycle_single_vertex_is_formal():
 
 
 def test_flag_criterion_three_points_single_vertex_is_not_formal():
-    r = flag_criterion(THREE_POINTS, [1])
+    r = flag_criterion(THREE_POINTS, 0b001)
     assert r.verdict == "not_formal"
     assert r.witness == {"kind": "missing_edge", "edge": [2, 3], "i": 1}
 
@@ -56,38 +57,62 @@ def test_flag_criterion_simplex_is_always_formal():
         assert flag_criterion(k, i_mask).formal
 
 
+def test_flag_criterion_matches_the_dense_reference():
+    # verdict and witness on every flag complex with m <= 5 and every I,
+    # then on seeded clique complexes with m = 6..10, I a face or not
+    from rzformal.census import flag_complexes
+
+    cases = [(k, list(submasks(k.ambient))) for m in range(6) for k in flag_complexes(m)]
+    rng = random.Random(61)
+    for _ in range(60):
+        m = rng.randint(6, 10)
+        pairs = list(combinations(range(1, m + 1), 2))
+        k = Graph(m, [e for e in pairs if rng.random() < rng.random()]).clique_complex()
+        i_masks = [rng.choice(k.faces()) for _ in range(12)]
+        cases.append((k, i_masks + [rng.getrandbits(m) for _ in range(4)]))
+    witnesses = set()
+    for k, i_masks in cases:
+        faces = faces_of(mask_vertices(f) for f in k.facets)
+        for i_mask in i_masks:
+            expected = flag_witness_dense(faces, k.m, mask_vertices(i_mask))
+            r = flag_criterion(k, i_mask)
+            assert (r.formal, r.witness) == (expected is None, expected), (k, i_mask)
+            witnesses.add(expected and expected["kind"])
+    assert witnesses == {None, "not_a_face", "missing_edge"}
+
+
 def test_flag_criterion_non_face_is_not_formal():
-    r = flag_criterion(TWO_POINTS, [1, 2])
+    r = flag_criterion(TWO_POINTS, 0b11)
     assert r.verdict == "not_formal"
     assert r.witness == {"kind": "not_a_face", "I": [1, 2]}
 
 
 def test_flag_criterion_rejects_non_flag_complexes():
     with pytest.raises(ValueError):
-        flag_criterion(TRIANGLE_BOUNDARY, [1])
+        flag_criterion(TRIANGLE_BOUNDARY, 0b001)
 
 
 def test_flag_criterion_empty_set_is_formal():
-    assert flag_criterion(C4, []).formal
+    assert flag_criterion(C4, 0).formal
 
 
 def test_general_criterion_matches_flag_on_flag_examples():
-    assert general_criterion(C4, [1]).formal
-    assert not general_criterion(THREE_POINTS, [1]).formal
-    assert not general_criterion(TWO_POINTS, [1, 2]).formal
+    assert general_criterion(C4, 0b0001).formal
+    assert not general_criterion(THREE_POINTS, 0b001).formal
+    assert not general_criterion(TWO_POINTS, 0b11).formal
 
 
 def test_general_criterion_three_points_witness_is_lex_first():
-    r = general_criterion(THREE_POINTS, [1])
+    r = general_criterion(THREE_POINTS, 0b001)
     assert r.witness == {"kind": "nontrivial_restriction", "J": [1, 2, 3]}
 
 
 def test_general_criterion_triangle_boundary():
     # a non-flag complex where single vertices and the edge both work
-    assert general_criterion(TRIANGLE_BOUNDARY, [1]).formal
-    assert general_criterion(TRIANGLE_BOUNDARY, [1, 2]).formal
+    assert general_criterion(TRIANGLE_BOUNDARY, 0b001).formal
+    assert general_criterion(TRIANGLE_BOUNDARY, 0b011).formal
     # the full vertex set is not a face
-    r = general_criterion(TRIANGLE_BOUNDARY, [1, 2, 3])
+    r = general_criterion(TRIANGLE_BOUNDARY, 0b111)
     assert r.verdict == "not_formal"
     assert r.witness == {"kind": "not_a_face", "I": [1, 2, 3]}
 
@@ -97,21 +122,21 @@ def test_general_criterion_disjoint_edge_and_point():
     # equivariantly formal: deleting the open star of the edge from the
     # whole complex leaves three points worth of extra cohomology
     k = SimplicialComplex.from_facets(3, [[1, 2], [3]])
-    r = general_criterion(k, [1, 2])
+    r = general_criterion(k, 0b011)
     assert r.verdict == "not_formal"
     assert r.witness == {"kind": "nontrivial_restriction", "J": [1, 2, 3]}
-    assert not betti_sum_oracle(k, [1, 2]).formal
-    assert not torus_oracle(k, [1, 2]).formal
+    assert not betti_sum_oracle(k, 0b011).formal
+    assert not torus_oracle(k, 0b011).formal
 
 
 def test_general_criterion_star_deletion_regression():
     # the obstruction here lives on the link of the reflected edge and
     # is invisible to full-subcomplex restrictions
     k = SimplicialComplex.from_facets(4, [[1, 2], [1, 3], [2, 3, 4]])
-    r = general_criterion(k, [2, 3])
+    r = general_criterion(k, 0b0110)
     assert r.verdict == "not_formal"
     assert r.witness == {"kind": "nontrivial_restriction", "J": [1, 2, 3, 4]}
-    oracle = betti_sum_oracle(k, [2, 3])
+    oracle = betti_sum_oracle(k, 0b0110)
     assert oracle.totals == (2, 4)
     assert not oracle.formal
 
@@ -149,29 +174,29 @@ def test_general_criterion_witness_is_the_first_nontrivial_j_in_lex_order():
 
 
 def test_betti_sum_oracle_examples():
-    r = betti_sum_oracle(C4, [1])
+    r = betti_sum_oracle(C4, 0b0001)
     assert r.formal
     assert r.totals == (4, 4)
-    r = betti_sum_oracle(THREE_POINTS, [1])
+    r = betti_sum_oracle(THREE_POINTS, 0b001)
     assert r.verdict == "not_formal"
     assert r.totals == (4, 6)
     assert r.witness == {"kind": "betti_totals", "fixed": 4, "ambient": 6}
 
 
 def test_betti_sum_oracle_empty_set():
-    r = betti_sum_oracle(C4, [])
+    r = betti_sum_oracle(C4, 0)
     assert r.formal
     assert r.totals == (4, 4)
 
 
 def test_torus_oracle_examples():
-    assert torus_oracle(C4, [1]).formal
-    r = torus_oracle(THREE_POINTS, [1])
+    assert torus_oracle(C4, 0b0001).formal
+    r = torus_oracle(THREE_POINTS, 0b001)
     assert r.verdict == "not_formal"
     # the fixed torus is a 2-torus: the link's two ghost vertices each
     # contribute a circle factor
     assert r.totals == (4, 6)
-    assert torus_oracle(SimplicialComplex.simplex(3), [1, 2, 3]).formal
+    assert torus_oracle(SimplicialComplex.simplex(3), 0b111).formal
 
 
 def test_smith_thom_inequality_everywhere():
@@ -200,12 +225,12 @@ def test_decide_dispatches_on_flagness():
 def test_general_criterion_is_capped_like_the_hochster_sums(monkeypatch):
     monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "2")
     with pytest.raises(ValueError, match="exceeds the cap 2"):
-        general_criterion(TRIANGLE_BOUNDARY, [1])
+        general_criterion(TRIANGLE_BOUNDARY, 0b001)
     # decide reaches the general criterion on a non-flag complex
     with pytest.raises(ValueError, match="exceeds the cap 2"):
         decide(TRIANGLE_BOUNDARY, Subgroup(3, ["100"]))
     monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "3")
-    assert general_criterion(TRIANGLE_BOUNDARY, [1]).formal
+    assert general_criterion(TRIANGLE_BOUNDARY, 0b001).formal
 
 
 def test_general_criterion_on_a_cone_skips_every_j_with_the_apex(monkeypatch):
@@ -220,7 +245,7 @@ def test_general_criterion_on_a_cone_skips_every_j_with_the_apex(monkeypatch):
         return trivial(src, tgt)
 
     monkeypatch.setattr(formality, "_restriction_map_trivial", spy_trivial)
-    assert general_criterion(k, [10]).formal
+    assert general_criterion(k, 1 << 9).formal
     # with I = {apex}, only J containing the apex have I ∩ J nonempty,
     # and each such K_J is a cone over the apex
     assert calls == []
@@ -256,9 +281,11 @@ def test_cones_match_the_dense_oracles_unreduced():
         k = SimplicialComplex.from_facets(m, facets)
         faces = faces_of(facets)
         apexes = [v for v in range(1, m + 1) if all(f | {v} in faces for f in faces)]
-        assert k.apexes == (vertex_mask(apexes) if faces else 0)
+        assert k.apexes == (label_mask(apexes, m, "apexes") if faces else 0)
         assert list(hochster_real_betti(k).dims) == hochster_real_dense(facets, m)
         assert list(hochster_complex_betti(k).dims) == hochster_complex_dense(facets, m)
+        if not faces:  # the deciders refuse the void complex
+            continue
         if k.ghost_mask:
             ghosted += 1
             continue
@@ -295,7 +322,7 @@ def test_a_cone_is_walked_once_as_the_link_of_its_apexes(monkeypatch):
     # the pentagon on 1, 3, 4, 6, 7 joined with the edge {2, 5}
     pentagon = [[1, 3], [3, 4], [4, 6], [6, 7], [1, 7]]
     k = SimplicialComplex.from_facets(7, [f + [2, 5] for f in pentagon])
-    apexes = vertex_mask([2, 5])
+    apexes = 0b0010010
     assert k.apexes == apexes
     hochster_real_betti(k)
     hochster_complex_betti(k)
@@ -306,7 +333,7 @@ def test_a_cone_is_walked_once_as_the_link_of_its_apexes(monkeypatch):
         assert general_criterion(k, i_mask).formal
     assert walked == []
     # any other I walks the link alone
-    general_criterion(k, vertex_mask([1, 2]))
+    general_criterion(k, 0b0000011)
     assert walked == [k.link(apexes)]
 
 
@@ -321,7 +348,7 @@ def test_a_formal_non_cone_walks_every_j(monkeypatch):
     joins = [(u, v) for u in range(1, 5) for v in range(5, 9)]
     k = Graph(8, cycle + joins + base).clique_complex()
     assert k.apexes == 0
-    reports = evaluate_all(k, [1])
+    reports = evaluate_all(k, 0b00000001)
     assert list(reports) == [
         "flag_criterion", "general_criterion", "betti_sum_oracle", "torus_oracle"
     ]
@@ -335,7 +362,7 @@ def test_a_formal_non_cone_walks_every_j(monkeypatch):
             yield j_mask, faces
 
     monkeypatch.setattr(SimplicialComplex, "full_subcomplexes", counted)
-    assert general_criterion(k, [1]).formal
+    assert general_criterion(k, 0b00000001).formal
     assert visited == [j_mask for j_mask, _ in walk(k)]
     assert len(visited) > 2 ** 7
 
@@ -359,14 +386,14 @@ def test_decide_rejects_mismatched_sizes():
 
 def test_criteria_reject_vertices_outside_the_complex():
     with pytest.raises(ValueError):
-        general_criterion(C4, [5])
+        general_criterion(C4, 0b10000)
     ghosted = SimplicialComplex.from_facets(3, [[1, 2]])
     with pytest.raises(ValueError):
-        general_criterion(ghosted, [3])
+        general_criterion(ghosted, 0b100)
 
 
 def test_evaluate_all_and_reports_agree():
-    reports = evaluate_all(C4, [1])
+    reports = evaluate_all(C4, 0b0001)
     assert set(reports) == {
         "flag_criterion",
         "general_criterion",
@@ -378,13 +405,13 @@ def test_evaluate_all_and_reports_agree():
 
 
 def test_evaluate_all_skips_flag_on_non_flag_complexes():
-    reports = evaluate_all(TRIANGLE_BOUNDARY, [1])
+    reports = evaluate_all(TRIANGLE_BOUNDARY, 0b001)
     assert "flag_criterion" not in reports
     assert reports_agree(reports)
 
 
 def test_report_json_shape():
-    r = general_criterion(THREE_POINTS, [1])
+    r = general_criterion(THREE_POINTS, 0b001)
     obj = r.to_json_obj()
     assert list(obj) == ["verdict", "method", "hull", "witness", "totals"]
     assert obj["hull"] == [1]
@@ -414,7 +441,7 @@ def test_all_methods_agree_on_random_larger_complexes():
         k = SimplicialComplex.from_facets(m, facets)
         verts = list(k.vertex_labels())
         i = rng.sample(verts, rng.randint(0, len(verts)))
-        reports = evaluate_all(k, i)
+        reports = evaluate_all(k, label_mask(i, m, "I"))
         assert reports_agree(reports), (k, i)
 
 

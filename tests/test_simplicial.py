@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import cliques_of, faces_of
 from rzformal import Graph, SimplicialComplex
-from rzformal.simplicial import mask_vertices, submasks, vertex_mask
+from rzformal.simplicial import label_mask, mask_vertices, submasks
 
 
 def facet_sets(k):
@@ -20,9 +20,9 @@ def facet_sets(k):
 
 
 def test_vertex_mask_round_trip():
-    assert vertex_mask([1, 3]) == 0b101
+    assert label_mask([1, 3], 3, "I") == 0b101
     assert mask_vertices(0b101) == (1, 3)
-    assert vertex_mask([]) == 0
+    assert label_mask([], 3, "I") == 0
 
 
 def test_submasks_enumerates_all_subsets_ascending():
@@ -33,7 +33,7 @@ def test_submasks_enumerates_all_subsets_ascending():
 def test_graph_basics():
     g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 1)])
     assert g.edges == ((1, 2), (1, 4), (2, 3), (3, 4))
-    assert g.adj[0] == vertex_mask([2, 4])
+    assert g.adj[0] == 0b1010
     assert Graph.complete(3).edges == ((1, 2), (1, 3), (2, 3))
     assert Graph.empty(2).edges == () and Graph.empty(2).adj == (0, 0)
     assert Graph.cycle(4).edges == g.edges
@@ -115,10 +115,10 @@ def test_clique_complex_of_empty_graph_is_points():
 def test_from_facets_closes_downward_and_dedups():
     k = SimplicialComplex.from_facets(3, [[1, 2], [2, 1], [1]])
     assert facet_sets(k) == [[1, 2]]
-    assert k.has_face(vertex_mask([1]))
+    assert k.has_face(0b001)
     assert k.has_face(0)  # the empty face
-    assert not k.has_face(vertex_mask([3]))
-    assert k.ghost_mask == vertex_mask([3])
+    assert not k.has_face(0b100)
+    assert k.ghost_mask == 0b100
 
 
 def test_void_versus_empty_face():
@@ -142,14 +142,14 @@ def test_faces_sorted_by_size_then_mask():
 
 def test_link_examples():
     c4 = Graph.cycle(4).clique_complex()
-    lk = c4.link(vertex_mask([1]))
+    lk = c4.link(0b0001)
     assert facet_sets(lk) == [[2], [4]]
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    lk2 = tri.link(vertex_mask([1, 2]))
+    lk2 = tri.link(0b011)
     assert facet_sets(lk2) == [[]]
     # vertices outside the face survive as ambient, not as faces
     two = SimplicialComplex.from_facets(2, [[1], [2]])
-    lk3 = two.link(vertex_mask([1]))
+    lk3 = two.link(0b01)
     assert facet_sets(lk3) == [[]]
     assert lk3.m == 1
     assert lk3.vertex_labels() == (2,)
@@ -157,8 +157,8 @@ def test_link_examples():
 
 def test_link_is_memoized_per_face():
     c4 = Graph.cycle(4).clique_complex()
-    assert c4.link(vertex_mask([1])) is c4.link([1])
-    assert c4.link(vertex_mask([1])) is not c4.link(vertex_mask([2]))
+    assert c4.link(0b0001) is c4.link(0b0001)
+    assert c4.link(0b0001) is not c4.link(0b0010)
     # the link of the empty face is the complex itself
     assert c4.link(0) is c4
 
@@ -166,27 +166,28 @@ def test_link_is_memoized_per_face():
 def test_link_of_non_face_raises():
     two = SimplicialComplex.from_facets(2, [[1], [2]])
     with pytest.raises(ValueError):
-        two.link(vertex_mask([1, 2]))
+        two.link(0b11)
 
 
 def test_link_faces_join_back():
     k = SimplicialComplex.from_facets(4, [[1, 2, 3], [2, 3, 4]])
-    sigma = vertex_mask([2, 3])
+    sigma = 0b0110
     lk = k.link(sigma)
     for f in lk.faces():
         assert f & sigma == 0
         assert k.has_face(f | sigma)
 
 
-def test_is_flag_and_missing_edges():
+def test_is_flag_and_neighbours():
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
     assert not tri.is_flag()
-    assert tri.missing_edges() == ()
+    assert tri.neighbours() == (0b110, 0b101, 0b011)
     filled = SimplicialComplex.from_facets(3, [[1, 2, 3]])
     assert filled.is_flag()
+    assert filled.neighbours() == tri.neighbours()
     pts = SimplicialComplex.from_facets(3, [[1], [2], [3]])
     assert pts.is_flag()
-    assert pts.missing_edges() == ((1, 2), (1, 3), (2, 3))
+    assert pts.neighbours() == (0, 0, 0)
 
 
 def test_json_round_trips():
@@ -264,12 +265,8 @@ def test_clique_complex_is_flag_and_matches_graph(m, raw_edges):
     g = Graph(m, edges)
     k = g.clique_complex()
     assert k.is_flag()
-    assert {f for f in k.faces() if f.bit_count() == 2} == {vertex_mask(e) for e in g.edges}
-    # missing edges of a clique complex are exactly the non-edges
-    non_edges = tuple(
-        (u, v)
-        for u in range(1, m + 1)
-        for v in range(u + 1, m + 1)
-        if (u, v) not in g.edges
-    )
-    assert k.missing_edges() == non_edges
+    assert {f for f in k.faces() if f.bit_count() == 2} == {
+        label_mask(e, m, "an edge") for e in g.edges
+    }
+    # the 1-skeleton of a clique complex is the graph
+    assert k.neighbours() == g.adj
