@@ -5,25 +5,22 @@ F2 Betti numbers decompose over vertex subsets J as reduced cohomology
 of the full subcomplexes K_J (degree shift 1). The complex version has
 shift |J| + 1 and the same total dimension.
 
-``CubicalComplex`` recomputes these numbers from cells of the cube. It
-has one cell encoding: a 3-bit code per coordinate, naming one of the
-points {-1}, {0}, {1} or the intervals [-1,0], [0,1], [-1,1]. The
-coordinates cut at 0 (its ``subdivide`` mask) decide which intervals
-occur. With no cut it is the plain model, one cell per face sigma and
-sign pattern off sigma; cut along every coordinate it has up to 5^m
-cells.
+``CubicalComplex`` recomputes these numbers from cells of the cube: a
+2-bit code per coordinate names one of the points {-1}, {0}, {1} or the
+interval [-1,1]. The plain model has one cell per face sigma and sign
+pattern off sigma.
 
-The reflection in coordinate i fixes the points with x_i = 0. Once the
-coordinates of I are cut at 0, the points of RZ_K with x_i = 0 on I
-form a subcomplex: the cells with {0} on I, which lie over the faces
-containing I. So the fixed set needs the cut along I alone, with at
-most 3^m cells, and reading it off the cube never uses the link
-formula that it checks.
+The reflection in coordinate i fixes the points with x_i = 0. Those of
+RZ_K with x_i = 0 on I lie over the faces containing I, and cutting the
+cube at 0 along I alone makes them a subcomplex: a cell per face
+containing I and sign pattern off it, with {0} on I, at most 3^m cells.
+Reading the fixed set off the cube never uses the link formula that it
+checks.
 
 Every computation exponential in the vertex count m checks one entry of
 ``simplicial.CAPS`` with ``check_cap`` before it starts: the 2^m sums
 over vertex subsets here and in the general criterion, the cubical
-models with up to 5^m cells, and census enumeration.
+models with up to 3^m cells, and census enumeration.
 """
 
 from __future__ import annotations
@@ -110,37 +107,32 @@ def fixed_betti_via_link(k: SimplicialComplex, i_mask: int) -> BettiTable:
 
 
 def _spread(mask: int, code: int) -> int:
-    """Place ``code`` in the 3-bit field of every set bit of ``mask``."""
+    """Place ``code`` in the 2-bit field of every set bit of ``mask``."""
     out = 0
     while mask:
         low = mask & -mask
-        out |= code << (3 * (low.bit_length() - 1))
+        out |= code << (2 * (low.bit_length() - 1))
         mask ^= low
     return out
 
 
-# the two end codes of each interval code: [-1,0] has ends {-1} and {0},
-# [0,1] has {0} and {1}, [-1,1] has {-1} and {1}; points have none
-_ENDS = ((), (), (), (0, 1), (1, 2), (0, 2))
+# the end codes of each code: [-1,1] has ends {-1} and {1}; points have none
+_ENDS = ((), (), (), (0, 2))
 
 
 class CubicalComplex:
     """A cubical complex in [-1,1]^m read off the faces of one complex.
 
-    A cell is an int with a 3-bit code per coordinate: 0 is {-1}, 1 is
-    {0}, 2 is {1}, 3 is [-1,0], 4 is [0,1] and 5 is [-1,1]. Besides the
-    face masks, a complex keeps two coordinate masks: ``subdivide``, the
-    coordinates cut at 0, and ``zero``, the coordinates held at 0 (a
-    subset of ``subdivide``). Every face sigma must contain ``zero``; its
-    cells carry {0} on ``zero``, [-1,1] on sigma outside ``subdivide``,
-    {0}, [-1,0] or [0,1] on the rest of sigma, and -1 or 1 off sigma.
-    The cells are generated on first use.
+    A cell is an int with a 2-bit code per coordinate: 0 is {-1}, 1 is
+    {0}, 2 is {1} and 3 is [-1,1]. Besides the face masks, a complex
+    keeps ``zero``, the coordinates held at 0. Every face sigma must
+    contain ``zero``; its cells carry {0} on ``zero``, [-1,1] on the rest
+    of sigma, and -1 or 1 off sigma. The cells are generated on first use.
     """
 
-    def __init__(self, ambient: int, faces: tuple[int, ...], subdivide: int, zero: int):
+    def __init__(self, ambient: int, faces: tuple[int, ...], zero: int):
         self.ambient = ambient
         self.faces = faces
-        self.subdivide = subdivide
         self.zero = zero
         self._cells: tuple[tuple[int, ...], ...] | None = None
 
@@ -157,17 +149,12 @@ class CubicalComplex:
     def _generate(self) -> tuple[tuple[int, ...], ...]:
         by_dim: list[list[int]] = [[] for _ in range(self.m + 1)]
         zero = self.zero
+        held = _spread(zero, 1)
         for face in self.faces:
-            whole = face & ~self.subdivide
-            cut = face & self.subdivide & ~zero
-            base = _spread(zero, 1) + _spread(whole, 5)
-            signs = [_spread(s, 2) for s in submasks(self.ambient & ~face)]
-            for d_mask in submasks(cut):
-                low = base + _spread(cut ^ d_mask, 1) + _spread(d_mask, 3)
-                cells = by_dim[whole.bit_count() + d_mask.bit_count()]
-                for up in submasks(d_mask):
-                    enc = low + _spread(up, 1)
-                    cells += [enc + sign for sign in signs]
+            free = face & ~zero
+            low = held + _spread(free, 3)
+            signs = submasks(self.ambient & ~face)
+            by_dim[free.bit_count()] += [low + _spread(s, 2) for s in signs]
         while by_dim and not by_dim[-1]:
             by_dim.pop()
         return tuple(tuple(cells) for cells in by_dim)
@@ -180,21 +167,21 @@ class CubicalComplex:
         out = []
         shift = 0
         while cell >> shift:
-            code = (cell >> shift) & 7
+            code = (cell >> shift) & 3
             for end in _ENDS[code]:
                 out.append(cell + ((end - code) << shift))
-            shift += 3
+            shift += 2
         return out
 
     def betti(self) -> BettiTable:
         """Cellular F2 homology Betti numbers.
 
         Memoized on the data the cells are generated from, the ambient set,
-        ``subdivide``, ``zero`` and the faces, so models with the same cells
-        share one rank and no other result is ever read for them.
+        ``zero`` and the faces, so models with the same cells share one
+        rank and no other result is ever read for them.
         """
-        # four fields, where a Hochster key has two: the kinds never collide
-        key = (self.ambient, self.subdivide, self.zero, self.faces)
+        # three fields, where a Hochster key has two: the kinds never collide
+        key = (self.ambient, self.zero, self.faces)
         return memoized(key, CubicalComplex._rank, self)
 
     def _rank(self) -> BettiTable:
@@ -217,28 +204,25 @@ class CubicalComplex:
     def fixed_subcomplex(self, i_mask: int) -> "CubicalComplex":
         """The points fixed by reflections on ``i_mask``: those at 0 there.
 
-        Cutting the coordinates of I at 0 makes {x_i = 0 for i in I} a
-        union of cells, closed under taking faces, and a point of RZ_K
-        lies there only if its face contains I. So the fixed set is the
+        A point of RZ_K has x_i = 0 only if its face contains i, and
+        cutting the coordinates of I at 0 makes {x_i = 0 for i in I} a
+        union of cells, closed under taking faces. So the fixed set is the
         subcomplex of the faces sigma containing I with {0} on I, and only
         those faces, the star of I, are passed on.
         """
         if i_mask & ~self.ambient:
             raise ValueError("coordinate set is not contained in the vertex set")
         star = tuple([f for f in self.faces if f & i_mask == i_mask])
-        return CubicalComplex(self.ambient, star, self.subdivide | i_mask, self.zero | i_mask)
+        return CubicalComplex(self.ambient, star, self.zero | i_mask)
 
     def __repr__(self) -> str:
-        return (
-            f"CubicalComplex(m={self.m}, subdivide={self.subdivide:#b}, "
-            f"zero={self.zero:#b}, counts={self.counts()})"
-        )
+        return f"CubicalComplex(m={self.m}, zero={self.zero:#b}, faces={len(self.faces)})"
 
 
 def build_cubical(k: SimplicialComplex) -> CubicalComplex:
-    """Cell model of the real moment-angle complex of ``k``, uncut; the cap comes first."""
+    """Cell model of the real moment-angle complex of ``k``; the cap comes first."""
     check_cap("cubical", k.m)
     model = k._cache.get("cubical")
     if model is None:
-        model = k._cache["cubical"] = CubicalComplex(k.ambient, k.faces(), 0, 0)
+        model = k._cache["cubical"] = CubicalComplex(k.ambient, k.faces(), 0)
     return model

@@ -299,18 +299,17 @@ class SimplicialComplex:
         return tuple(f for f in self.faces() if f & ~j_mask == 0)
 
     def full_subcomplexes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(J, faces of K_J) for J ⊆ ``vertices_mask``, lexicographic in J.
+        """(J, faces of K_J) for each J ⊆ ``vertices_mask`` once, lexicographic in J.
 
         Depth first: K_(J ∪ v), v above J, adds the faces in J ∪ v with
         top vertex v, so faces ascend by mask. K_∅ is (0,), or () if K is
-        void. Left out: J holding K's top vertex with ``is_cone_on(J)``.
+        void.
         """
         tops = self._cache.get("tops")
         if tops is None:  # nonempty faces by top vertex
             tops = self._cache["tops"] = {}
             for f in sorted(self.faces()[1:]):
                 tops.setdefault(1 << f.bit_length() >> 1, []).append(f)
-        is_cone_on = self.is_cone_on
         stack = [(0, self.faces()[:1], self.vertices_mask)]
         pop, push = stack.pop, stack.append
         while stack:
@@ -321,23 +320,9 @@ class SimplicialComplex:
                 v = 1 << (above.bit_length() - 1)
                 above ^= v
                 grown = j_mask | v
-                if higher or not is_cone_on(grown):
-                    new = tuple([f for f in tops[v] if f | grown == grown])
-                    push((grown, faces + new, higher))
+                new = tuple([f for f in tops[v] if f | grown == grown])
+                push((grown, faces + new, higher))
                 higher |= v
-
-    def is_cone_on(self, j_mask: int) -> bool:
-        """Whether a vertex of J lies in every facet meeting J, so K_J is a cone.
-
-        Sound, not complete: an apex missing a non-maximal F ∩ J is not seen.
-        """
-        apex = -1  # every bit, until a facet meets J
-        for f in self.facets:
-            if f & j_mask:
-                apex &= f & j_mask
-                if not apex:
-                    return False
-        return apex > 0
 
     def has_face(self, mask: int) -> bool:
         try:

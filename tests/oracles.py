@@ -3,15 +3,15 @@
 Everything here avoids the package's bitmask representation on
 purpose: matrices are dense lists of 0/1 ints, faces are frozensets,
 and elimination is the textbook row-by-row sweep. Slow but obviously
-correct, which is the point. The exception is ``subdivided_model``, the
-package's cubical model cut at 0 along every coordinate, which the
-tests hold against the model cut along I alone; ``cell_set`` lists the
-cells of such a model.
+correct, which is the point. The cubical model of RZ_K below is cut at
+0 along any given coordinates; its cells are tuples of per-coordinate
+intervals, not the package's bit codes, and its boundary rows are sets
+of column numbers, since a dense matrix over up to 5^m cells is too
+slow to rank.
 """
 
-from itertools import combinations
-
-from rzformal.moment_angle import CubicalComplex
+from collections import Counter
+from itertools import combinations, product
 
 
 def dense_rank(rows):
@@ -222,11 +222,110 @@ def hochster_complex_dense(facets, m):
     return [acc.get(d, 0) for d in range(max(acc) + 1)]
 
 
-def subdivided_model(k):
-    """Cubical model of RZ_K cut at 0 along every coordinate."""
-    return CubicalComplex(k.ambient, k.faces(), k.ambient, 0)
+# the cells of one coordinate, as intervals (lo, hi): off a face, on it,
+# and on it when cut at 0
+_OFF = ((-1, -1), (1, 1))
+_WHOLE = ((-1, -1), (1, 1), (-1, 1))
+_CUT = ((-1, -1), (0, 0), (1, 1), (-1, 0), (0, 1))
 
 
-def cell_set(model):
-    """Every cell of a cubical model, of any dimension."""
-    return frozenset(c for cells in model.cells_by_dim for c in cells)
+def _labels(mask):
+    return [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
+
+
+def cube_cells(k, cut):
+    """Every cell of RZ_K in [-1,1]^m, cut at 0 along the coordinate mask ``cut``.
+
+    RZ_K is the union, over the facets sigma of K, of the boxes with
+    [-1,1] on sigma and {-1, 1} off it. A cell is a tuple of (coordinate,
+    lo, hi), one per ambient coordinate in order: the product of the
+    intervals [lo, hi]. The cells of a box are the products of the cells
+    of its factors, where a coordinate of ``cut`` splits [-1,1] at 0.
+    """
+    coords = _labels(k.ambient)
+    cut = set(_labels(cut))
+    cells = set()
+    for facet in k.facets:
+        sigma = set(_labels(facet))
+        factors = []
+        for v in coords:
+            pieces = (_CUT if v in cut else _WHOLE) if v in sigma else _OFF
+            factors.append([(v, lo, hi) for lo, hi in pieces])
+        cells.update(product(*factors))
+    return cells
+
+
+def cube_dim(cell):
+    return sum(lo < hi for _, lo, hi in cell)
+
+
+def cube_boundary(cell):
+    """The cells of one dimension lower in the F2 boundary of ``cell``."""
+    out = []
+    for p, (v, lo, hi) in enumerate(cell):
+        if lo < hi:
+            out += [cell[:p] + ((v, end, end),) + cell[p + 1:] for end in (lo, hi)]
+    return out
+
+
+def cells_at_zero(cells, mask):
+    """The cells that are the point 0 on every coordinate of ``mask``."""
+    out = set(cells)
+    for v in _labels(mask):
+        out = {c for c in out if (v, 0, 0) in c}
+    return out
+
+
+def cube_counts(cells):
+    """The number of cells of each dimension, () for no cells."""
+    by_dim = Counter(cube_dim(c) for c in cells)
+    return tuple(by_dim[d] for d in range(max(by_dim, default=-1) + 1))
+
+
+def _set_rank(rows):
+    """GF(2) rank of rows given as sets of column numbers, sum being ^."""
+    pivots = {}
+    for row in rows:
+        while row and max(row) in pivots:
+            row = row ^ pivots[max(row)]
+        if row:
+            pivots[max(row)] = row
+    return len(pivots)
+
+
+def cube_betti(cells):
+    """F2 homology Betti numbers of a closed cell set, trailing zeros cut."""
+    by_dim = {}
+    for c in cells:
+        by_dim.setdefault(cube_dim(c), []).append(c)
+    top = max(by_dim, default=-1)
+    ranks = {}
+    for d in range(1, top + 1):
+        column = {c: j for j, c in enumerate(by_dim.get(d - 1, ()))}
+        rows = [{column[b] for b in cube_boundary(c)} for c in by_dim.get(d, ())]
+        ranks[d] = _set_rank(rows)
+    dims = [
+        len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        for d in range(top + 1)
+    ]
+    while dims and not dims[-1]:
+        dims.pop()
+    return dims
+
+
+# the package's 2-bit codes of one coordinate: {-1}, {0}, {1} and [-1,1]
+_CODES = ((-1, -1), (0, 0), (1, 1), (-1, 1))
+
+
+def decode_cell(cell, ambient):
+    """A cell of a package cubical model on ``ambient``, as a ``cube_cells`` cell.
+
+    The package codes coordinate v of a cell in its bits 2(v-1) and
+    2(v-1) + 1.
+    """
+    return tuple((v, *_CODES[cell >> 2 * (v - 1) & 3]) for v in _labels(ambient))
+
+
+def decode_cells(model):
+    """The cells of a package cubical model; a cell listed twice counts once."""
+    return {decode_cell(c, model.ambient) for cells in model.cells_by_dim for c in cells}

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import rzformal
-from oracles import cell_set, subdivided_model
+from oracles import cells_at_zero, cube_betti, cube_cells, decode_cells
 from rzformal import (
     Graph,
     SimplicialComplex,
@@ -151,7 +151,7 @@ def test_criterion_3_hochster_equals_cubical():
             for k in all_complexes(m):
                 want = list(hochster_real_betti(k).dims)
                 assert list(build_cubical(k).betti().dims) == want
-                assert list(subdivided_model(k).betti().dims) == want
+                assert cube_betti(cube_cells(k, k.ambient)) == want
         for k in _random_complexes(100, (5, 6), seed=52281):
             want = list(hochster_real_betti(k).dims)
             assert list(build_cubical(k).betti().dims) == want, k
@@ -175,24 +175,30 @@ def test_criterion_5_fixed_point_lemmas():
         # cellular fixed sets match the link description on every face
         for m in (1, 2, 3, 4):
             for k in all_complexes(m):
-                c = subdivided_model(k)
                 for i_mask in k.faces():
-                    cube = c.fixed_subcomplex(i_mask).betti()
+                    cube = build_cubical(k).fixed_subcomplex(i_mask).betti()
                     link = fixed_betti_via_link(k, i_mask)
                     assert list(cube.dims) == list(link.dims), (k, i_mask)
         # a subgroup fixes exactly what its coordinate hull fixes
         rng = random.Random(90125)
         pool = _random_complexes(60, (2, 3, 4, 5), seed=1055)
+        models = {}
         checked = 0
         while checked < 500:
             k = rng.choice(pool)
-            c = subdivided_model(k)
+            if k not in models:
+                models[k] = cube_cells(k, k.ambient)
+            fine = models[k]
             gens = [rng.getrandbits(k.m) for _ in range(rng.randint(0, 3))]
             a = Subgroup(k.m, gens)
-            fixed = cell_set(c)
+            fixed = fine
+            view = build_cubical(k)
             for g in gens:
-                fixed &= cell_set(c.fixed_subcomplex(g))
-            assert fixed == cell_set(c.fixed_subcomplex(a.hull_mask)), (k, gens)
+                fixed = fixed & cells_at_zero(fine, g)
+                view = view.fixed_subcomplex(g)
+            assert fixed == cells_at_zero(fine, a.hull_mask), (k, gens)
+            hull_cells = cells_at_zero(cube_cells(k, a.hull_mask), a.hull_mask)
+            assert decode_cells(view) == hull_cells, (k, gens)
             checked += 1
 
     _report(5, "fixed sets: cellular = link, subgroup = hull", body)

@@ -15,7 +15,7 @@ from rzformal import SimplicialComplex, census
 from rzformal.cli import run
 from rzformal.cohomology import BettiTable
 from rzformal.moment_angle import CubicalComplex
-from rzformal.simplicial import MAX_M
+from rzformal.simplicial import CAPS, MAX_M
 
 
 @pytest.fixture
@@ -586,31 +586,47 @@ def test_a_listing_over_the_hochster_cap_is_refused_in_one_line(files, case):
         assert "RZFORMAL_HOCHSTER_CAP" in proc.stderr
 
 
-VERIFIED_CAPS = {
-    "verify": "RZFORMAL_CENSUS_FLAG_CAP",
-    "verify-hochster": "RZFORMAL_HOCHSTER_CAP",
-    "verify-cubical": "RZFORMAL_CUBICAL_CAP",
-}
+def malformed_cap_cases():
+    """(command, variable) for every command and cap variable, by test id."""
+    cases = {}
+    for command in ("check", "betti", "hull", "report", "census", "verify"):
+        for name, (variable, _, _) in CAPS.items():
+            cases[f"{command}-{name.split()[-1]}"] = (command, variable)
+    # the ids these two had when each was tested with one variable
+    cases["check"] = cases.pop("check-hochster")
+    cases["verify"] = cases.pop("verify-flag")
+    return cases
+
+
+MALFORMED_CAPS = malformed_cap_cases()
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
-@pytest.mark.parametrize("command", ["check", *VERIFIED_CAPS])
+@pytest.mark.parametrize("case", MALFORMED_CAPS)
 def test_a_malformed_cap_variable_is_named_in_one_line(
-    files, capsys, monkeypatch, command, value
+    files, capsys, monkeypatch, case, value
 ):
     tmp, write = files
-    if command == "check":
-        variable = "RZFORMAL_HOCHSTER_CAP"
-        argv = ["check", write("c4.json", C4), "--I", "1"]
-    else:
-        variable = VERIFIED_CAPS[command]
-        path = tmp / "c.jsonl"
-        assert run(["census", "--max-vertices", "2", "--out", str(path)]) == 0
+    command, variable = MALFORMED_CAPS[case]
+    census_file = tmp / "c.jsonl"
+    c4 = write("c4.json", C4)
+    graph = write("g.json", {"m": 4, "edges": C4["facets"]})
+    subgroup = write("a.json", {"m": 4, "generators": ["1000"]})
+    argv = {
+        "check": ["check", c4, "--I", "1"],
+        "betti": ["betti", c4],
+        "hull": ["hull", subgroup],
+        "report": ["report", graph, subgroup],
+        "census": ["census", "--max-vertices", "2", "--out", str(census_file)],
+        "verify": ["verify", str(census_file)],
+    }[command]
+    if command == "verify":
+        assert run(["census", "--max-vertices", "2", "--out", str(census_file)]) == 0
         capsys.readouterr()
-        argv = ["verify", str(path)]
     monkeypatch.setenv(variable, value)
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"{variable} must be a non-negative integer" in captured.err
+    assert census_file.exists() == (command == "verify")

@@ -163,15 +163,12 @@ def test_exhaustive_small_against_dense_oracle():
             assert as_dict(hom_data(k.faces())) == dense_of(k)
 
 
-def random_complex(rng, m, cone=False):
-    """Random facets on 1..m, some vertices possibly ghosts; a cone over m if asked."""
-    top = m - 1 if cone else m
+def random_complex(rng, m):
+    """Random facets on 1..m, some vertices possibly ghosts."""
     facets = [
-        rng.sample(range(1, top + 1), rng.randint(1, min(top, 4)))
+        rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))
         for _ in range(rng.randint(1, 7))
     ]
-    if cone:
-        facets = [f + [m] for f in facets]
     return SimplicialComplex.from_facets(m, facets)
 
 
@@ -183,21 +180,6 @@ def test_rank_betti_equals_the_dense_betti_per_degree():
         j = rng.getrandbits(m)
         for faces in (k.faces(), k.subfaces(j)):
             assert as_dict(cohomology._build_hom_data(faces)) == dense_betti(faces)
-
-
-def test_cone_test_is_sound_on_every_subset():
-    rng = random.Random(23)
-    for n in range(120):
-        m = rng.randint(2, 7)
-        k = random_complex(rng, m, cone=n % 3 == 0)
-        for c in (k, k.link(k.facets[0] & -k.facets[0])):
-            for j in submasks(c.ambient):
-                if c.is_cone_on(j):
-                    assert dense_betti(c.subfaces(j)) == {}
-        if n % 3 == 0:
-            # on a cone over m, every J containing the apex is found
-            apex = 1 << (m - 1)
-            assert all(k.is_cone_on(j) for j in submasks(k.ambient) if j & apex)
 
 
 def test_restriction_map_matches_the_dense_oracle():

@@ -10,13 +10,20 @@ also compared against the dense reference oracle from oracles.py.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
-    cell_set,
+    cells_at_zero,
+    cube_betti,
+    cube_cells,
+    cube_boundary,
+    cube_counts,
+    decode_cell,
+    decode_cells,
     hochster_complex_dense,
     hochster_real_dense,
     reduced_betti_dense,
-    subdivided_model,
 )
 from rzformal import (
     Graph,
@@ -24,7 +31,6 @@ from rzformal import (
     betti_sum_oracle,
     build_cubical,
     cohomology,
-    f2,
     fixed_betti_via_link,
     hochster_complex_betti,
     hochster_real_betti,
@@ -121,14 +127,13 @@ def test_cubical_counts_single_vertex():
     k = SimplicialComplex.from_facets(1, [[1]])
     plain = build_cubical(k)
     assert plain.counts() == (2, 1)
-    fine = subdivided_model(k)
-    assert fine.counts() == (3, 2)
+    assert cube_counts(cube_cells(k, k.ambient)) == (3, 2)
 
 
 def test_cubical_counts_empty_face_complex():
     k = SimplicialComplex.from_facets(1, [[]])
     assert build_cubical(k).counts() == (2,)
-    assert subdivided_model(k).counts() == (2,)
+    assert cube_counts(cube_cells(k, k.ambient)) == (2,)
 
 
 def test_cubical_counts_four_cycle():
@@ -152,7 +157,7 @@ def test_cubical_agrees_with_hochster_exhaustively_m3():
     for k in all_complexes(3):
         want = dims(hochster_real_betti(k))
         assert dims(build_cubical(k).betti()) == want
-        assert dims(subdivided_model(k).betti()) == want
+        assert cube_betti(cube_cells(k, k.ambient)) == want
 
 
 def test_cubical_agrees_with_hochster_on_ghosts():
@@ -160,61 +165,75 @@ def test_cubical_agrees_with_hochster_on_ghosts():
         k = SimplicialComplex.from_facets(m, facets)
         want = dims(hochster_real_betti(k))
         assert dims(build_cubical(k).betti()) == want
-        assert dims(subdivided_model(k).betti()) == want
+        assert cube_betti(cube_cells(k, k.ambient)) == want
+
+
+def assert_boundaries_are_the_oracles(model):
+    for cells in model.cells_by_dim:
+        for cell in cells:
+            got = [decode_cell(b, model.ambient) for b in model.boundary(cell)]
+            assert sorted(got) == sorted(cube_boundary(decode_cell(cell, model.ambient)))
+
+
+def fixed_by_oracle(k, i_mask, cut):
+    """Betti numbers of the oracle's cells at 0 on I, the model cut along ``cut``."""
+    return cube_betti(cells_at_zero(cube_cells(k, cut), i_mask))
 
 
 def test_fixed_points_of_triangle_boundary_single_coordinate():
     # the fixed set of the first coordinate reflection is a circle
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    c = subdivided_model(tri)
-    f = c.fixed_subcomplex(0b001)
+    f = build_cubical(tri).fixed_subcomplex(0b001)
     assert dims(f.betti()) == [1, 1]
+    assert fixed_by_oracle(tri, 0b001, tri.ambient) == [1, 1]
     assert dims(fixed_betti_via_link(tri, 0b001)) == [1, 1]
 
 
 def test_fixed_points_of_triangle_boundary_edge():
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    c = subdivided_model(tri)
-    f = c.fixed_subcomplex(0b011)
+    f = build_cubical(tri).fixed_subcomplex(0b011)
     assert dims(f.betti()) == [2]
+    assert fixed_by_oracle(tri, 0b011, tri.ambient) == [2]
     assert dims(fixed_betti_via_link(tri, 0b011)) == [2]
 
 
 def test_fixed_points_of_non_face_are_empty():
     two = SimplicialComplex.from_facets(2, [[1], [2]])
-    c = subdivided_model(two)
-    assert c.fixed_subcomplex(0b11).counts() == ()
+    assert build_cubical(two).fixed_subcomplex(0b11).counts() == ()
+    assert cells_at_zero(cube_cells(two, two.ambient), 0b11) == set()
     assert fixed_betti_via_link(two, 0b11).total == 0
 
 
 def test_fixed_points_of_two_points_single_coordinate():
     two = SimplicialComplex.from_facets(2, [[1], [2]])
     assert dims(fixed_betti_via_link(two, 0b01)) == [2]
-    c = subdivided_model(two)
-    assert dims(c.fixed_subcomplex(0b01).betti()) == [2]
+    assert dims(build_cubical(two).fixed_subcomplex(0b01).betti()) == [2]
+    assert fixed_by_oracle(two, 0b01, two.ambient) == [2]
 
 
 def test_fixed_subcomplex_of_empty_coordinate_set_is_everything():
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    c = subdivided_model(tri)
-    assert cell_set(c.fixed_subcomplex(0)) == cell_set(c)
+    c = build_cubical(tri)
+    assert decode_cells(c.fixed_subcomplex(0)) == decode_cells(c) == cube_cells(tri, 0)
+    assert_boundaries_are_the_oracles(c)
     assert dims(fixed_betti_via_link(tri, 0)) == dims(hochster_real_betti(tri))
 
 
 def test_fixed_subcomplex_of_plain_model_matches_subdivided_model():
-    # cutting the plain model along I alone gives the same fixed set
+    # cutting the plain model along I alone gives the fixed set of the
+    # model cut along every coordinate
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-    plain, fine = build_cubical(tri), subdivided_model(tri)
+    plain = build_cubical(tri)
     # over the faces {1}, {1,2}, {1,3}: 4 points and 4 arcs, a circle
     assert plain.fixed_subcomplex(0b001).counts() == (4, 4)
     for i_mask in submasks(tri.ambient):
-        want = dims(fine.fixed_subcomplex(i_mask).betti())
+        want = fixed_by_oracle(tri, i_mask, tri.ambient)
         assert dims(plain.fixed_subcomplex(i_mask).betti()) == want
 
 
 def test_fixed_betti_matches_cubical_exhaustively_m3():
     for k in all_complexes(3):
-        c = subdivided_model(k)
+        c = build_cubical(k)
         for i_mask in submasks(k.vertices_mask):
             link_side = fixed_betti_via_link(k, i_mask)
             cube_side = c.fixed_subcomplex(i_mask).betti()
@@ -223,40 +242,14 @@ def test_fixed_betti_matches_cubical_exhaustively_m3():
             assert link_side.total <= hochster_real_betti(k).total
 
 
-def rebuilt_fixed_betti(model, i_mask):
-    """Reference: filter the model's cells by a full scan, index them
-    afresh and rank boundary matrices over those indices alone."""
-    sel = sum(7 << (3 * (v - 1)) for v in mask_vertices(i_mask))
-    want = sum(1 << (3 * (v - 1)) for v in mask_vertices(i_mask))
-    cells = [[c for c in part if c & sel == want] for part in model.cells_by_dim]
-    while cells and not cells[-1]:
-        cells.pop()
-    ranks = [0] * (len(cells) + 1)
-    for d in range(1, len(cells)):
-        index = {c: i for i, c in enumerate(cells[d - 1])}
-        rows = []
-        for cell in cells[d]:
-            row = 0
-            for child in model.boundary(cell):
-                row ^= 1 << index[child]
-            rows.append(row)
-        ranks[d] = f2.rank(rows, len(index))
-    dims = [len(cells[d]) - ranks[d] - ranks[d + 1] for d in range(len(cells))]
-    while dims and not dims[-1]:
-        dims.pop()
-    return frozenset(c for part in cells for c in part), dims
-
-
 def test_fixed_subcomplex_rows_match_rebuilt_complex_and_link():
-    # the fixed subcomplex of the full subdivision, a complex rebuilt
-    # from its model's cells by a full scan, and the link formula agree
+    # the fixed cells ranked by the package, the oracle's cells at 0 on I,
+    # rebuilt and ranked from the model cut along I, and the link formula
     for m in range(1, 5):
         for k in all_complexes(m):
-            c = subdivided_model(k)
             for i_mask in submasks(k.ambient):
-                fixed = c.fixed_subcomplex(i_mask)
-                cells, want = rebuilt_fixed_betti(c, i_mask)
-                assert cell_set(fixed) == cells, (k, i_mask)
+                want = fixed_by_oracle(k, i_mask, i_mask)
+                fixed = build_cubical(k).fixed_subcomplex(i_mask)
                 assert dims(fixed.betti()) == want, (k, i_mask)
                 assert dims(fixed_betti_via_link(k, i_mask)) == want, (k, i_mask)
 
@@ -264,15 +257,32 @@ def test_fixed_subcomplex_rows_match_rebuilt_complex_and_link():
 def test_fixed_subcomplex_cut_along_i_equals_the_full_subdivision():
     for m in range(1, 5):
         for k in all_complexes(m):
-            fine = subdivided_model(k)
+            fine = cube_cells(k, k.ambient)
             for i_mask in submasks(k.ambient):
                 fixed = build_cubical(k).fixed_subcomplex(i_mask)
-                _, want = rebuilt_fixed_betti(fine, i_mask)
+                want = cube_betti(cells_at_zero(fine, i_mask))
                 assert dims(fixed.betti()) == want, (k, i_mask)
-                assert dims(fine.fixed_subcomplex(i_mask).betti()) == want, (k, i_mask)
                 # one cell per face sigma containing I and sign pattern off sigma
                 sizes = [2 ** (m - f.bit_count()) for f in k.faces() if f & i_mask == i_mask]
                 assert sum(fixed.counts()) == sum(sizes), (k, i_mask)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, (1 << m) - 1), max_size=5))
+))
+def test_fixed_cells_are_the_oracle_cells_at_zero_on_i(case):
+    # for every I, each cell of the package's fixed set, decoded into
+    # intervals, is a cell at 0 on I of the oracle model cut along I, each
+    # such cell is listed exactly once, and each boundary is the oracle's
+    m, facets = case
+    k = SimplicialComplex((1 << m) - 1, facets)
+    for i_mask in submasks(k.ambient):
+        fixed = build_cubical(k).fixed_subcomplex(i_mask)
+        cells = decode_cells(fixed)
+        assert cells == cells_at_zero(cube_cells(k, i_mask), i_mask), i_mask
+        assert fixed.counts() == cube_counts(cells), i_mask
+        assert_boundaries_are_the_oracles(fixed)
 
 
 @pytest.mark.parametrize("i_set", [[], [1, 2]])
@@ -378,25 +388,24 @@ def test_the_same_star_of_i_shares_one_cubical_entry(monkeypatch):
     assert len(ranked) == 3
 
 
-def test_zero_and_subdivide_are_in_the_cubical_memo_key(monkeypatch):
+def test_zero_is_in_the_cubical_memo_key(monkeypatch):
     ranked = spy_ranks(monkeypatch)
     k = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
-    star = build_cubical(k).fixed_subcomplex(0b0010)
-    # the same star of {2}, cut along I alone and along every coordinate:
-    # other cells, the same homotopy type, two entries
-    cut = CubicalComplex(k.ambient, star.faces, k.ambient, star.zero)
-    assert star.faces == cut.faces and star.zero == cut.zero
-    assert star.counts() != cut.counts()
-    assert star.betti() == cut.betti() == fixed_betti_via_link(k, 0b0010)
-    assert ranked == [star, cut]
-    # {1, 3} and {1, 4} are no faces: no faces and no cells, cut alike,
-    # held at 0 on other coordinates, two entries
-    model = CubicalComplex(k.ambient, k.faces(), 0b1101, 0)
-    empty = [model.fixed_subcomplex(i) for i in (0b0101, 0b1001)]
+    # {1, 3} and {1, 4} are no faces: no faces and no cells, held at 0 on
+    # other coordinates, two entries
+    empty = [build_cubical(k).fixed_subcomplex(i) for i in (0b0101, 0b1001)]
     assert empty[0].faces == empty[1].faces == ()
-    assert empty[0].subdivide == empty[1].subdivide
+    assert empty[0].zero != empty[1].zero
     assert [c.betti().total for c in empty] == [0, 0]
-    assert ranked[2:] == empty
+    assert ranked == empty
+
+
+def test_the_repr_of_a_model_generates_no_cell():
+    k = SimplicialComplex.from_facets(8, [[1, 2, 3], [4, 5, 6], [7, 8]])
+    model = build_cubical(k)
+    assert repr(model) == f"CubicalComplex(m=8, zero=0b0, faces={len(k.faces())})"
+    assert repr(model.fixed_subcomplex(0b11)) == "CubicalComplex(m=8, zero=0b11, faces=2)"
+    assert model._cells is None
 
 
 def test_a_cubical_entry_is_the_star_of_i_not_its_link(monkeypatch):
@@ -468,19 +477,20 @@ def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():
             size = rng.randint(1, min(m, 3))
             facets.append(rng.sample(range(1, m + 1), size))
         k = SimplicialComplex.from_facets(m, facets)
-        c = subdivided_model(k)
+        fine = cube_cells(k, k.ambient)
         gens = [rng.getrandbits(m) for _ in range(rng.randint(0, 3))]
-        fixed = cell_set(c)
+        fixed = fine
         hull = 0
-        view = c
+        view = build_cubical(k)
         for g in gens:
-            fixed &= cell_set(c.fixed_subcomplex(g))
+            fixed = fixed & cells_at_zero(fine, g)
             hull |= g
             view = view.fixed_subcomplex(g)
-        assert fixed == cell_set(c.fixed_subcomplex(hull))
-        # a fixed subcomplex of a fixed subcomplex is fixed by both
-        assert cell_set(view) == fixed
-        assert dims(view.betti()) == dims(c.fixed_subcomplex(hull).betti())
+        assert fixed == cells_at_zero(fine, hull)
+        # a fixed subcomplex of a fixed subcomplex is fixed by both: the
+        # oracle's cells at 0 on the hull, cut along the hull
+        assert decode_cells(view) == cells_at_zero(cube_cells(k, hull), hull)
+        assert dims(view.betti()) == cube_betti(fixed)
 
 
 def test_hochster_cap(monkeypatch):
