@@ -23,7 +23,7 @@ from . import census as census_mod
 from . import formality, moment_angle
 from .f2 import Subgroup
 from .group_report import coabelian_report
-from .simplicial import CAPS, Graph, SimplicialComplex, cap, label_mask
+from .simplicial import Graph, SimplicialComplex, label_mask, read_caps_once
 
 EXIT_INPUT_ERROR = 3
 
@@ -189,9 +189,8 @@ def run(argv: Iterable[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
-        for name in CAPS:  # a malformed cap is bad input for every command
-            cap(name)
-        return args.func(args)
+        with read_caps_once():  # a malformed cap is bad input for every command
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -6,7 +6,10 @@ Conventions for the augmented cochain complex:
   cohomology F2 there and a nonvoid complex with a vertex has none;
 * the void complex has no faces and zero cohomology everywhere.
 
-Betti numbers come from one column reduction, ``add_faces``. Shared
+Betti numbers come from one column reduction, ``add_faces``: of a whole
+face list in ``hom_data``, and of the faces each J ∪ v adds to K_J in
+the Hochster walk, which sums the Betti changes per (|J ∪ v|, vertices
+above v). Shared
 results follow one policy, ``memoized``: each cache keeps its last
 ``MEMO_BOUND`` entries, each keyed by the exact data it is computed
 from. ``_hom_cache`` holds the restriction test's face lists, keyed by
@@ -105,8 +108,10 @@ def add_faces(faces, columns, pivots: dict[int, int], betti: list[int], added: l
     """Reduce the columns of ``faces`` into ``pivots``, keyed by highest bit.
 
     A d-face bears a d-cycle if its column reduces to zero and else kills
-    a (d-1)-class; ``betti[d + 1]`` counts β̃_d, exact whenever the faces
-    added so far form a complex. New pivot keys go to ``added``.
+    a (d-1)-class. ``betti[d + 1]`` gains the change in β̃_d; it is exact
+    whenever the faces added so far, with those reduced before, form a
+    complex, so rows may sum the changes of many calls. New pivot keys
+    go to ``added``, so deleting them undoes the call.
     """
     for f in faces:
         col = columns[f]

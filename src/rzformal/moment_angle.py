@@ -25,6 +25,8 @@ models with up to 3^m cells, and census enumeration.
 
 from __future__ import annotations
 
+from math import comb
+
 from . import f2
 from .cohomology import BettiTable, add_faces, boundary_columns, memoized
 from .simplicial import SimplicialComplex, check_cap, submasks
@@ -42,44 +44,68 @@ def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
 
 
 def _walk_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
-    """Real and complex tables from one walk of ``k.full_subcomplexes()``.
+    """Real and complex tables from one depth-first walk over the J ⊆ V(K).
 
     β̃_d(K_J) adds to degree d + 1 of the real space, d + |J| + 1 of the
-    complex one. Only the faces J adds to its parent's are reduced, and
-    leaving J undoes them. A ghost vertex is a factor S^0, resp. S^1.
+    complex one. Entering J ∪ v, v above top(J), reduces only its new
+    faces, ``k.faces_by_top()[v]`` inside J ∪ v, into the one pivot dict,
+    and leaving it deletes the pivots it added. ``add_faces`` adds the
+    change that J ∪ v makes to its parent's Betti row to a bucket keyed
+    by (|J ∪ v|, a), a the vertices above v. That change recurs in each
+    of the 2^a sets J ∪ v ∪ S, S above v, and C(a, i) of them have
+    |S| = i: so the real table takes change · 2^a, and the complex one
+    change · C(a, i) at degree + |J ∪ v| + i. A ghost vertex g gives
+    K_(J ∪ g) = K_J, a factor S^0, resp. S^1, so ghosts add to a.
+    The walk keeps one frame per vertex on its current path, on an
+    explicit stack, so no vertex count meets the recursion limit.
+
     A cone is walked once, as the link L of its apexes A: a K_J that
     meets A is a cone, any other is L_J, and L keeps K's ghosts.
     """
     apexes = k.apexes
     if apexes:
         return _hochster_tables(k.link(apexes))
-    columns = boundary_columns(k.faces())
-    size = k.dim + 2  # β̃_d sits at d + 1
-    betti, real, cplx = [0] * size, [0] * size, [0] * (size + k.m)
+    faces = k.faces()
+    columns = boundary_columns(faces)
+    tops = k.faces_by_top()
+    n, ghosts = k.vertices_mask.bit_count(), k.ghost_mask.bit_count()
+    width = k.dim + 2  # β̃_d sits at d + 1
+    # changes[s][a]: the Betti changes of the J with s vertices, a of V above top(J)
+    changes = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
     pivots: dict[int, int] = {}
     added: list[int] = []
-    path = []  # J, face count, len(added) and betti before J, down to here
-    for j_mask, faces in k.full_subcomplexes():
-        parent = j_mask ^ (1 << j_mask.bit_length() >> 1)
-        while path and path[-1][0] != parent:
-            _, _, n, betti = path.pop()
-            for p in added[n:]:
-                del pivots[p]
-            del added[n:]
-        start = path[-1][1] if path else 0
-        path.append((j_mask, len(faces), len(added), betti[:]))
-        add_faces(faces[start:], columns, pivots, betti, added)
-        shift = j_mask.bit_count()
-        for d, b in enumerate(betti):
-            if b:
-                real[d] += b
-                cplx[d + shift] += b
-    ghosts = k.ghost_mask.bit_count()
-    for _ in range(ghosts):  # times (1 + t)^ghosts
-        for d in range(len(cplx) - 1, 0, -1):
-            cplx[d] += cplx[d - 1]
-    real = {d: b << ghosts for d, b in enumerate(real)}
-    return BettiTable.from_dict(real, 0), BettiTable.from_dict(dict(enumerate(cplx)), 0)
+    add_faces(faces[:1], columns, pivots, changes[0][n], added)  # K_∅
+    # per J on the path: J, the vertices above top(J) still to append, and
+    # len(added) once K_J is in
+    frames = [[0, k.vertices_mask, len(added)]]
+    while frames:
+        frame = frames[-1]
+        j_mask, above, mark = frame
+        for p in added[mark:]:  # leave J's last child
+            del pivots[p]
+        del added[mark:]
+        if not above:
+            frames.pop()
+            continue
+        v = above & -above
+        frame[1] = above = above ^ v
+        grown = j_mask | v
+        new = [f for f in tops[v] if f | grown == grown]
+        add_faces(new, columns, pivots, changes[len(frames)][above.bit_count()], added)
+        if above:
+            frames.append([grown, above, len(added)])
+    real, cplx = [0] * width, [0] * (width + k.m)
+    for s, by_above in enumerate(changes):
+        for a, row in enumerate(by_above, ghosts):
+            for d, b in enumerate(row):
+                if b:
+                    real[d] += b << a
+                    for i in range(a + 1):
+                        cplx[d + s + i] += b * comb(a, i)
+    return (
+        BettiTable.from_dict(dict(enumerate(real)), 0),
+        BettiTable.from_dict(dict(enumerate(cplx)), 0),
+    )
 
 
 def hochster_real_betti(k: SimplicialComplex) -> BettiTable:
@@ -127,7 +153,10 @@ class CubicalComplex:
     {0}, 2 is {1} and 3 is [-1,1]. Besides the face masks, a complex
     keeps ``zero``, the coordinates held at 0. Every face sigma must
     contain ``zero``; its cells carry {0} on ``zero``, [-1,1] on the rest
-    of sigma, and -1 or 1 off sigma. The cells are generated on first use.
+    of sigma, and -1 or 1 off sigma. The faces must be closed under
+    removing a vertex outside ``zero``, so that the cells are closed
+    under taking boundaries. The cells are generated on first use, and
+    ``betti`` raises ValueError at a boundary cell that is missing.
     """
 
     def __init__(self, ambient: int, faces: tuple[int, ...], zero: int):
@@ -192,8 +221,14 @@ class CubicalComplex:
             rows = []
             for cell in by_dim[d]:
                 row = 0
-                for child in self.boundary(cell):
-                    row ^= 1 << column[child]
+                try:
+                    for child in self.boundary(cell):
+                        row ^= 1 << column[child]
+                except KeyError:  # a boundary cell with no face of its own
+                    raise ValueError(
+                        "every face of a cubical model must contain zero, and the "
+                        "faces must be closed under removing vertices outside zero"
+                    ) from None
                 rows.append(row)
             ranks[d] = f2.rank(rows, len(column))
         return BettiTable.from_dict(

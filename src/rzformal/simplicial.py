@@ -13,6 +13,7 @@ faces at all, and the complex {}, whose only face is the empty one.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 
@@ -66,8 +67,11 @@ CAPS = {
 }
 
 
-def cap(name: str) -> int:
-    """The vertex cap ``name``: its variable, else its default."""
+# the caps of the running command, read once by ``read_caps_once``; None outside one
+_read_caps: dict[str, int] | None = None
+
+
+def _cap_from_env(name: str) -> int:
     env, default, _ = CAPS[name]
     raw = os.environ.get(env)
     if raw is None:
@@ -75,6 +79,33 @@ def cap(name: str) -> int:
     if not (raw.isascii() and raw.isdigit()):
         raise ValueError(f"{env} must be a non-negative integer, got {raw!r}")
     return int(raw)
+
+
+def cap(name: str) -> int:
+    """The vertex cap ``name``: its variable, else its default.
+
+    Within ``read_caps_once``, the value read as the block began; outside,
+    as in a library call, the variable as it is now.
+    """
+    if _read_caps is not None:
+        return _read_caps[name]
+    return _cap_from_env(name)
+
+
+@contextmanager
+def read_caps_once() -> Iterator[None]:
+    """Read every cap once, now; ``cap`` returns these values until the block ends.
+
+    A malformed variable raises here. Forked workers inherit the values;
+    a spawned one reads the environment again, which holds the same.
+    """
+    global _read_caps
+    outer = _read_caps
+    _read_caps = {name: _cap_from_env(name) for name in CAPS}
+    try:
+        yield
+    finally:
+        _read_caps = outer
 
 
 def _over_listing_cap(what: str) -> ValueError:
@@ -298,18 +329,30 @@ class SimplicialComplex:
         """
         return tuple(f for f in self.faces() if f & ~j_mask == 0)
 
-    def full_subcomplexes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(J, faces of K_J) for each J ⊆ ``vertices_mask`` once, lexicographic in J.
+    def faces_by_top(self) -> dict[int, list[int]]:
+        """Nonempty faces grouped by top vertex v (a one-bit mask), ascending by mask.
 
-        Depth first: K_(J ∪ v), v above J, adds the faces in J ∪ v with
-        top vertex v, so faces ascend by mask. K_∅ is (0,), or () if K is
-        void.
+        The faces of K_(J ∪ v), v above J, are those of K_J and the faces of
+        group v inside J ∪ v; a face's boundary faces come before it, in
+        K_J or earlier in its group. Read by both walks over vertex subsets.
         """
         tops = self._cache.get("tops")
-        if tops is None:  # nonempty faces by top vertex
+        if tops is None:
             tops = self._cache["tops"] = {}
             for f in sorted(self.faces()[1:]):
                 tops.setdefault(1 << f.bit_length() >> 1, []).append(f)
+        return tops
+
+    def full_subcomplexes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(J, faces of K_J) for each J ⊆ ``vertices_mask`` once, lexicographic in J.
+
+        Depth first: K_(J ∪ v), v above J, adds the faces of
+        ``faces_by_top()[v]`` in J ∪ v, so faces ascend by mask. K_∅ is
+        (0,), or () if K is void. Only the general criterion iterates it:
+        it needs each K_J's face list, where the Hochster walk in
+        ``moment_angle`` needs only each J's new faces.
+        """
+        tops = self.faces_by_top()
         stack = [(0, self.faces()[:1], self.vertices_mask)]
         pop, push = stack.pop, stack.append
         while stack:

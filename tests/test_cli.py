@@ -7,11 +7,12 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import rzformal
-from rzformal import SimplicialComplex, census
+from rzformal import SimplicialComplex, census, simplicial
 from rzformal.cli import run
 from rzformal.cohomology import BettiTable
 from rzformal.moment_angle import CubicalComplex
@@ -405,6 +406,27 @@ def test_the_cubical_cap_is_read_before_a_memoized_cross_check(files, capsys, mo
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "RZFORMAL_CUBICAL_CAP must be a non-negative integer" in captured.err
+
+
+def test_one_command_reads_each_cap_variable_once(files, capsys, monkeypatch):
+    # a census asks for its caps once per record and more; the command
+    # reads the environment once, and a library call after it reads it anew
+    tmp, _ = files
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(simplicial, "os", SimpleNamespace(environ=Environ(os.environ)))
+    argv = ["census", "--max-vertices", "3", "--out", str(tmp / "c.jsonl")]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert sorted(reads) == sorted(env for env, _, _ in CAPS.values())
+    reads.clear()
+    simplicial.check_cap("hochster", 3)
+    assert reads == ["RZFORMAL_HOCHSTER_CAP"]
 
 
 def test_the_package_runs_as_a_module(files, capsys):

@@ -34,6 +34,7 @@ from rzformal import (
     fixed_betti_via_link,
     hochster_complex_betti,
     hochster_real_betti,
+    moment_angle,
     torus_oracle,
 )
 from rzformal.census import all_complexes
@@ -316,13 +317,13 @@ def test_oracle_builds_and_ranks_only_the_fixed_cells(monkeypatch, i_set):
 
 def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
     walked = []
-    walk = SimplicialComplex.full_subcomplexes
+    walk = moment_angle._walk_tables
 
     def counted(c):
         walked.append(c)
         return walk(c)
 
-    monkeypatch.setattr(SimplicialComplex, "full_subcomplexes", counted)
+    monkeypatch.setattr(moment_angle, "_walk_tables", counted)
     cohomology.clear_caches()
     k = Graph.cycle(4).clique_complex()
     hochster_real_betti(k)
@@ -400,6 +401,18 @@ def test_zero_is_in_the_cubical_memo_key(monkeypatch):
     assert ranked == empty
 
 
+def test_a_model_of_faces_not_closed_off_zero_names_its_precondition():
+    # the star of {2} in the path 1-2-3-4 is closed off zero = {2} only:
+    # with zero = 0 the edge cells' ends at x_2 = ±1 have no face, and
+    # with zero = {3} no face holds 3
+    k = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
+    star = build_cubical(k).fixed_subcomplex(0b0010)
+    assert star.betti() == fixed_betti_via_link(k, 0b0010)
+    for zero in (0, 0b0100):
+        with pytest.raises(ValueError, match="must contain zero.*closed under removing"):
+            CubicalComplex(k.ambient, star.faces, zero).betti()
+
+
 def test_the_repr_of_a_model_generates_no_cell():
     k = SimplicialComplex.from_facets(8, [[1, 2, 3], [4, 5, 6], [7, 8]])
     model = build_cubical(k)
@@ -421,8 +434,24 @@ def test_a_cubical_entry_is_the_star_of_i_not_its_link(monkeypatch):
     assert len(ranked) == 2
 
 
+def every_subset_tables(c):
+    """Hochster's real and complex sums over every J ⊆ ambient, ranked densely."""
+    real, cplx = {}, {}
+    for j in submasks(c.ambient):
+        faces = {frozenset(mask_vertices(f)) for f in c.subfaces(j)}
+        for d, b in reduced_betti_dense(faces).items():
+            real[d + 1] = real.get(d + 1, 0) + b
+            shift = d + j.bit_count() + 1
+            cplx[shift] = cplx.get(shift, 0) + b
+    return BettiTable.from_dict(real, 0), BettiTable.from_dict(cplx, 0)
+
+
 def test_pruned_hochster_sums_equal_the_sum_over_every_subset():
+    # the walk weights the change of each J ∪ v by the 2^a, resp. C(a, i),
+    # sets below it, a the vertices above v and the ghosts; m = 8..10 puts
+    # a at 7 and more
     rng = random.Random(31)
+    cases = []
     for n in range(80):
         m = rng.randint(2, 7)
         top = m - 1 if n % 2 else m
@@ -432,17 +461,22 @@ def test_pruned_hochster_sums_equal_the_sum_over_every_subset():
         ]
         if n % 2:
             facets = [f + [m] for f in facets]  # a cone over vertex m
+        cases.append((m, facets))
+    for n in range(6):  # plain, a cone over vertex m, then two ghosts 1 and 2
+        m = 8 + n % 3
+        low, top = (3, m) if n % 3 == 2 else (1, m - n % 3)
+        facets = [rng.sample(range(low, top + 1), rng.randint(1, 4)) for _ in range(m)]
+        if n % 3 == 1:
+            facets = [f + [m] for f in facets]
+        cases.append((m, facets))
+    ghosted = 0
+    for m, facets in cases:
         k = SimplicialComplex.from_facets(m, facets)
         for c in (k, k.link(k.facets[-1] & -k.facets[-1])):
-            real, cplx = {}, {}
-            for j in submasks(c.ambient):
-                faces = {frozenset(mask_vertices(f)) for f in c.subfaces(j)}
-                for d, b in reduced_betti_dense(faces).items():
-                    real[d + 1] = real.get(d + 1, 0) + b
-                    shift = d + j.bit_count() + 1
-                    cplx[shift] = cplx.get(shift, 0) + b
-            assert hochster_real_betti(c) == BettiTable.from_dict(real, 0)
-            assert hochster_complex_betti(c) == BettiTable.from_dict(cplx, 0)
+            ghosted += c.ghost_mask != 0 and c.m >= 8
+            want = every_subset_tables(c)
+            assert (hochster_real_betti(c), hochster_complex_betti(c)) == want, (m, facets)
+    assert ghosted >= 4
 
 
 def test_ghost_vertices_multiply_the_tables_exactly():
