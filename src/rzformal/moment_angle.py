@@ -3,7 +3,10 @@
 The real moment-angle complex of K sits inside the cube [-1,1]^m; its
 F2 Betti numbers decompose over vertex subsets J as reduced cohomology
 of the full subcomplexes K_J (degree shift 1). The complex version has
-shift |J| + 1 and the same total dimension.
+shift |J| + 1 and the same total dimension. Both are read off the sums
+T[s][d] of β̃_d(K_J) over the J with |J| = s. A vertex in one facet only
+changes these sums by a closed form, so such vertices are peeled off
+first, and the walk over the J visits only the core that is left.
 
 ``CubicalComplex`` recomputes these numbers from cells of the cube: a
 2-bit code per coordinate names one of the points {-1}, {0}, {1} or the
@@ -44,32 +47,97 @@ def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
 
 
 def _walk_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
-    """Real and complex tables from one depth-first walk over the J ⊆ V(K).
+    """Real and complex tables from the sums T[s][d] = Σ_{|J|=s} β̃_d(K_J).
 
     β̃_d(K_J) adds to degree d + 1 of the real space, d + |J| + 1 of the
-    complex one. Entering J ∪ v, v above top(J), reduces only its new
-    faces, ``k.faces_by_top()[v]`` inside J ∪ v, into the one pivot dict,
-    and leaving it deletes the pivots it added. ``add_faces`` adds the
-    change that J ∪ v makes to its parent's Betti row to a bucket keyed
-    by (|J ∪ v|, a), a the vertices above v. That change recurs in each
-    of the 2^a sets J ∪ v ∪ S, S above v, and C(a, i) of them have
-    |S| = i: so the real table takes change · 2^a, and the complex one
-    change · C(a, i) at degree + |J ∪ v| + i. A ghost vertex g gives
-    K_(J ∪ g) = K_J, a factor S^0, resp. S^1, so ghosts add to a.
-    The walk keeps one frame per vertex on its current path, on an
-    explicit stack, so no vertex count meets the recursion limit.
-
-    A cone is walked once, as the link L of its apexes A: a K_J that
-    meets A is a cone, any other is L_J, and L keeps K's ghosts.
+    complex one. A cone is walked once, as the link L of its apexes A: a
+    K_J that meets A is a cone, any other is L_J, and L keeps K's ghosts.
+    Otherwise ``_peel`` takes off free vertices, ``_core_sums`` walks the
+    core left, and each peeled vertex w, in the reverse order, turns the
+    sums of K ∖ w into those of K (see ``_peel``). A ghost vertex g gives
+    K_(J ∪ g) = K_J, so it multiplies the sums by 1 + x, x counting |J|.
     """
     apexes = k.apexes
     if apexes:
         return _hochster_tables(k.link(apexes))
-    faces = k.faces()
-    columns = boundary_columns(faces)
-    tops = k.faces_by_top()
-    n, ghosts = k.vertices_mask.bit_count(), k.ghost_mask.bit_count()
+    core, peels = _peel(k)
     width = k.dim + 2  # β̃_d sits at d + 1
+    sums = _core_sums(core, width)
+    for n, f in reversed(peels):
+        sums = _times_one_plus_x(sums)
+        sums[1][0] -= 1  # K_w is a point, not {}
+        for s in range(2, n + 1):  # J ≠ ∅ missing F ∖ w: w is a new component
+            sums[s][1] += comb(n - 1 - f, s - 1)
+    for _ in range(k.ghost_mask.bit_count()):
+        sums = _times_one_plus_x(sums)
+    real, cplx = [0] * width, [0] * (width + k.m)
+    for s, row in enumerate(sums):
+        for d, b in enumerate(row):
+            real[d] += b
+            cplx[d + s] += b
+    return (
+        BettiTable.from_dict(dict(enumerate(real)), 0),
+        BettiTable.from_dict(dict(enumerate(cplx)), 0),
+    )
+
+
+def _times_one_plus_x(sums: list[list[int]]) -> list[list[int]]:
+    """The sums over J ⊆ V ∪ w when K_(J ∪ w) = K_J: row s gains row s - 1."""
+    zero = [0] * len(sums[0])
+    pairs = zip(sums + [zero], [zero] + sums)
+    return [[a + b for a, b in zip(row, below)] for row, below in pairs]
+
+
+def _peel(k: SimplicialComplex) -> tuple[SimplicialComplex, list[tuple[int, int]]]:
+    """The core of ``k`` left by peeling free vertices, and (n, f) per vertex peeled.
+
+    A free vertex w lies in one facet F, so for J ⊆ V ∖ w, K_(J ∪ w) is
+    K_J with w coned onto the simplex (F ∖ w) ∩ J: a homotopy equivalent
+    complex if J meets F ∖ w, one more component if J ≠ ∅ does not, and
+    a point if J = ∅. With n the vertices of K, w among them, and
+    f = |F ∖ w|, the sums of K are (1 + x) times those of K ∖ w, plus
+    C(n - 1 - f, s - 1) at β̃_0 of each s ≥ 2, minus 1 at β̃_-1 of s = 1.
+    The vertices in one facet only are those in ``once`` and not in
+    ``twice``; a round peels all of them, and peeling can free more.
+    """
+    peels = []
+    core = k
+    while True:
+        once = twice = 0
+        for face in core.facets:
+            twice |= once & face
+            once |= face
+        free = once & ~twice
+        if not free:
+            return core, peels
+        rest = core.vertices_mask
+        for face in core.facets:
+            own = face & free
+            while own:
+                w = own & -own
+                own ^= w
+                peels.append((rest.bit_count(), (face & rest).bit_count() - 1))
+                rest ^= w
+        core = SimplicialComplex(rest, [face & rest for face in core.facets])
+
+
+def _core_sums(core: SimplicialComplex, width: int) -> list[list[int]]:
+    """The sums T[s][d + 1] over J ⊆ V(core), from one depth-first walk.
+
+    Entering J ∪ v, v above top(J), reduces only its new faces,
+    ``core.faces_by_top()[v]`` inside J ∪ v, into the one pivot dict, and
+    leaving it deletes the pivots it added. ``add_faces`` adds the change
+    that J ∪ v makes to its parent's Betti row to a bucket keyed by
+    (|J ∪ v|, a), a the vertices above v. That change recurs in each of
+    the 2^a sets J ∪ v ∪ S, S above v, and C(a, i) of them have |S| = i,
+    so it adds to row |J ∪ v| + i with weight C(a, i). The walk keeps one
+    frame per vertex on its current path, on an explicit stack, so no
+    vertex count meets the recursion limit.
+    """
+    faces = core.faces()
+    columns = boundary_columns(faces)
+    tops = core.faces_by_top()
+    n = core.vertices_mask.bit_count()
     # changes[s][a]: the Betti changes of the J with s vertices, a of V above top(J)
     changes = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
     pivots: dict[int, int] = {}
@@ -77,7 +145,7 @@ def _walk_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
     add_faces(faces[:1], columns, pivots, changes[0][n], added)  # K_∅
     # per J on the path: J, the vertices above top(J) still to append, and
     # len(added) once K_J is in
-    frames = [[0, k.vertices_mask, len(added)]]
+    frames = [[0, core.vertices_mask, len(added)]]
     while frames:
         frame = frames[-1]
         j_mask, above, mark = frame
@@ -94,18 +162,14 @@ def _walk_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
         add_faces(new, columns, pivots, changes[len(frames)][above.bit_count()], added)
         if above:
             frames.append([grown, above, len(added)])
-    real, cplx = [0] * width, [0] * (width + k.m)
+    sums = [[0] * width for _ in range(n + 1)]
     for s, by_above in enumerate(changes):
-        for a, row in enumerate(by_above, ghosts):
+        for a, row in enumerate(by_above):
             for d, b in enumerate(row):
                 if b:
-                    real[d] += b << a
                     for i in range(a + 1):
-                        cplx[d + s + i] += b * comb(a, i)
-    return (
-        BettiTable.from_dict(dict(enumerate(real)), 0),
-        BettiTable.from_dict(dict(enumerate(cplx)), 0),
-    )
+                        sums[s + i][d] += b * comb(a, i)
+    return sums
 
 
 def hochster_real_betti(k: SimplicialComplex) -> BettiTable:
@@ -142,10 +206,6 @@ def _spread(mask: int, code: int) -> int:
     return out
 
 
-# the end codes of each code: [-1,1] has ends {-1} and {1}; points have none
-_ENDS = ((), (), (), (0, 2))
-
-
 class CubicalComplex:
     """A cubical complex in [-1,1]^m read off the faces of one complex.
 
@@ -163,6 +223,8 @@ class CubicalComplex:
         self.ambient = ambient
         self.faces = faces
         self.zero = zero
+        # bit 0 of the 2-bit field of every coordinate up to the top one
+        self._field_lows = ((1 << 2 * ambient.bit_length()) - 1) // 3
         self._cells: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -182,8 +244,8 @@ class CubicalComplex:
         for face in self.faces:
             free = face & ~zero
             low = held + _spread(free, 3)
-            signs = submasks(self.ambient & ~face)
-            by_dim[free.bit_count()] += [low + _spread(s, 2) for s in signs]
+            signs = submasks(_spread(self.ambient & ~face, 2))
+            by_dim[free.bit_count()] += [low + s for s in signs]
         while by_dim and not by_dim[-1]:
             by_dim.pop()
         return tuple(tuple(cells) for cells in by_dim)
@@ -192,14 +254,18 @@ class CubicalComplex:
         return tuple(len(cells) for cells in self.cells_by_dim)
 
     def boundary(self, cell: int) -> list[int]:
-        """Cells of one dimension lower in the F2 boundary of ``cell``."""
+        """Cells of one dimension lower in the F2 boundary of ``cell``.
+
+        Code 3 has both bits of its field set, so ``cell & cell >> 1`` holds
+        bit 0 of exactly the [-1,1] fields; their ends {-1} and {1} are codes
+        0 and 2, the cell less 3 or 1 in that field.
+        """
         out = []
-        shift = 0
-        while cell >> shift:
-            code = (cell >> shift) & 3
-            for end in _ENDS[code]:
-                out.append(cell + ((end - code) << shift))
-            shift += 2
+        intervals = cell & cell >> 1 & self._field_lows
+        while intervals:
+            low = intervals & -intervals
+            out += (cell - 3 * low, cell - low)
+            intervals ^= low
         return out
 
     def betti(self) -> BettiTable:

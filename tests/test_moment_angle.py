@@ -502,6 +502,106 @@ def test_ghost_vertices_multiply_the_tables_exactly():
     assert ghosted > 40
 
 
+def chordal(m, rng):
+    """Facets of a chordal flag complex: each vertex joins part of an earlier facet."""
+    facets = [[1]]
+    for v in range(2, m + 1):
+        base = rng.choice(facets)
+        facets.append(rng.sample(base, rng.randint(1, len(base))) + [v])
+    return facets
+
+
+def peel_cases():
+    """(m, facets) of complexes with free vertices, and the degenerate ones."""
+    rng = random.Random(89)
+    cases = [
+        (0, []), (0, [[]]), (3, []), (3, [[]]),  # void and {}, then ghosts only
+        (1, [[1]]), (4, [[1, 2, 3, 4]]), (5, [[2, 4]]),  # one vertex, one facet
+        (6, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]]),  # peels in three rounds
+        (7, [[1], [2], [3, 4], [5, 6, 7]]),  # isolated vertices
+        # C4 and a triangle's boundary at 4, with a tail at 1: only 7 peels
+        (7, [[1, 2], [2, 3], [3, 4], [4, 1], [4, 5], [5, 6], [6, 4], [1, 7]]),
+    ]
+    for m in range(2, 10):  # trees, then forests with ghosts
+        edges = [[v, rng.randint(1, v - 1)] for v in range(2, m + 1)]
+        cases.append((m, edges))
+        cases.append((m + 1, [e for e in edges if rng.random() < 0.6] + [[1]]))
+    cases += [(m, chordal(m, rng)) for m in range(3, 9)]
+    for m in range(4, 10):  # every vertex plus a few triangles
+        triangles = [rng.sample(range(1, m + 1), 3) for _ in range(rng.randint(1, m // 2))]
+        cases.append((m, [[v] for v in range(1, m + 1)] + triangles))
+    return cases
+
+
+def test_peeled_tables_equal_the_sum_over_every_subset():
+    # each free vertex w of facet F turns the sums of K ∖ w into those of
+    # K by (1 + x), one β̃_0 per J ≠ ∅ missing F ∖ w, and a point at J = ∅
+    peeled = 0
+    for m, facets in peel_cases():
+        k = SimplicialComplex.from_facets(m, facets)
+        peeled += bool(moment_angle._peel(k)[1])
+        want = every_subset_tables(k)
+        assert (hochster_real_betti(k), hochster_complex_betti(k)) == want, (m, facets)
+        assert dims(hochster_real_betti(k)) == hochster_real_dense(facets, m), (m, facets)
+        assert dims(hochster_complex_betti(k)) == hochster_complex_dense(facets, m), (m, facets)
+    assert peeled > 30
+
+
+def test_chordal_flag_complexes_peel_to_nothing():
+    # a simplicial vertex of a chordal graph lies in one maximal clique
+    rng = random.Random(13)
+    for m in range(1, 12):
+        k = SimplicialComplex.from_facets(m, chordal(m, rng))
+        assert k.is_flag()
+        core, peels = moment_angle._peel(k)
+        assert core.facets == (0,) and len(peels) == m
+
+
+def spy_walk(monkeypatch):
+    """One entry per J the Hochster walk visits from here on, memo cleared."""
+    visits = []
+    add = moment_angle.add_faces
+
+    def spy(faces, *rest):
+        visits.append(faces)
+        return add(faces, *rest)
+
+    monkeypatch.setattr(moment_angle, "add_faces", spy)
+    cohomology.clear_caches()
+    return visits
+
+
+def test_the_walk_visits_only_the_core(monkeypatch):
+    visits = spy_walk(monkeypatch)
+    strip = SimplicialComplex.from_facets(6, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]])
+    assert moment_angle._peel(strip)[0].facets == (0,)
+    hochster_real_betti(strip)
+    assert visits == [(0,)]  # K_∅ of the core {}
+    # C4 has no free vertex: ∅ and every J of its four vertices
+    del visits[:]
+    hochster_real_betti(Graph.cycle(4).clique_complex())
+    assert len(visits) == 16
+    # a tail on C4 peels off, and the walk is C4's again
+    del visits[:]
+    tailed = SimplicialComplex.from_facets(6, [[1, 2], [2, 3], [3, 4], [4, 1], [4, 5], [5, 6]])
+    hochster_real_betti(tailed)
+    assert len(visits) == 16
+
+
+def test_the_tables_do_not_depend_on_the_vertex_labels():
+    # the peel order and the walk order follow the labels; the sums must not
+    rng = random.Random(41)
+    for _ in range(40):
+        m = rng.randint(2, 12)
+        used = rng.sample(range(1, m + 1), rng.randint(1, m))
+        facets = [[v] for v in used]
+        facets += [rng.sample(used, rng.randint(1, min(len(used), 3))) for _ in range(m)]
+        k = SimplicialComplex.from_facets(m, facets)
+        reversed_ = SimplicialComplex.from_facets(m, [[m + 1 - v for v in f] for f in facets])
+        assert hochster_real_betti(k) == hochster_real_betti(reversed_), (m, facets)
+        assert hochster_complex_betti(k) == hochster_complex_betti(reversed_), (m, facets)
+
+
 def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():
     rng = random.Random(99)
     for _ in range(40):
