@@ -80,14 +80,8 @@ def all_complexes(m: int) -> Iterator[SimplicialComplex]:
     are present, so each downward-closed family appears exactly once.
     """
     singletons = [1 << i for i in range(m)]
-    candidates = sorted(
-        (
-            mask
-            for mask in range(1 << m)
-            if mask.bit_count() >= 2
-        ),
-        key=lambda f: (f.bit_count(), f),
-    )
+    candidates = [f for f in range(1 << m) if f.bit_count() >= 2]
+    candidates.sort(key=lambda f: (f.bit_count(), f))
 
     def extend(start: int, chosen: set[int]) -> Iterator[frozenset[int]]:
         yield frozenset(chosen)
@@ -153,14 +147,8 @@ def run_census(m: int, mode: str, out_path: str, jobs: int = 1) -> dict:
             disagreements += bad
             records += len(lines)
             out.write("\n".join(lines) + "\n")
-    return {
-        "mode": mode,
-        "m": m,
-        "complexes": len(tasks),
-        "records": records,
-        "disagreements": disagreements,
-        "out": out_path,
-    }
+    return {"mode": mode, "m": m, "complexes": len(tasks), "records": records,
+            "disagreements": disagreements, "out": out_path}
 
 
 def verify_census(path: str) -> dict:

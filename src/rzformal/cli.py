@@ -148,11 +148,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="decide equivariant formality for (K, I)")
     p.add_argument("complex", help="complex JSON file")
     p.add_argument("--I", default="", help="comma-separated vertices, empty for I=∅")
-    p.add_argument(
-        "--method",
-        choices=[*METHODS, "all"],
-        default="general",
-    )
+    p.add_argument("--method", choices=[*METHODS, "all"], default="general")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("betti", help="Betti numbers of the moment-angle complexes")

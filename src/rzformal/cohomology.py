@@ -8,9 +8,8 @@ Conventions for the augmented cochain complex:
 
 Betti numbers come from one column reduction, ``add_faces``: of a whole
 face list in ``hom_data``, and of the faces each J ∪ v adds to K_J in
-the Hochster walk, which sums the Betti changes per (|J ∪ v|, vertices
-above v). Shared
-results follow one policy, ``memoized``: each cache keeps its last
+``subset_walk``, the one walk over vertex subsets J. Shared results
+follow one policy, ``memoized``: each cache keeps its last
 ``MEMO_BOUND`` entries, each keyed by the exact data it is computed
 from. ``_hom_cache`` holds the restriction test's face lists, keyed by
 the tuple itself, and ``_memo`` the Hochster walks and cubical ranks.
@@ -58,7 +57,7 @@ class BettiTable:
 
 # census flag m=5 meets 3,686 distinct keys; the last 1,024 keep nearly
 # every hit and add under 1 MB to its peak. A formal non-cone check at
-# m = 18 would keep 160,984 face lists, over 160 MB, without the bound
+# m = 18 would keep 30,948 face lists, and double its peak, without it
 MEMO_BOUND = 1024
 _memo: dict[tuple, object] = {}
 # apart from ``_memo``: sharing one dict makes each evict the other's hits
@@ -129,6 +128,53 @@ def add_faces(faces, columns, pivots: dict[int, int], betti: list[int], added: l
             betti[d] += 1
 
 
+def subset_walk(k, changes=None):
+    """Yield (J, β̃(K_J)) for each J ⊆ V(k) with β̃(K_J) ≠ 0, lexicographic in J.
+
+    Depth first, one frame per vertex of the current path on an explicit
+    stack, so no vertex count meets the recursion limit. Entering J ∪ v,
+    v above top(J), reduces only the faces of ``k.faces_by_top()[v]``
+    inside J ∪ v into the one pivot dict, and leaving it deletes the
+    pivots it added. ``add_faces`` adds the change J ∪ v makes to its
+    parent's Betti row to ``changes[|J ∪ v|][a]``, a the vertices above
+    v, and K_∅'s to ``changes[0][|V(k)|]``. A frame carries β̃(K_J): its
+    parent's, plus the new faces, less twice the pivots they add.
+    """
+    faces = k.faces()
+    columns = boundary_columns(faces)
+    tops = k.faces_by_top()
+    n = k.vertices_mask.bit_count()
+    if changes is None:  # totals only: one scratch row takes every change
+        changes = [[[0] * (k.dim + 2)] * (n + 1)] * (n + 1)
+    pivots: dict[int, int] = {}
+    added: list[int] = []
+    add_faces(faces[:1], columns, pivots, changes[0][n], added)  # K_∅
+    if faces:
+        yield 0, 1
+    # per J on the path: J, the vertices above top(J) still to append,
+    # len(added) once K_J is in, and β̃(K_J)
+    frames = [[0, k.vertices_mask, 0, len(faces[:1])]]
+    while frames:
+        frame = frames[-1]
+        j_mask, above, mark, total = frame
+        for p in added[mark:]:  # leave J's last child
+            del pivots[p]
+        del added[mark:]
+        if not above:
+            frames.pop()
+            continue
+        v = above & -above
+        frame[1] = above = above ^ v
+        grown = j_mask | v
+        new = [f for f in tops[v] if f | grown == grown]
+        add_faces(new, columns, pivots, changes[len(frames)][above.bit_count()], added)
+        total += len(new) - 2 * (len(added) - mark)
+        if total:
+            yield grown, total
+        if above:
+            frames.append([grown, above, len(added), total])
+
+
 def _build_hom_data(faces: tuple[int, ...]) -> BettiTable:
     betti = [0] * (max(map(int.bit_count, faces), default=-1) + 1)
     add_faces(faces, boundary_columns(faces), {}, betti, [])
@@ -140,14 +186,13 @@ def hom_data(faces: tuple[int, ...]) -> BettiTable:
     return memoized(faces, _build_hom_data, faces, _hom_cache)
 
 
-def _restriction_map_trivial(faces: tuple[int, ...], sigma: int) -> bool:
+def _restriction_map_trivial(faces: tuple[int, ...], sigma: int, total: int) -> bool:
     """Whether H̃*(X) -> H̃*(X ∖ st σ) vanishes, for a face σ of X.
 
-    Decided from β̃(X), then β̃ of the deletion (the faces not containing
-    σ), then β̃(lk_X σ) = β(X, X ∖ st σ), each only if the ones before
-    are nonzero. Any face order gives the same verdict.
+    Decided from ``total`` = β̃(X), then β̃ of the deletion (the faces not
+    containing σ), then β̃(lk_X σ) = β(X, X ∖ st σ), each only if the
+    ones before are nonzero. Any face order gives the same verdict.
     """
-    total = hom_data(faces).total
     if total == 0:
         return True
     deleted = hom_data(tuple(f for f in faces if f & sigma != sigma)).total

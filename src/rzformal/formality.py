@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import moment_angle
-from .cohomology import _restriction_map_trivial
+from .cohomology import _restriction_map_trivial, subset_walk
 from .f2 import Subgroup
 from .simplicial import SimplicialComplex, cap, check_cap, mask_vertices
 
@@ -101,10 +101,11 @@ def general_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     in general, and only the star deletion matches the fixed-point
     Betti count on every complex.  Each map is decided from three
     Betti totals; the relative term is the link of σ = I ∩ J in K_J.
-    The witness is the first failing J of ``k.full_subcomplexes()``,
-    whose 2^m-step walk is capped like the Hochster sums. A K_J that
-    meets the apexes A is a cone and any other is (lk A)_J, so the walk
-    is that of lk A for I ∖ A, and none if I ⊆ A.
+    A map from β̃(K_J) = 0 is trivial, so only the J of ``_walked`` with
+    σ ≠ ∅ build a face list. The witness is the first failing J in
+    lexicographic order; the walk is capped like the Hochster sums. A
+    K_J that meets the apexes A is a cone and any other is (lk A)_J, so
+    the walk is that of lk A for I ∖ A, and none if I ⊆ A.
     """
     _check_input(k, i_mask)
     check_cap("hochster", k.m)
@@ -114,15 +115,35 @@ def general_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
         return FormalityReport("not_formal", "general_criterion", hull, witness)
     apexes = k.apexes
     k, i_mask = k.link(apexes), i_mask & ~apexes
-    for j_mask, j_faces in k.full_subcomplexes() if i_mask else ():
+    for j_mask, total in _walked(k) if i_mask else ():
         sigma = j_mask & i_mask
-        if sigma == 0:
-            continue
-        if not _restriction_map_trivial(j_faces, sigma):
-            j_vertices = list(mask_vertices(j_mask))
-            witness = {"kind": "nontrivial_restriction", "J": j_vertices}
+        if sigma and not _restriction_map_trivial(k.subfaces(j_mask), sigma, total):
+            witness = {"kind": "nontrivial_restriction", "J": list(mask_vertices(j_mask))}
             return FormalityReport("not_formal", "general_criterion", hull, witness)
     return FormalityReport("formal", "general_criterion", hull)
+
+
+def _walked(k: SimplicialComplex):
+    """The (J, β̃(K_J)) of ``subset_walk(k)``, one walk per complex.
+
+    The items found and the walk that finds the rest are kept on ``k``: a
+    later I reads the items, then resumes the walk where an earlier I
+    stopped at its witness. A walk that raised is dropped.
+    """
+    if "walk" not in k._cache:
+        k._cache["walk"] = [], subset_walk(k)
+    found, walk = k._cache["walk"]
+    yield from found
+    while True:
+        try:
+            item = next(walk)
+        except StopIteration:
+            return
+        except BaseException:
+            del k._cache["walk"]
+            raise
+        found.append(item)
+        yield item
 
 
 def betti_sum_oracle(k: SimplicialComplex, i_mask: int) -> FormalityReport:

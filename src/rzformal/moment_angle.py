@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import comb
 
 from . import f2
-from .cohomology import BettiTable, add_faces, boundary_columns, memoized
+from .cohomology import BettiTable, memoized, subset_walk
 from .simplicial import SimplicialComplex, check_cap, submasks
 
 
@@ -122,46 +122,17 @@ def _peel(k: SimplicialComplex) -> tuple[SimplicialComplex, list[tuple[int, int]
 
 
 def _core_sums(core: SimplicialComplex, width: int) -> list[list[int]]:
-    """The sums T[s][d + 1] over J ⊆ V(core), from one depth-first walk.
+    """The sums T[s][d + 1] over J ⊆ V(core), from the changes of ``subset_walk``.
 
-    Entering J ∪ v, v above top(J), reduces only its new faces,
-    ``core.faces_by_top()[v]`` inside J ∪ v, into the one pivot dict, and
-    leaving it deletes the pivots it added. ``add_faces`` adds the change
-    that J ∪ v makes to its parent's Betti row to a bucket keyed by
-    (|J ∪ v|, a), a the vertices above v. That change recurs in each of
-    the 2^a sets J ∪ v ∪ S, S above v, and C(a, i) of them have |S| = i,
-    so it adds to row |J ∪ v| + i with weight C(a, i). The walk keeps one
-    frame per vertex on its current path, on an explicit stack, so no
-    vertex count meets the recursion limit.
+    The change that J ∪ v makes to its parent's Betti row recurs in each
+    of the 2^a sets J ∪ v ∪ S, S above v, and C(a, i) of them have
+    |S| = i, so it adds to row |J ∪ v| + i with weight C(a, i).
     """
-    faces = core.faces()
-    columns = boundary_columns(faces)
-    tops = core.faces_by_top()
     n = core.vertices_mask.bit_count()
     # changes[s][a]: the Betti changes of the J with s vertices, a of V above top(J)
     changes = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
-    pivots: dict[int, int] = {}
-    added: list[int] = []
-    add_faces(faces[:1], columns, pivots, changes[0][n], added)  # K_∅
-    # per J on the path: J, the vertices above top(J) still to append, and
-    # len(added) once K_J is in
-    frames = [[0, core.vertices_mask, len(added)]]
-    while frames:
-        frame = frames[-1]
-        j_mask, above, mark = frame
-        for p in added[mark:]:  # leave J's last child
-            del pivots[p]
-        del added[mark:]
-        if not above:
-            frames.pop()
-            continue
-        v = above & -above
-        frame[1] = above = above ^ v
-        grown = j_mask | v
-        new = [f for f in tops[v] if f | grown == grown]
-        add_faces(new, columns, pivots, changes[len(frames)][above.bit_count()], added)
-        if above:
-            frames.append([grown, above, len(added)])
+    for _ in subset_walk(core, changes):
+        pass
     sums = [[0] * width for _ in range(n + 1)]
     for s, by_above in enumerate(changes):
         for a, row in enumerate(by_above):

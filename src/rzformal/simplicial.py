@@ -323,10 +323,7 @@ class SimplicialComplex:
         return faces
 
     def subfaces(self, j_mask: int) -> tuple[int, ...]:
-        """Faces of K_J, same order as ``faces()``; not cached.
-
-        No caller in the package; kept for the tests and the benchmark hook.
-        """
+        """Faces of K_J, same order as ``faces()``; not cached."""
         return tuple(f for f in self.faces() if f & ~j_mask == 0)
 
     def faces_by_top(self) -> dict[int, list[int]]:
@@ -334,7 +331,7 @@ class SimplicialComplex:
 
         The faces of K_(J ∪ v), v above J, are those of K_J and the faces of
         group v inside J ∪ v; a face's boundary faces come before it, in
-        K_J or earlier in its group. Read by both walks over vertex subsets.
+        K_J or earlier in its group.
         """
         tops = self._cache.get("tops")
         if tops is None:
@@ -342,30 +339,6 @@ class SimplicialComplex:
             for f in sorted(self.faces()[1:]):
                 tops.setdefault(1 << f.bit_length() >> 1, []).append(f)
         return tops
-
-    def full_subcomplexes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(J, faces of K_J) for each J ⊆ ``vertices_mask`` once, lexicographic in J.
-
-        Depth first: K_(J ∪ v), v above J, adds the faces of
-        ``faces_by_top()[v]`` in J ∪ v, so faces ascend by mask. K_∅ is
-        (0,), or () if K is void. Only the general criterion iterates it:
-        it needs each K_J's face list, where the Hochster walk in
-        ``moment_angle`` needs only each J's new faces.
-        """
-        tops = self.faces_by_top()
-        stack = [(0, self.faces()[:1], self.vertices_mask)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            j_mask, faces, above = pop()
-            yield j_mask, faces
-            higher = 0  # push the largest v first, so the smallest pops next
-            while above:
-                v = 1 << (above.bit_length() - 1)
-                above ^= v
-                grown = j_mask | v
-                new = tuple([f for f in tops[v] if f | grown == grown])
-                push((grown, faces + new, higher))
-                higher |= v
 
     def has_face(self, mask: int) -> bool:
         try:

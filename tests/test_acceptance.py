@@ -296,7 +296,8 @@ def _formal_check_input(m, kind):
     criterion walks no J, and the Hochster sums of K and of lk(apex) share
     one walk over the subsets of 1..m-1. A "c4join" is C4 * L, the 4-cycle
     on 1..4 joined with every vertex of 5..m plus m random triangles, and
-    I = {1}: it has no apex, so the criterion ranks face lists on every J.
+    I = {1}: it has no apex, so the criterion walks every J, and ranks the
+    deletion of each J that holds 1 and has β̃(K_J) ≠ 0.
     """
     if kind == "cone":
         rng = random.Random(f"big:{m}:cone")

@@ -240,9 +240,9 @@ def test_general_criterion_on_a_cone_skips_every_j_with_the_apex(monkeypatch):
     calls = []
     trivial = formality._restriction_map_trivial
 
-    def spy_trivial(src, tgt):
-        calls.append(src)
-        return trivial(src, tgt)
+    def spy_trivial(faces, *rest):
+        calls.append(faces)
+        return trivial(faces, *rest)
 
     monkeypatch.setattr(formality, "_restriction_map_trivial", spy_trivial)
     assert general_criterion(k, 1 << 9).formal
@@ -318,14 +318,15 @@ def test_a_cone_is_walked_once_as_the_link_of_its_apexes(monkeypatch):
         return hochster_walk(c)
 
     walked = []
-    walk = SimplicialComplex.full_subcomplexes
+    walk = cohomology.subset_walk
 
-    def counted(c):
+    def counted(c, *rest):
         walked.append(c)
-        return walk(c)
+        return walk(c, *rest)
 
     monkeypatch.setattr(moment_angle, "_walk_tables", counted_tables)
-    monkeypatch.setattr(SimplicialComplex, "full_subcomplexes", counted)
+    monkeypatch.setattr(moment_angle, "subset_walk", counted)
+    monkeypatch.setattr(formality, "subset_walk", counted)
     cohomology.clear_caches()
     # the pentagon on 1, 3, 4, 6, 7 joined with the edge {2, 5}
     pentagon = [[1, 3], [3, 4], [4, 6], [6, 7], [1, 7]]
@@ -334,16 +335,18 @@ def test_a_cone_is_walked_once_as_the_link_of_its_apexes(monkeypatch):
     assert k.apexes == apexes
     hochster_real_betti(k)
     hochster_complex_betti(k)
-    # K's call hands over to lk A's, the one walk; the sums iterate no K_J
+    # K's call hands over to lk A's, the one walk, of the link (no vertex
+    # of the pentagon is free, so the link is its own core)
     assert hochster_walks == [k, k.link(apexes)]
-    assert walked == []
+    assert walked == [k.link(apexes)]
     # reflections on apexes only, I = ∅ included, walk no J
     walked.clear()
     for i_mask in submasks(apexes):
         assert general_criterion(k, i_mask).formal
     assert walked == []
-    # any other I walks the link alone
+    # any other I walks the link alone, and later ones read that walk
     general_criterion(k, 0b0000011)
+    general_criterion(k, 0b0000001)
     assert walked == [k.link(apexes)]
 
 
@@ -358,23 +361,80 @@ def test_a_formal_non_cone_walks_every_j(monkeypatch):
     joins = [(u, v) for u in range(1, 5) for v in range(5, 9)]
     k = Graph(8, cycle + joins + base).clique_complex()
     assert k.apexes == 0
+    finished = []
+    walk = cohomology.subset_walk
+
+    def counted(c):
+        yield from walk(c)
+        finished.append(c)
+
+    monkeypatch.setattr(formality, "subset_walk", counted)
     reports = evaluate_all(k, 0b00000001)
     assert list(reports) == [
         "flag_criterion", "general_criterion", "betti_sum_oracle", "torus_oracle"
     ]
     assert all(r.formal for r in reports.values())
-    visited = []
-    walk = SimplicialComplex.full_subcomplexes
-
-    def counted(c):
-        for j_mask, faces in walk(c):
-            visited.append(j_mask)
-            yield j_mask, faces
-
-    monkeypatch.setattr(SimplicialComplex, "full_subcomplexes", counted)
+    # the walk of K ran to its end, once: a second check reads what it found
+    assert finished == [k]
     assert general_criterion(k, 0b00000001).formal
-    assert visited == [j_mask for j_mask, _ in walk(k)]
-    assert len(visited) == 2 ** 8
+    assert finished == [k]
+    # it yields every J with β̃(K_J) ≠ 0
+    lex = sorted(submasks(k.ambient), key=mask_vertices)
+    totals = [(j, cohomology.hom_data(k.subfaces(j)).total) for j in lex]
+    nonzero = [(j, t) for j, t in totals if t]
+    assert list(walk(k)) == nonzero and len(nonzero) == 24
+
+
+def test_a_walk_resumed_across_i_gives_the_reports_of_fresh_walks(monkeypatch):
+    # a census decides every I of one complex on one walk, kept on the
+    # complex: an I that stops at its witness leaves the walk part done,
+    # and a later I reads what was found and resumes the walk
+    rng = random.Random(71)
+    cases = []
+    for _ in range(60):
+        m = rng.randint(2, 7)
+        facets = [[v] for v in range(1, m + 1)]
+        facets += [rng.sample(range(1, m + 1), rng.randint(2, min(m, 4))) for _ in range(6)]
+        cases.append((m, facets))
+    link = [[v] for v in range(5, 9)] + [rng.sample(range(5, 9), 3) for _ in range(8)]
+    c4 = [[1, 2], [2, 3], [3, 4], [1, 4]]
+    cases.append((8, [e + f for e in c4 for f in link]))  # C4 * L at m = 8
+    walks = []
+    walk = cohomology.subset_walk
+    monkeypatch.setattr(formality, "subset_walk", lambda k: walks.append(k) or walk(k))
+    resumed = 0
+    for m, facets in cases:
+        order = list(submasks((1 << m) - 1))
+        rng.shuffle(order)
+        fresh = [general_criterion(SimplicialComplex.from_facets(m, facets), i) for i in order]
+        shared = SimplicialComplex.from_facets(m, facets)
+        walks.clear()
+        stopped = False
+        for i_mask, expected in zip(order, fresh):
+            assert general_criterion(shared, i_mask) == expected, (m, facets, i_mask)
+            resumed += stopped and walks != []
+            stopped = stopped or (expected.witness or {}).get("J") is not None
+        assert len(walks) <= 1
+    assert resumed > 1000
+
+
+def test_a_walk_that_raised_is_walked_again(monkeypatch):
+    # an interrupted walk must not read as a finished one: on three points
+    # with I = {1} the witness J = {1, 2, 3} is the walk's third item
+    walk = cohomology.subset_walk
+
+    def interrupted(k):
+        yield from list(walk(k))[:2]
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(formality, "subset_walk", interrupted)
+    k = SimplicialComplex.from_facets(3, [[1], [2], [3]])
+    with pytest.raises(KeyboardInterrupt):
+        general_criterion(k, 0b001)
+    monkeypatch.setattr(formality, "subset_walk", walk)
+    assert general_criterion(k, 0b001).witness == {
+        "kind": "nontrivial_restriction", "J": [1, 2, 3]
+    }
 
 
 def test_decide_uses_the_hull():

@@ -558,34 +558,35 @@ def test_chordal_flag_complexes_peel_to_nothing():
 
 
 def spy_walk(monkeypatch):
-    """One entry per J the Hochster walk visits from here on, memo cleared."""
-    visits = []
-    add = moment_angle.add_faces
+    """The complexes the Hochster sums walk from here on, memo cleared."""
+    walked = []
+    walk = moment_angle.subset_walk
 
-    def spy(faces, *rest):
-        visits.append(faces)
-        return add(faces, *rest)
+    def spy(k, changes):
+        walked.append(k)
+        return walk(k, changes)
 
-    monkeypatch.setattr(moment_angle, "add_faces", spy)
+    monkeypatch.setattr(moment_angle, "subset_walk", spy)
     cohomology.clear_caches()
-    return visits
+    return walked
 
 
 def test_the_walk_visits_only_the_core(monkeypatch):
-    visits = spy_walk(monkeypatch)
+    walked = spy_walk(monkeypatch)
     strip = SimplicialComplex.from_facets(6, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]])
     assert moment_angle._peel(strip)[0].facets == (0,)
     hochster_real_betti(strip)
-    assert visits == [(0,)]  # K_∅ of the core {}
+    assert [c.facets for c in walked] == [(0,)]  # the core {}: K_∅ alone
     # C4 has no free vertex: ∅ and every J of its four vertices
-    del visits[:]
-    hochster_real_betti(Graph.cycle(4).clique_complex())
-    assert len(visits) == 16
+    del walked[:]
+    c4 = Graph.cycle(4).clique_complex()
+    hochster_real_betti(c4)
+    assert walked == [c4]
     # a tail on C4 peels off, and the walk is C4's again
-    del visits[:]
+    del walked[:]
     tailed = SimplicialComplex.from_facets(6, [[1, 2], [2, 3], [3, 4], [4, 1], [4, 5], [5, 6]])
     hochster_real_betti(tailed)
-    assert len(visits) == 16
+    assert [(c.vertices_mask, c.facets) for c in walked] == [(c4.ambient, c4.facets)]
 
 
 def test_the_tables_do_not_depend_on_the_vertex_labels():
