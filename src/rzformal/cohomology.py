@@ -6,13 +6,14 @@ Conventions for the augmented cochain complex:
   cohomology F2 there and a nonvoid complex with a vertex has none;
 * the void complex has no faces and zero cohomology everywhere.
 
-Betti numbers come from one column reduction, ``add_faces``: of a whole
-face list in ``hom_data``, and of the faces each J ∪ v adds to K_J in
-``subset_walk``, the one walk over vertex subsets J. Shared results
-follow one policy, ``memoized``: each cache keeps its last
-``MEMO_BOUND`` entries, each keyed by the exact data it is computed
-from. ``_hom_cache`` holds the restriction test's face lists, keyed by
-the tuple itself, and ``_memo`` the Hochster walks and cubical ranks.
+Betti numbers come from one column reduction, ``add_faces``, of the
+``boundary_items`` of a whole face list in ``hom_data``, and of the
+faces beyond {v} that each J ∪ v adds to K_J in ``subset_walk``, the
+one walk over vertex subsets J. Shared results follow one policy,
+``memoized``: each cache keeps its last ``MEMO_BOUND`` entries, each
+keyed by the exact data it is computed from. ``_hom_cache`` holds the
+restriction test's face lists, keyed by the tuple itself, and ``_memo``
+the Hochster walks and cubical ranks.
 
 The one restriction map is onto a star deletion A = X ∖ st σ.
 Over a field the long exact sequence of the pair gives
@@ -27,6 +28,8 @@ shifted up by |σ|, so β(X, A) is the link's total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .simplicial import mask_vertices
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,10 @@ def memoized(key: tuple, compute, arg, cache: dict | None = None):
     return value
 
 
-def boundary_columns(faces: tuple[int, ...]) -> dict[int, int]:
-    """Per face, its boundary as a bitmask over the positions in ``faces``."""
+def boundary_items(faces: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(face, boundary column, |face|) per face, a column a bitmask over ``faces``."""
     index = {f: i for i, f in enumerate(faces)}
-    columns = {}
+    items = []
     for f in faces:
         col = 0
         rest = f
@@ -99,22 +102,26 @@ def boundary_columns(faces: tuple[int, ...]) -> dict[int, int]:
             low = rest & -rest
             col |= 1 << index[f ^ low]
             rest ^= low
-        columns[f] = col
-    return columns
+        items.append((f, col, f.bit_count()))
+    return items
 
 
-def add_faces(faces, columns, pivots: dict[int, int], betti: list[int], added: list[int]):
-    """Reduce the columns of ``faces`` into ``pivots``, keyed by highest bit.
+def add_faces(items, pivots: dict[int, int], betti: list[int], added: list[int], within=-1) -> int:
+    """Reduce the columns of the ``boundary_items`` whose faces lie in ``within``.
 
-    A d-face bears a d-cycle if its column reduces to zero and else kills
+    Each column is reduced against ``pivots``, keyed by highest bit. A
+    d-face bears a d-cycle if its column reduces to zero and else kills
     a (d-1)-class. ``betti[d + 1]`` gains the change in β̃_d; it is exact
     whenever the faces added so far, with those reduced before, form a
     complex, so rows may sum the changes of many calls. New pivot keys
-    go to ``added``, so deleting them undoes the call.
+    go to ``added``, so deleting them undoes the call. Returns the number
+    of faces reduced.
     """
-    for f in faces:
-        col = columns[f]
-        d = f.bit_count()
+    taken = 0
+    for f, col, d in items:
+        if f | within != within:
+            continue
+        taken += 1
         while col:
             p = col.bit_length()
             other = pivots.get(p)
@@ -126,6 +133,22 @@ def add_faces(faces, columns, pivots: dict[int, int], betti: list[int], added: l
             col ^= other
         else:
             betti[d] += 1
+    return taken
+
+
+def _walk_groups(k) -> dict[int, list[tuple[int, int, int]]]:
+    """The ``boundary_items`` of k's faces of two or more vertices, by top vertex.
+
+    Keyed by the top vertex v as a one-bit mask, each group ascending by
+    face. The faces that K_(J ∪ v), v above J, adds to K_J are {v} and
+    those of group v inside J ∪ v; a face's boundary faces come before
+    it, in K_J or earlier in its group.
+    """
+    groups = {1 << v - 1: [] for v in mask_vertices(k.vertices_mask)}
+    for item in sorted(boundary_items(k.faces())):
+        if item[2] > 1:
+            groups[1 << item[0].bit_length() >> 1].append(item)
+    return groups
 
 
 def subset_walk(k, changes=None):
@@ -133,51 +156,63 @@ def subset_walk(k, changes=None):
 
     Depth first, one frame per vertex of the current path on an explicit
     stack, so no vertex count meets the recursion limit. Entering J ∪ v,
-    v above top(J), reduces only the faces of ``k.faces_by_top()[v]``
-    inside J ∪ v into the one pivot dict, and leaving it deletes the
-    pivots it added. ``add_faces`` adds the change J ∪ v makes to its
-    parent's Betti row to ``changes[|J ∪ v|][a]``, a the vertices above
-    v, and K_∅'s to ``changes[0][|V(k)|]``. A frame carries β̃(K_J): its
-    parent's, plus the new faces, less twice the pivots they add.
+    v above top(J), takes the vertex {v} without reduction: it kills the
+    class of {} if J = ∅ and else bears a 0-cycle. The pivot of a vertex
+    sits at the empty face, which no other column reaches, so none is
+    kept. Then it reduces the faces of ``_walk_groups(k)[v]`` inside
+    J ∪ v into the one pivot dict, and leaving it deletes the pivots they
+    added. The change J ∪ v makes to its parent's Betti row goes to
+    ``changes[|J ∪ v|][a]``, a the vertices above v, and K_∅'s to
+    ``changes[0][|V(k)|]``. A frame carries β̃(K_J): its parent's, plus
+    the new faces, less twice the pivots they add. The walk reads k's
+    facets and groups now and keeps no reference to k.
     """
-    faces = k.faces()
-    columns = boundary_columns(faces)
-    tops = k.faces_by_top()
     n = k.vertices_mask.bit_count()
     if changes is None:  # totals only: one scratch row takes every change
         changes = [[[0] * (k.dim + 2)] * (n + 1)] * (n + 1)
+    return _walk(bool(k.facets), _walk_groups(k), k.vertices_mask, changes)
+
+
+def _walk(nonvoid: bool, groups, vertices: int, changes):
+    """The walk of ``subset_walk``, on what it read of k."""
     pivots: dict[int, int] = {}
     added: list[int] = []
-    add_faces(faces[:1], columns, pivots, changes[0][n], added)  # K_∅
-    if faces:
+    if nonvoid:  # K_∅ = {}: its one face bears a (-1)-cycle
+        changes[0][vertices.bit_count()][0] += 1
         yield 0, 1
     # per J on the path: J, the vertices above top(J) still to append,
-    # len(added) once K_J is in, and β̃(K_J)
-    frames = [[0, k.vertices_mask, 0, len(faces[:1])]]
+    # len(added) once K_J is in, and β̃(K_J); each pass enters one J ∪ v
+    frames = [[0, vertices, 0, int(nonvoid)]] if vertices else []
     while frames:
         frame = frames[-1]
         j_mask, above, mark, total = frame
-        for p in added[mark:]:  # leave J's last child
-            del pivots[p]
-        del added[mark:]
-        if not above:
-            frames.pop()
-            continue
+        if len(added) > mark:  # leave J's last child
+            for p in added[mark:]:
+                del pivots[p]
+            del added[mark:]
         v = above & -above
-        frame[1] = above = above ^ v
+        above ^= v
         grown = j_mask | v
-        new = [f for f in tops[v] if f | grown == grown]
-        add_faces(new, columns, pivots, changes[len(frames)][above.bit_count()], added)
-        total += len(new) - 2 * (len(added) - mark)
+        row = changes[len(frames)][above.bit_count()]
+        if j_mask:
+            row[1] += 1
+            taken = add_faces(groups[v], pivots, row, added, grown)
+            total += 1 + taken - 2 * (len(added) - mark)
+        else:
+            row[0] -= 1
+            total -= 1
         if total:
             yield grown, total
         if above:
+            frame[1] = above
             frames.append([grown, above, len(added), total])
+        else:  # J ∪ v holds the top vertex: J is done
+            frames.pop()
 
 
 def _build_hom_data(faces: tuple[int, ...]) -> BettiTable:
     betti = [0] * (max(map(int.bit_count, faces), default=-1) + 1)
-    add_faces(faces, boundary_columns(faces), {}, betti, [])
+    add_faces(boundary_items(faces), {}, betti, [])
     return BettiTable.from_dict(dict(enumerate(betti, -1)))
 
 

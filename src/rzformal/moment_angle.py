@@ -6,7 +6,8 @@ of the full subcomplexes K_J (degree shift 1). The complex version has
 shift |J| + 1 and the same total dimension. Both are read off the sums
 T[s][d] of β̃_d(K_J) over the J with |J| = s. A vertex in one facet only
 changes these sums by a closed form, so such vertices are peeled off
-first, and the walk over the J visits only the core that is left.
+first, and the walk over the J visits only the core that is left,
+relabeled so that the vertices in the most small faces come first.
 
 ``CubicalComplex`` recomputes these numbers from cells of the cube: a
 2-bit code per coordinate names one of the points {-1}, {0}, {1} or the
@@ -32,7 +33,7 @@ from math import comb
 
 from . import f2
 from .cohomology import BettiTable, memoized, subset_walk
-from .simplicial import SimplicialComplex, check_cap, submasks
+from .simplicial import SimplicialComplex, check_cap, mask_vertices, submasks
 
 
 def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
@@ -124,10 +125,12 @@ def _peel(k: SimplicialComplex) -> tuple[SimplicialComplex, list[tuple[int, int]
 def _core_sums(core: SimplicialComplex, width: int) -> list[list[int]]:
     """The sums T[s][d + 1] over J ⊆ V(core), from the changes of ``subset_walk``.
 
-    The change that J ∪ v makes to its parent's Betti row recurs in each
-    of the 2^a sets J ∪ v ∪ S, S above v, and C(a, i) of them have
-    |S| = i, so it adds to row |J ∪ v| + i with weight C(a, i).
+    The walk is of ``_heaviest_stars_first(core)``, as the sums do not
+    depend on labels. The change that J ∪ v makes to its parent's Betti
+    row recurs in each of the 2^a sets J ∪ v ∪ S, S above v, and C(a, i)
+    of them have |S| = i, so it adds to row |J ∪ v| + i with weight C(a, i).
     """
+    core = _heaviest_stars_first(core)
     n = core.vertices_mask.bit_count()
     # changes[s][a]: the Betti changes of the J with s vertices, a of V above top(J)
     changes = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
@@ -141,6 +144,26 @@ def _core_sums(core: SimplicialComplex, width: int) -> list[list[int]]:
                     for i in range(a + 1):
                         sums[s + i][d] += b * comb(a, i)
     return sums
+
+
+def _heaviest_stars_first(core: SimplicialComplex) -> SimplicialComplex:
+    """``core`` relabeled 1..n by descending Σ_{f ∋ v} 2^-|f|, ties in label order.
+
+    The walk reduces a face f once for each J below top(f) that holds
+    f ∖ top(f), 2^(pos(top f) - |f| + 1) times, so vertices in many small
+    faces go first. The sums do not depend on labels.
+    """
+    faces = core.faces()
+    top = core.dim + 1
+    weight = dict.fromkeys(mask_vertices(core.vertices_mask), 0)
+    for f in faces[1:]:
+        w = 1 << top - f.bit_count()
+        for v in mask_vertices(f):
+            weight[v] += w
+    order = sorted(weight, key=lambda v: -weight[v])  # stable: ties keep label order
+    label = {v: i for i, v in enumerate(order)}
+    facets = [sum(1 << label[v] for v in mask_vertices(f)) for f in core.facets]
+    return SimplicialComplex((1 << len(order)) - 1, facets)
 
 
 def hochster_real_betti(k: SimplicialComplex) -> BettiTable:

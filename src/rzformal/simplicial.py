@@ -181,20 +181,6 @@ class Graph:
         self.edges = tuple(sorted(seen))
         self.adj = tuple(adj)
 
-    @classmethod
-    def empty(cls, m: int) -> "Graph":
-        return cls(m, [])
-
-    @classmethod
-    def complete(cls, m: int) -> "Graph":
-        return cls(m, [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)])
-
-    @classmethod
-    def cycle(cls, m: int) -> "Graph":
-        if m < 3:
-            raise ValueError("a cycle needs at least 3 vertices")
-        return cls(m, [(i, i % m + 1) for i in range(1, m + 1)])
-
     def clique_complex(self) -> "SimplicialComplex":
         """Flag complex whose faces are the cliques of this graph."""
         verts = (1 << self.m) - 1
@@ -280,14 +266,6 @@ class SimplicialComplex:
         """Complex on ambient {1..m} spanned by the given faces."""
         return cls((1 << m) - 1, [label_mask(face, m, "a face") for face in facets])
 
-    @classmethod
-    def void(cls, m: int) -> "SimplicialComplex":
-        return cls((1 << m) - 1, [])
-
-    @classmethod
-    def simplex(cls, m: int) -> "SimplicialComplex":
-        return cls((1 << m) - 1, [(1 << m) - 1])
-
     @property
     def m(self) -> int:
         """Number of ambient vertices."""
@@ -325,20 +303,6 @@ class SimplicialComplex:
     def subfaces(self, j_mask: int) -> tuple[int, ...]:
         """Faces of K_J, same order as ``faces()``; not cached."""
         return tuple(f for f in self.faces() if f & ~j_mask == 0)
-
-    def faces_by_top(self) -> dict[int, list[int]]:
-        """Nonempty faces grouped by top vertex v (a one-bit mask), ascending by mask.
-
-        The faces of K_(J ∪ v), v above J, are those of K_J and the faces of
-        group v inside J ∪ v; a face's boundary faces come before it, in
-        K_J or earlier in its group.
-        """
-        tops = self._cache.get("tops")
-        if tops is None:
-            tops = self._cache["tops"] = {}
-            for f in sorted(self.faces()[1:]):
-                tops.setdefault(1 << f.bit_length() >> 1, []).append(f)
-        return tops
 
     def has_face(self, mask: int) -> bool:
         try:

@@ -222,6 +222,36 @@ def hochster_complex_dense(facets, m):
     return [acc.get(d, 0) for d in range(max(acc) + 1)]
 
 
+def subset_rows_dense(facets, m):
+    """Per J ⊆ V(K), the reduced Betti row of K_J from the dense oracle.
+
+    V(K) holds the vertices of {1..m} that span a face; row entry d + 1
+    is β̃_d, for d from -1 to dim K. Keyed by J as a bitmask.
+    """
+    all_faces = faces_of(facets)
+    spanned = set().union(*all_faces) if all_faces else set()
+    width = max(map(len, all_faces), default=0) + 1
+    rows = {}
+    for bits in range(1 << m):
+        j = {v for v in range(1, m + 1) if bits >> (v - 1) & 1}
+        if j <= spanned:
+            row = [0] * width
+            for d, b in reduced_betti_dense({f for f in all_faces if f <= j}).items():
+                row[d + 1] = b
+            rows[bits] = row
+    return rows
+
+
+def subset_sums_dense(facets, m):
+    """T[s][d + 1] = Σ β̃_d(K_J) over the J ⊆ V(K) with |J| = s, s = 0..|V(K)|."""
+    rows = subset_rows_dense(facets, m)
+    width = len(rows[0])
+    sums = [[0] * width for _ in range(max(rows).bit_count() + 1)]
+    for j, row in rows.items():
+        sums[j.bit_count()] = [a + b for a, b in zip(sums[j.bit_count()], row)]
+    return sums
+
+
 # the cells of one coordinate, as intervals (lo, hi): off a face, on it,
 # and on it when cut at 0
 _OFF = ((-1, -1), (1, 1))

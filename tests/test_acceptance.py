@@ -19,8 +19,8 @@ import pytest
 
 import rzformal
 from oracles import cells_at_zero, cube_betti, cube_cells, decode_cells
+from shapes import complete_graph, cycle_graph, empty_graph
 from rzformal import (
-    Graph,
     SimplicialComplex,
     Subgroup,
     betti_sum_oracle,
@@ -219,7 +219,7 @@ def test_criterion_6_smith_thom_inequality():
 
 def test_criterion_7_spot_values():
     def body():
-        c4 = Graph.cycle(4).clique_complex()
+        c4 = cycle_graph(4).clique_complex()
         assert list(hochster_real_betti(c4).dims) == [1, 2, 1]
         assert list(build_cubical(c4).betti().dims) == [1, 2, 1]
         tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
@@ -235,19 +235,19 @@ def test_criterion_7_spot_values():
 
 def test_criterion_8_group_reports():
     def body():
-        r = coabelian_report(Graph.complete(3), Subgroup(3, ["100", "010", "001"]))
+        r = coabelian_report(complete_graph(3), Subgroup(3, ["100", "010", "001"]))
         assert r.verdict == "formal"
         assert r.poincare.numerator == (1,)
         assert r.poincare.r == 3
         assert r.cm_dimension == 3
 
-        r = coabelian_report(Graph.cycle(4), Subgroup(4, ["1000"]))
+        r = coabelian_report(cycle_graph(4), Subgroup(4, ["1000"]))
         assert r.verdict == "formal"
         assert r.poincare.numerator == (1, 2, 1)
         assert r.poincare.r == 1
         assert r.cm_dimension == 1
 
-        r = coabelian_report(Graph.empty(2), Subgroup(2, ["11"]))
+        r = coabelian_report(empty_graph(2), Subgroup(2, ["11"]))
         assert r.verdict == "not_formal"
         assert r.cm_dimension is None
         assert r.poincare is None

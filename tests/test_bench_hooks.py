@@ -9,8 +9,9 @@ hook against the imported package.
 import importlib.util
 from pathlib import Path
 
+from shapes import cycle_graph
 import rzformal.cli  # noqa: F401  the tracer hooks cli.run
-from rzformal import Graph, cohomology, f2, hochster_real_betti
+from rzformal import cohomology, f2, hochster_real_betti
 from rzformal.cohomology import hom_data
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -38,7 +39,7 @@ def test_every_name_the_benchmark_uses_resolves():
 
 def test_clear_caches_empties_the_memo():
     # bench/run.py clears before every command, so that each runs cold
-    hochster_real_betti(Graph.cycle(4).clique_complex())
+    hochster_real_betti(cycle_graph(4).clique_complex())
     hom_data((0, 1))
     assert cohomology._memo and cohomology._hom_cache
     cohomology.clear_caches()

@@ -5,8 +5,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import faces_of, reduced_betti_dense, restriction_trivial_dense
-from rzformal import Graph, SimplicialComplex, cohomology, general_criterion
+from oracles import (
+    reduced_betti_dense,
+    restriction_trivial_dense,
+    subset_rows_dense,
+)
+from shapes import cycle_graph, simplex, void_complex
+from rzformal import SimplicialComplex, cohomology, general_criterion
 from rzformal.cohomology import hom_data
 from rzformal.simplicial import mask_vertices, submasks
 
@@ -30,7 +35,7 @@ def test_three_points():
 
 
 def test_four_cycle():
-    k = Graph.cycle(4).clique_complex()
+    k = cycle_graph(4).clique_complex()
     assert as_dict(hom_data(k.faces())) == {1: 1}
 
 
@@ -40,11 +45,11 @@ def test_empty_face_only():
 
 
 def test_void_complex_has_no_cohomology():
-    assert as_dict(hom_data(SimplicialComplex.void(3).faces())) == {}
+    assert as_dict(hom_data(void_complex(3).faces())) == {}
 
 
 def test_simplex_is_acyclic():
-    assert as_dict(hom_data(SimplicialComplex.simplex(4).faces())) == {}
+    assert as_dict(hom_data(simplex(4).faces())) == {}
 
 
 def test_triangle_boundary():
@@ -122,18 +127,35 @@ def test_betti_matches_dense_oracle(case):
 @settings(max_examples=150, deadline=None)
 @given(complexes(), st.sampled_from(["facets", "void", "{}"]))
 def test_the_subset_walk_yields_each_j_with_nonzero_betti_once_in_lex_order(case, kind):
-    # J ranges over the vertices that span a face, so a ghost is in no J
+    # J ranges over the vertices that span a face, so a ghost is in no J.
+    # K_∅ adds its row to changes[0][n]; each J ∪ v, v above top(J), adds
+    # its row less K_J's to changes[|J ∪ v|][a], a the vertices above v.
+    # The vertex {v} enters without reduction: for J = ∅ it kills the class
+    # of {}, so each one-vertex J adds -1 at β̃_-1, and else bears a 0-cycle
     m, facets = case
     facets = {"facets": facets, "void": [], "{}": [[]]}[kind]
     k = SimplicialComplex.from_facets(m, facets)
-    faces = faces_of(facets)
-    expected = []
-    for j in sorted(submasks(k.vertices_mask), key=mask_vertices):
-        j_set = set(mask_vertices(j))
-        total = sum(reduced_betti_dense(f for f in faces if f <= j_set).values())
-        if total:
-            expected.append((j, total))
-    assert list(cohomology.subset_walk(k)) == expected
+    rows = subset_rows_dense(facets, m)
+    n, width = k.vertices_mask.bit_count(), k.dim + 2
+    want = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
+    for j, row in rows.items():
+        if j:
+            v = 1 << j.bit_length() >> 1
+            above = (k.vertices_mask & ~(2 * v - 1)).bit_count()
+            parent = rows[j ^ v]
+        else:
+            above, parent = n, [0] * len(row)
+        target = want[j.bit_count()][above]
+        for d in range(width):
+            target[d] += row[d] - parent[d]
+    changes = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
+    pairs = list(cohomology.subset_walk(k, changes))
+    lex = sorted(rows, key=mask_vertices)
+    assert pairs == [(j, sum(rows[j])) for j in lex if sum(rows[j])]
+    assert changes == want
+    if k.vertices_mask:
+        assert pairs[0] == (0, 1) and all(j.bit_count() != 1 for j, _ in pairs)
+        assert sum(changes[1][a][0] for a in range(n)) == -n
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,8 @@
 """The four formality deciders and their agreement."""
 
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -11,6 +13,7 @@ from oracles import (
     hochster_real_dense,
     restriction_trivial_dense,
 )
+from shapes import cycle_graph, simplex
 
 from rzformal import (
     FixedPointModelError,
@@ -31,7 +34,7 @@ from rzformal import (
 from rzformal import cohomology, formality, moment_angle
 from rzformal.simplicial import label_mask, mask_vertices, submasks
 
-C4 = Graph.cycle(4).clique_complex()
+C4 = cycle_graph(4).clique_complex()
 THREE_POINTS = SimplicialComplex.from_facets(3, [[1], [2], [3]])
 TRIANGLE_BOUNDARY = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
 TWO_POINTS = SimplicialComplex.from_facets(2, [[1], [2]])
@@ -52,7 +55,7 @@ def test_flag_criterion_three_points_single_vertex_is_not_formal():
 
 
 def test_flag_criterion_simplex_is_always_formal():
-    k = SimplicialComplex.simplex(3)
+    k = simplex(3)
     for i_mask in submasks(k.vertices_mask):
         assert flag_criterion(k, i_mask).formal
 
@@ -196,7 +199,7 @@ def test_torus_oracle_examples():
     # the fixed torus is a 2-torus: the link's two ghost vertices each
     # contribute a circle factor
     assert r.totals == (4, 6)
-    assert torus_oracle(SimplicialComplex.simplex(3), 0b111).formal
+    assert torus_oracle(simplex(3), 0b111).formal
 
 
 def test_smith_thom_inequality_everywhere():
@@ -336,18 +339,27 @@ def test_a_cone_is_walked_once_as_the_link_of_its_apexes(monkeypatch):
     hochster_real_betti(k)
     hochster_complex_betti(k)
     # K's call hands over to lk A's, the one walk, of the link (no vertex
-    # of the pentagon is free, so the link is its own core)
-    assert hochster_walks == [k, k.link(apexes)]
-    assert walked == [k.link(apexes)]
+    # of the pentagon is free, so the link is its own core, walked in
+    # heaviest-stars order: the link itself or a relabeled copy)
+    link = k.link(apexes)
+    assert hochster_walks == [k, link]
+    assert [(c.vertices_mask.bit_count(), face_sizes(c)) for c in walked] == [
+        (5, face_sizes(link))
+    ]
     # reflections on apexes only, I = ∅ included, walk no J
     walked.clear()
     for i_mask in submasks(apexes):
         assert general_criterion(k, i_mask).formal
     assert walked == []
-    # any other I walks the link alone, and later ones read that walk
+    # any other I walks the link alone, on its own labels, and later ones
+    # read that walk
     general_criterion(k, 0b0000011)
     general_criterion(k, 0b0000001)
-    assert walked == [k.link(apexes)]
+    assert walked == [link]
+
+
+def face_sizes(k):
+    return sorted(map(int.bit_count, k.faces()))
 
 
 def test_a_formal_non_cone_walks_every_j(monkeypatch):
@@ -435,6 +447,23 @@ def test_a_walk_that_raised_is_walked_again(monkeypatch):
     assert general_criterion(k, 0b001).witness == {
         "kind": "nontrivial_restriction", "J": [1, 2, 3]
     }
+
+
+def test_a_walk_stopped_at_a_witness_leaves_no_cycle_through_the_complex():
+    # the suspended walk kept on k reads k's faces and groups, not k, so
+    # k dies at its last reference, with no help from the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        k = SimplicialComplex.from_facets(3, [[1], [2], [3]])
+        report = general_criterion(k, 0b001)
+        assert report.witness == {"kind": "nontrivial_restriction", "J": [1, 2, 3]}
+        assert k._cache["walk"][0][-1] == (0b111, 2)  # stopped, not finished
+        ref = weakref.ref(k)
+        del k
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_decide_uses_the_hull():

@@ -2,8 +2,8 @@
 
 import pytest
 
+from shapes import complete_graph, cycle_graph, empty_graph, simplex
 from rzformal import (
-    Graph,
     PoincareSeries,
     Subgroup,
     coabelian_report,
@@ -13,7 +13,7 @@ from rzformal.simplicial import SimplicialComplex
 
 
 def test_complete_graph_full_subgroup():
-    r = coabelian_report(Graph.complete(3), Subgroup(3, ["100", "010", "001"]))
+    r = coabelian_report(complete_graph(3), Subgroup(3, ["100", "010", "001"]))
     assert r.verdict == "formal"
     assert r.cm_dimension == 3
     assert r.poincare.numerator == (1,)
@@ -23,7 +23,7 @@ def test_complete_graph_full_subgroup():
 
 
 def test_four_cycle_single_generator():
-    r = coabelian_report(Graph.cycle(4), Subgroup(4, ["1000"]))
+    r = coabelian_report(cycle_graph(4), Subgroup(4, ["1000"]))
     assert r.verdict == "formal"
     assert r.cm_dimension == 1
     assert r.poincare.numerator == (1, 2, 1)
@@ -33,7 +33,7 @@ def test_four_cycle_single_generator():
 
 
 def test_empty_graph_diagonal_subgroup():
-    r = coabelian_report(Graph.empty(2), Subgroup(2, ["11"]))
+    r = coabelian_report(empty_graph(2), Subgroup(2, ["11"]))
     assert r.verdict == "not_formal"
     assert r.cm_dimension is None
     assert r.poincare is None
@@ -43,11 +43,11 @@ def test_empty_graph_diagonal_subgroup():
 
 def test_report_rejects_mismatched_sizes():
     with pytest.raises(ValueError):
-        coabelian_report(Graph.complete(3), Subgroup(4, ["1000", "0100", "0010", "0001"]))
+        coabelian_report(complete_graph(3), Subgroup(4, ["1000", "0100", "0010", "0001"]))
 
 
 def test_report_json_schema():
-    r = coabelian_report(Graph.cycle(4), Subgroup(4, ["1000"]))
+    r = coabelian_report(cycle_graph(4), Subgroup(4, ["1000"]))
     obj = r.to_json_obj()
     assert list(obj) == [
         "gamma",
@@ -74,7 +74,7 @@ def test_report_json_schema():
 
 
 def test_presentation_lists_every_generator_once():
-    g = Graph.empty(3)
+    g = empty_graph(3)
     r = coabelian_report(g, Subgroup(3, []))
     assert len(r.presentation["generators"]) == 3
     assert r.presentation["commuting_pairs"] == []
@@ -88,16 +88,14 @@ def test_poincare_series_two_points_rank_one():
 
 
 def test_poincare_series_four_cycle_rank_zero_is_finite():
-    from rzformal import Graph as G
-
-    k = G.cycle(4).clique_complex()
+    k = cycle_graph(4).clique_complex()
     p = poincare_series(k, 0)
     assert p.numerator == (1, 2, 1)
     assert [p.coefficient(n) for n in range(6)] == [1, 2, 1, 0, 0, 0]
 
 
 def test_poincare_series_simplex_full_rank():
-    k = SimplicialComplex.simplex(2)
+    k = simplex(2)
     p = poincare_series(k, 2)
     # 1/(1-t)^2 counts monomials in two variables
     assert [p.coefficient(n) for n in range(5)] == [1, 2, 3, 4, 5]
@@ -105,7 +103,7 @@ def test_poincare_series_simplex_full_rank():
 
 def test_poincare_series_rejects_negative_rank():
     with pytest.raises(ValueError):
-        poincare_series(SimplicialComplex.simplex(2), -1)
+        poincare_series(simplex(2), -1)
 
 
 def test_poincare_coefficient_matches_direct_convolution():
@@ -123,5 +121,5 @@ def test_poincare_coefficient_matches_direct_convolution():
 def test_formal_report_expansion_matches_fixed_space_growth():
     # for a formal pair the series starts at the ambient Betti numbers
     # in degree zero: coefficient(0) = numerator[0] = 1 component
-    r = coabelian_report(Graph.cycle(4), Subgroup(4, ["1000"]))
+    r = coabelian_report(cycle_graph(4), Subgroup(4, ["1000"]))
     assert r.poincare.coefficient(0) == 1

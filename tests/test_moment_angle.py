@@ -24,9 +24,10 @@ from oracles import (
     hochster_complex_dense,
     hochster_real_dense,
     reduced_betti_dense,
+    subset_sums_dense,
 )
+from shapes import cycle_graph, simplex, void_complex
 from rzformal import (
-    Graph,
     SimplicialComplex,
     betti_sum_oracle,
     build_cubical,
@@ -48,7 +49,7 @@ def dims(table):
 
 
 def test_real_betti_of_four_cycle():
-    k = Graph.cycle(4).clique_complex()
+    k = cycle_graph(4).clique_complex()
     assert dims(hochster_real_betti(k)) == [1, 2, 1]
 
 
@@ -65,7 +66,7 @@ def test_real_betti_of_three_points():
 
 
 def test_real_betti_of_simplex_is_a_point():
-    assert dims(hochster_real_betti(SimplicialComplex.simplex(3))) == [1]
+    assert dims(hochster_real_betti(simplex(3))) == [1]
 
 
 def test_complex_betti_of_two_points_is_a_three_sphere():
@@ -100,8 +101,8 @@ def test_ghost_vertices_double_the_space():
 
 
 def test_void_complex_is_empty_space():
-    assert hochster_real_betti(SimplicialComplex.void(2)).total == 0
-    assert hochster_complex_betti(SimplicialComplex.void(2)).total == 0
+    assert hochster_real_betti(void_complex(2)).total == 0
+    assert hochster_complex_betti(void_complex(2)).total == 0
 
 
 def test_real_betti_matches_dense_oracle_exhaustively_m3():
@@ -138,7 +139,7 @@ def test_cubical_counts_empty_face_complex():
 
 
 def test_cubical_counts_four_cycle():
-    k = Graph.cycle(4).clique_complex()
+    k = cycle_graph(4).clique_complex()
     c = build_cubical(k)
     assert c.counts() == (16, 32, 16)
     # euler characteristic of a torus
@@ -325,7 +326,7 @@ def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
 
     monkeypatch.setattr(moment_angle, "_walk_tables", counted)
     cohomology.clear_caches()
-    k = Graph.cycle(4).clique_complex()
+    k = cycle_graph(4).clique_complex()
     hochster_real_betti(k)
     hochster_complex_betti(k)
     # one walk of K fills both tables
@@ -579,7 +580,7 @@ def test_the_walk_visits_only_the_core(monkeypatch):
     assert [c.facets for c in walked] == [(0,)]  # the core {}: K_∅ alone
     # C4 has no free vertex: ∅ and every J of its four vertices
     del walked[:]
-    c4 = Graph.cycle(4).clique_complex()
+    c4 = cycle_graph(4).clique_complex()
     hochster_real_betti(c4)
     assert walked == [c4]
     # a tail on C4 peels off, and the walk is C4's again
@@ -598,9 +599,55 @@ def test_the_tables_do_not_depend_on_the_vertex_labels():
         facets = [[v] for v in used]
         facets += [rng.sample(used, rng.randint(1, min(len(used), 3))) for _ in range(m)]
         k = SimplicialComplex.from_facets(m, facets)
-        reversed_ = SimplicialComplex.from_facets(m, [[m + 1 - v for v in f] for f in facets])
-        assert hochster_real_betti(k) == hochster_real_betti(reversed_), (m, facets)
-        assert hochster_complex_betti(k) == hochster_complex_betti(reversed_), (m, facets)
+        perm = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
+        for relabel in ({v: m + 1 - v for v in perm}, perm):
+            other = SimplicialComplex.from_facets(m, [[relabel[v] for v in f] for f in facets])
+            assert hochster_real_betti(k) == hochster_real_betti(other), (m, facets, relabel)
+            assert hochster_complex_betti(k) == hochster_complex_betti(other), (m, facets, relabel)
+
+
+def test_the_core_walked_heaviest_stars_first_gives_the_dense_sums():
+    # the walk takes the core relabeled by descending Σ_{f ∋ v} 2^-|f|;
+    # each case here is out of that order, so its labels change
+    rng = random.Random(97)
+    per_m = {6: 70, 7: 60, 8: 40, 9: 20, 10: 6, 11: 3, 12: 2}
+    for m, count in per_m.items():
+        done = 0
+        while done < count:
+            facets = [[v] for v in range(1, m + 1)]
+            facets += [rng.sample(range(1, m + 1), rng.randint(2, 3)) for _ in range(m - 2)]
+            k = SimplicialComplex.from_facets(m, facets)
+            walked = moment_angle._heaviest_stars_first(k)
+            if walked == k:
+                continue
+            done += 1
+            assert walked.vertices_mask == k.ambient
+            sizes = [sorted(map(int.bit_count, c.faces())) for c in (walked, k)]
+            assert sizes[0] == sizes[1]
+            width = k.dim + 2
+            assert moment_angle._core_sums(k, width) == subset_sums_dense(facets, m), (m, facets)
+
+
+def test_a_core_in_heaviest_stars_order_keeps_its_labels():
+    # ties keep label order, so a complex whose stars weigh no more as the
+    # labels rise is walked as an equal copy
+    c5 = cycle_graph(5).clique_complex()
+    # weights ×8: 1 in three edges 10, 2 and 3 in two 8, 4 in one 6
+    star = SimplicialComplex.from_facets(4, [[1, 2], [1, 3], [1, 4], [2, 3]])
+    for k in (c5, star, SimplicialComplex.from_facets(0, [[]])):
+        assert moment_angle._heaviest_stars_first(k) == k
+    moved = SimplicialComplex.from_facets(4, [[4, 3], [4, 2], [4, 1], [3, 2]])
+    assert moment_angle._heaviest_stars_first(moved) == star
+
+
+def test_the_sums_walk_a_core_out_of_order_relabeled(monkeypatch):
+    # C4 with the chord {1, 3} has no free vertex; 1 and 3 lie in three
+    # edges each, 2 and 4 in two, so the walk takes 1, 3, 2, 4 as 1..4
+    walked = spy_walk(monkeypatch)
+    chorded = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3]])
+    hochster_real_betti(chorded)
+    relabeled = SimplicialComplex.from_facets(4, [[1, 3], [3, 2], [2, 4], [1, 4], [1, 2]])
+    assert walked == [relabeled]
 
 
 def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():
@@ -631,40 +678,40 @@ def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():
 def test_hochster_cap(monkeypatch):
     # the default cap refuses before any loop over vertex subsets
     with pytest.raises(ValueError, match="exceeds the cap 20"):
-        hochster_real_betti(SimplicialComplex.void(21))
+        hochster_real_betti(void_complex(21))
     with pytest.raises(ValueError, match="exceeds the cap 20"):
-        hochster_complex_betti(SimplicialComplex.void(21))
+        hochster_complex_betti(void_complex(21))
     # the variable moves the cap either way, and the error names it
     monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "3")
     with pytest.raises(ValueError, match=r"exceeds the cap 3 \(RZFORMAL_HOCHSTER_CAP\)"):
-        hochster_real_betti(SimplicialComplex.void(4))
+        hochster_real_betti(void_complex(4))
     monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "4")
-    assert hochster_real_betti(SimplicialComplex.void(4)).total == 0
+    assert hochster_real_betti(void_complex(4)).total == 0
 
 
 def test_cubical_cap(monkeypatch):
     with pytest.raises(ValueError, match=r"exceeds the cap 8 \(RZFORMAL_CUBICAL_CAP\)"):
-        build_cubical(SimplicialComplex.void(9))
+        build_cubical(void_complex(9))
     monkeypatch.setenv("RZFORMAL_CUBICAL_CAP", "9")
-    assert build_cubical(SimplicialComplex.void(9)).counts() == ()
+    assert build_cubical(void_complex(9)).counts() == ()
     monkeypatch.setenv("RZFORMAL_CUBICAL_CAP", "3")
     with pytest.raises(ValueError):
-        build_cubical(SimplicialComplex.simplex(4))
+        build_cubical(simplex(4))
 
 
 def test_the_cubical_cap_is_read_before_the_cached_model(monkeypatch):
     # a model kept on the complex is refused under a lower cap, as an equal
     # new complex is
-    k = Graph.cycle(4).clique_complex()
+    k = cycle_graph(4).clique_complex()
     build_cubical(k)
     monkeypatch.setenv("RZFORMAL_CUBICAL_CAP", "3")
-    for complex_ in (k, Graph.cycle(4).clique_complex()):
+    for complex_ in (k, cycle_graph(4).clique_complex()):
         with pytest.raises(ValueError, match=r"exceeds the cap 3 \(RZFORMAL_CUBICAL_CAP\)"):
             build_cubical(complex_)
 
 
 def test_space_betti_table_json():
-    k = Graph.cycle(4).clique_complex()
+    k = cycle_graph(4).clique_complex()
     t = hochster_real_betti(k)
     obj = t.to_json_obj()
     assert obj == {"min_degree": 0, "dims": [1, 2, 1], "total": 4}

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cliques_of, faces_of
+from shapes import complete_graph, cycle_graph, empty_graph, void_complex
 from rzformal import Graph, SimplicialComplex
 from rzformal.simplicial import label_mask, mask_vertices, submasks
 
@@ -34,9 +35,9 @@ def test_graph_basics():
     g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 1)])
     assert g.edges == ((1, 2), (1, 4), (2, 3), (3, 4))
     assert g.adj[0] == 0b1010
-    assert Graph.complete(3).edges == ((1, 2), (1, 3), (2, 3))
-    assert Graph.empty(2).edges == () and Graph.empty(2).adj == (0, 0)
-    assert Graph.cycle(4).edges == g.edges
+    assert complete_graph(3).edges == ((1, 2), (1, 3), (2, 3))
+    assert empty_graph(2).edges == () and empty_graph(2).adj == (0, 0)
+    assert cycle_graph(4).edges == g.edges
 
 
 def test_graph_rejects_bad_edges():
@@ -47,7 +48,7 @@ def test_graph_rejects_bad_edges():
 
 
 def test_clique_complex_of_cycle_is_the_cycle():
-    k = Graph.cycle(4).clique_complex()
+    k = cycle_graph(4).clique_complex()
     assert facet_sets(k) == [[1, 2], [1, 4], [2, 3], [3, 4]]
     assert k.is_flag()
 
@@ -57,7 +58,7 @@ def test_clique_search_leaves_no_reference_cycles():
     gc.disable()
     try:
         for _ in range(20):
-            Graph.cycle(5).clique_complex().is_flag()
+            cycle_graph(5).clique_complex().is_flag()
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -102,13 +103,13 @@ def test_clique_complex_of_a_large_complete_bipartite_graph_is_fast():
 
 
 def test_clique_complex_of_complete_graph_is_simplex():
-    k = Graph.complete(3).clique_complex()
+    k = complete_graph(3).clique_complex()
     assert facet_sets(k) == [[1, 2, 3]]
     assert k.dim == 2
 
 
 def test_clique_complex_of_empty_graph_is_points():
-    k = Graph.empty(2).clique_complex()
+    k = empty_graph(2).clique_complex()
     assert facet_sets(k) == [[1], [2]]
 
 
@@ -122,7 +123,7 @@ def test_from_facets_closes_downward_and_dedups():
 
 
 def test_void_versus_empty_face():
-    void = SimplicialComplex.void(2)
+    void = void_complex(2)
     point = SimplicialComplex.from_facets(2, [[]])
     assert void.facets == ()
     assert void.dim == -2
@@ -141,7 +142,7 @@ def test_faces_sorted_by_size_then_mask():
 
 
 def test_link_examples():
-    c4 = Graph.cycle(4).clique_complex()
+    c4 = cycle_graph(4).clique_complex()
     lk = c4.link(0b0001)
     assert facet_sets(lk) == [[2], [4]]
     tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
@@ -156,7 +157,7 @@ def test_link_examples():
 
 
 def test_link_is_memoized_per_face():
-    c4 = Graph.cycle(4).clique_complex()
+    c4 = cycle_graph(4).clique_complex()
     assert c4.link(0b0001) is c4.link(0b0001)
     assert c4.link(0b0001) is not c4.link(0b0010)
     # the link of the empty face is the complex itself
