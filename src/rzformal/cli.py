@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Iterable
 
 from . import census as census_mod
@@ -141,6 +142,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@cache  # once per process, on the first command
 def build_parser() -> _Parser:
     parser = _Parser(prog="rzformal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -182,8 +184,7 @@ def build_parser() -> _Parser:
 
 
 def run(argv: Iterable[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
+    args = build_parser().parse_args(list(argv) if argv is not None else None)
     try:
         with read_caps_once():  # a malformed cap is bad input for every command
             return args.func(args)

@@ -6,10 +6,11 @@ Conventions for the augmented cochain complex:
   cohomology F2 there and a nonvoid complex with a vertex has none;
 * the void complex has no faces and zero cohomology everywhere.
 
-Betti numbers come from one column reduction, ``add_faces``, of the
-``boundary_items`` of a whole face list in ``hom_data``, and of the
-faces beyond {v} that each J ∪ v adds to K_J in ``subset_walk``, the
-one walk over vertex subsets J. Shared results follow one policy,
+Every Betti number in the package comes from one column reduction,
+``add_faces``: of the ``boundary_items`` of a whole face list in
+``hom_data``, of the faces beyond {v} that each J ∪ v adds to K_J in
+``subset_walk``, the one walk over vertex subsets J, and of the cells
+of a cubical model in ``moment_angle``. Shared results follow one policy,
 ``memoized``: each cache keeps its last ``MEMO_BOUND`` entries, each
 keyed by the exact data it is computed from. ``_hom_cache`` holds the
 restriction test's face lists, keyed by the tuple itself, and ``_memo``
@@ -29,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .simplicial import mask_vertices
-
 
 @dataclass(frozen=True)
 class BettiTable:
@@ -44,10 +43,12 @@ class BettiTable:
     dims: tuple[int, ...]
 
     @classmethod
-    def from_dict(cls, table: dict[int, int], min_degree: int = -1) -> "BettiTable":
-        top = max((d for d, v in table.items() if v), default=min_degree - 1)
-        dims = tuple(table.get(d, 0) for d in range(min_degree, top + 1))
-        return cls(min_degree, dims)
+    def from_row(cls, row: list[int], min_degree: int) -> "BettiTable":
+        """The table of ``row``, whose entry 0 is degree ``min_degree``."""
+        dims = list(row)
+        while dims and not dims[-1]:
+            dims.pop()
+        return cls(min_degree, tuple(dims))
 
     @property
     def total(self) -> int:
@@ -107,15 +108,17 @@ def boundary_items(faces: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
 
 def add_faces(items, pivots: dict[int, int], betti: list[int], added: list[int], within=-1) -> int:
-    """Reduce the columns of the ``boundary_items`` whose faces lie in ``within``.
+    """Reduce the (face, column, d + 1) items whose faces lie in ``within``.
 
-    Each column is reduced against ``pivots``, keyed by highest bit. A
-    d-face bears a d-cycle if its column reduces to zero and else kills
-    a (d-1)-class. ``betti[d + 1]`` gains the change in β̃_d; it is exact
-    whenever the faces added so far, with those reduced before, form a
-    complex, so rows may sum the changes of many calls. New pivot keys
-    go to ``added``, so deleting them undoes the call. Returns the number
-    of faces reduced.
+    A d-face is a simplex of ``boundary_items`` or a d-cell of a cubical
+    model, its column a bitmask over positions of (d-1)-faces, reduced
+    against ``pivots``, keyed by highest bit. A d-face bears a d-cycle if
+    its column reduces to zero and else kills a (d-1)-class.
+    ``betti[d + 1]`` gains the change in β̃_d; it is exact whenever the
+    faces added so far, with those reduced before, form a complex, so
+    rows may sum the changes of many calls. New pivot keys go to
+    ``added``, so deleting them undoes the call. Returns the number of
+    faces reduced.
     """
     taken = 0
     for f, col, d in items:
@@ -136,53 +139,46 @@ def add_faces(items, pivots: dict[int, int], betti: list[int], added: list[int],
     return taken
 
 
-def _walk_groups(k) -> dict[int, list[tuple[int, int, int]]]:
-    """The ``boundary_items`` of k's faces of two or more vertices, by top vertex.
+def _walk_groups(faces: tuple[int, ...]) -> dict[int, list[tuple[int, int, int]]]:
+    """The ``boundary_items`` of faces of two or more vertices, by top vertex.
 
-    Keyed by the top vertex v as a one-bit mask, each group ascending by
-    face. The faces that K_(J ∪ v), v above J, adds to K_J are {v} and
-    those of group v inside J ∪ v; a face's boundary faces come before
-    it, in K_J or earlier in its group.
+    Keyed by every vertex as a one-bit mask, each group ascending by face,
+    so a face's boundary faces come before it, in K_J or in its group.
     """
-    groups = {1 << v - 1: [] for v in mask_vertices(k.vertices_mask)}
-    for item in sorted(boundary_items(k.faces())):
+    groups = {f: [] for f in faces if f.bit_count() == 1}
+    for item in sorted(boundary_items(faces)):
         if item[2] > 1:
             groups[1 << item[0].bit_length() >> 1].append(item)
     return groups
 
 
-def subset_walk(k, changes=None):
-    """Yield (J, β̃(K_J)) for each J ⊆ V(k) with β̃(K_J) ≠ 0, lexicographic in J.
+def subset_walk(faces: tuple[int, ...], changes=None):
+    """Yield (J, β̃(K_J)) for each J ⊆ V(K) with β̃(K_J) ≠ 0, lexicographic in J.
 
-    Depth first, one frame per vertex of the current path on an explicit
-    stack, so no vertex count meets the recursion limit. Entering J ∪ v,
-    v above top(J), takes the vertex {v} without reduction: it kills the
-    class of {} if J = ∅ and else bears a 0-cycle. The pivot of a vertex
-    sits at the empty face, which no other column reaches, so none is
-    kept. Then it reduces the faces of ``_walk_groups(k)[v]`` inside
-    J ∪ v into the one pivot dict, and leaving it deletes the pivots they
-    added. The change J ∪ v makes to its parent's Betti row goes to
-    ``changes[|J ∪ v|][a]``, a the vertices above v, and K_∅'s to
-    ``changes[0][|V(k)|]``. A frame carries β̃(K_J): its parent's, plus
-    the new faces, less twice the pivots they add. The walk reads k's
-    facets and groups now and keeps no reference to k.
+    K is the complex of ``faces``, in any order; () is the void complex.
+    Depth first, one frame per vertex of the path on an explicit stack.
+    K_(J ∪ v), v above top(J), adds {v} and the faces of group v inside
+    J ∪ v to K_J. The vertex needs no reduction: it kills the class of {}
+    if J = ∅ and else bears a 0-cycle, and its pivot, at the empty face,
+    meets no other column. The other faces go into the one pivot dict,
+    and leaving J ∪ v deletes their pivots. The change J ∪ v makes to its
+    parent's Betti row goes to ``changes[|J ∪ v|][a]``, a the vertices
+    above v, and K_∅'s to ``changes[0][|V(K)|]``; without ``changes`` the
+    walk fills a table of its own.
     """
-    n = k.vertices_mask.bit_count()
-    if changes is None:  # totals only: one scratch row takes every change
-        changes = [[[0] * (k.dim + 2)] * (n + 1)] * (n + 1)
-    return _walk(bool(k.facets), _walk_groups(k), k.vertices_mask, changes)
-
-
-def _walk(nonvoid: bool, groups, vertices: int, changes):
-    """The walk of ``subset_walk``, on what it read of k."""
+    groups = _walk_groups(faces)
+    n = len(groups)
+    if changes is None:
+        width = max(map(int.bit_count, faces), default=0) + 1
+        changes = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
     pivots: dict[int, int] = {}
     added: list[int] = []
-    if nonvoid:  # K_∅ = {}: its one face bears a (-1)-cycle
-        changes[0][vertices.bit_count()][0] += 1
+    if faces:  # K_∅ = {}: its one face bears a (-1)-cycle
+        changes[0][n][0] += 1
         yield 0, 1
     # per J on the path: J, the vertices above top(J) still to append,
     # len(added) once K_J is in, and β̃(K_J); each pass enters one J ∪ v
-    frames = [[0, vertices, 0, int(nonvoid)]] if vertices else []
+    frames = [[0, sum(groups), 0, 1]] if groups else []
     while frames:
         frame = frames[-1]
         j_mask, above, mark, total = frame
@@ -213,7 +209,7 @@ def _walk(nonvoid: bool, groups, vertices: int, changes):
 def _build_hom_data(faces: tuple[int, ...]) -> BettiTable:
     betti = [0] * (max(map(int.bit_count, faces), default=-1) + 1)
     add_faces(boundary_items(faces), {}, betti, [])
-    return BettiTable.from_dict(dict(enumerate(betti, -1)))
+    return BettiTable.from_row(betti, -1)
 
 
 def hom_data(faces: tuple[int, ...]) -> BettiTable:

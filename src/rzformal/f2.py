@@ -4,6 +4,8 @@ Vectors over F2 are plain Python ints read as bitmasks: bit k-1 is the
 k-th coordinate. A matrix is a list of such ints, one per row, so bit c
 of a row is the entry in column c; row reduction XORs whole rows at once
 on Python's arbitrary-precision ints. All routines are deterministic.
+``Subgroup`` reads ``rref``; ``rank``, ``kernel_basis`` and ``reduce_batch``
+have no caller in the package and stay for the benchmark's kernel timings.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .simplicial import json_m, mask_vertices
 
 
 def rank(rows: list[int], ncols: int) -> int:
-    """Rank over F2. ``ncols`` is accepted for signature parity with ``rref``."""
+    """Rank over F2, for the benchmark only: Betti numbers use ``add_faces``."""
     pivots: dict[int, int] = {}
     r = 0
     for row in rows:

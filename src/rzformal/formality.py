@@ -124,14 +124,14 @@ def general_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
 
 
 def _walked(k: SimplicialComplex):
-    """The (J, β̃(K_J)) of ``subset_walk(k)``, one walk per complex.
+    """The (J, β̃(K_J)) of ``subset_walk(k.faces())``, one walk per complex.
 
     The items found and the walk that finds the rest are kept on ``k``: a
     later I reads the items, then resumes the walk where an earlier I
     stopped at its witness. A walk that raised is dropped.
     """
     if "walk" not in k._cache:
-        k._cache["walk"] = [], subset_walk(k)
+        k._cache["walk"] = [], subset_walk(k.faces())
     found, walk = k._cache["walk"]
     yield from found
     while True:
@@ -154,7 +154,6 @@ def betti_sum_oracle(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     and any mismatch raises FixedPointModelError rather than guessing.
     """
     _check_input(k, i_mask)
-    hull = mask_vertices(i_mask)
     ambient_total = moment_angle.hochster_real_betti(k).total
     fixed_table = moment_angle.fixed_betti_via_link(k, i_mask)
     if k.m <= cap("cubical"):
@@ -164,28 +163,26 @@ def betti_sum_oracle(k: SimplicialComplex, i_mask: int) -> FormalityReport:
                 "fixed-point model disagreement: link formula gives "
                 f"{fixed_table.dims}, cubical model gives {recomputed.dims}"
             )
-    totals = (fixed_table.total, ambient_total)
-    if fixed_table.total == ambient_total:
-        return FormalityReport("formal", "betti_sum_oracle", hull, None, totals)
-    witness = {"kind": "betti_totals", "fixed": totals[0], "ambient": totals[1]}
-    return FormalityReport("not_formal", "betti_sum_oracle", hull, witness, totals)
+    return _totals_report("betti_sum_oracle", i_mask, fixed_table.total, ambient_total)
 
 
 def torus_oracle(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     """Betti-sum comparison for the coordinate torus acting on Z_K."""
     _check_input(k, i_mask)
-    hull = mask_vertices(i_mask)
     ambient_total = moment_angle.hochster_complex_betti(k).total
+    fixed_total = 0
     if k.has_face(i_mask):
-        link = k.link(i_mask)
-        fixed_total = moment_angle.hochster_complex_betti(link).total
-    else:
-        fixed_total = 0
-    totals = (fixed_total, ambient_total)
-    if fixed_total == ambient_total:
-        return FormalityReport("formal", "torus_oracle", hull, None, totals)
-    witness = {"kind": "betti_totals", "fixed": fixed_total, "ambient": ambient_total}
-    return FormalityReport("not_formal", "torus_oracle", hull, witness, totals)
+        fixed_total = moment_angle.hochster_complex_betti(k.link(i_mask)).total
+    return _totals_report("torus_oracle", i_mask, fixed_total, ambient_total)
+
+
+def _totals_report(method: str, i_mask: int, fixed: int, ambient: int) -> FormalityReport:
+    """The report of a Betti-sum oracle: formal iff the two totals are equal."""
+    hull, totals = mask_vertices(i_mask), (fixed, ambient)
+    if fixed == ambient:
+        return FormalityReport("formal", method, hull, None, totals)
+    witness = {"kind": "betti_totals", "fixed": fixed, "ambient": ambient}
+    return FormalityReport("not_formal", method, hull, witness, totals)
 
 
 def decide(k: SimplicialComplex, a: Subgroup) -> FormalityReport:

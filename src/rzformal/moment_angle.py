@@ -29,10 +29,10 @@ models with up to 3^m cells, and census enumeration.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 
-from . import f2
-from .cohomology import BettiTable, memoized, subset_walk
+from .cohomology import BettiTable, add_faces, memoized, subset_walk
 from .simplicial import SimplicialComplex, check_cap, mask_vertices, submasks
 
 
@@ -76,10 +76,7 @@ def _walk_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
         for d, b in enumerate(row):
             real[d] += b
             cplx[d + s] += b
-    return (
-        BettiTable.from_dict(dict(enumerate(real)), 0),
-        BettiTable.from_dict(dict(enumerate(cplx)), 0),
-    )
+    return BettiTable.from_row(real, 0), BettiTable.from_row(cplx, 0)
 
 
 def _times_one_plus_x(sums: list[list[int]]) -> list[list[int]]:
@@ -130,11 +127,10 @@ def _core_sums(core: SimplicialComplex, width: int) -> list[list[int]]:
     row recurs in each of the 2^a sets J ∪ v ∪ S, S above v, and C(a, i)
     of them have |S| = i, so it adds to row |J ∪ v| + i with weight C(a, i).
     """
-    core = _heaviest_stars_first(core)
     n = core.vertices_mask.bit_count()
     # changes[s][a]: the Betti changes of the J with s vertices, a of V above top(J)
     changes = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
-    for _ in subset_walk(core, changes):
+    for _ in subset_walk(_heaviest_stars_first(core), changes):
         pass
     sums = [[0] * width for _ in range(n + 1)]
     for s, by_above in enumerate(changes):
@@ -146,12 +142,13 @@ def _core_sums(core: SimplicialComplex, width: int) -> list[list[int]]:
     return sums
 
 
-def _heaviest_stars_first(core: SimplicialComplex) -> SimplicialComplex:
-    """``core`` relabeled 1..n by descending Σ_{f ∋ v} 2^-|f|, ties in label order.
+def _heaviest_stars_first(core: SimplicialComplex) -> tuple[int, ...]:
+    """The faces of ``core`` relabeled 1..n by descending Σ_{f ∋ v} 2^-|f|.
 
-    The walk reduces a face f once for each J below top(f) that holds
-    f ∖ top(f), 2^(pos(top f) - |f| + 1) times, so vertices in many small
-    faces go first. The sums do not depend on labels.
+    Ties keep label order, and the faces keep theirs. The walk reduces a
+    face f once for each J below top(f) that holds f ∖ top(f),
+    2^(pos(top f) - |f| + 1) times, so vertices in many small faces go
+    first. The sums do not depend on labels.
     """
     faces = core.faces()
     top = core.dim + 1
@@ -160,10 +157,11 @@ def _heaviest_stars_first(core: SimplicialComplex) -> SimplicialComplex:
         w = 1 << top - f.bit_count()
         for v in mask_vertices(f):
             weight[v] += w
-    order = sorted(weight, key=lambda v: -weight[v])  # stable: ties keep label order
-    label = {v: i for i, v in enumerate(order)}
-    facets = [sum(1 << label[v] for v in mask_vertices(f)) for f in core.facets]
-    return SimplicialComplex((1 << len(order)) - 1, facets)
+    order = sorted(weight, key=lambda v: -weight[v])
+    new = {0: 0} | {1 << v - 1: 1 << i for i, v in enumerate(order)}
+    for f in faces:  # f less its lowest vertex comes before f
+        new[f] = new[f & f - 1] | new[f & -f]
+    return tuple(new[f] for f in faces)
 
 
 def hochster_real_betti(k: SimplicialComplex) -> BettiTable:
@@ -274,27 +272,25 @@ class CubicalComplex:
         return memoized(key, CubicalComplex._rank, self)
 
     def _rank(self) -> BettiTable:
+        """β_d at entry d + 1 of one ``add_faces`` row, cells indexed by dimension."""
         by_dim = self.cells_by_dim
-        ranks = [0] * (len(by_dim) + 1)
-        for d in range(1, len(by_dim)):
-            column = {c: j for j, c in enumerate(by_dim[d - 1])}
-            rows = []
-            for cell in by_dim[d]:
-                row = 0
-                try:
+        index = {c: i for i, c in enumerate(chain.from_iterable(by_dim))}
+        items = [(cell, 0, 1) for cell in by_dim[0]] if by_dim else []
+        try:
+            for d, cells in enumerate(by_dim[1:], 2):
+                for cell in cells:
+                    col = 0
                     for child in self.boundary(cell):
-                        row ^= 1 << column[child]
-                except KeyError:  # a boundary cell with no face of its own
-                    raise ValueError(
-                        "every face of a cubical model must contain zero, and the "
-                        "faces must be closed under removing vertices outside zero"
-                    ) from None
-                rows.append(row)
-            ranks[d] = f2.rank(rows, len(column))
-        return BettiTable.from_dict(
-            {d: len(cells) - ranks[d] - ranks[d + 1] for d, cells in enumerate(by_dim)},
-            0,
-        )
+                        col |= 1 << index[child]
+                    items.append((cell, col, d))
+        except KeyError:  # a boundary cell with no face of its own
+            raise ValueError(
+                "every face of a cubical model must contain zero, and the "
+                "faces must be closed under removing vertices outside zero"
+            ) from None
+        betti = [0] * (len(by_dim) + 1)
+        add_faces(items, {}, betti, [])
+        return BettiTable.from_row(betti[1:], 0)
 
     def fixed_subcomplex(self, i_mask: int) -> "CubicalComplex":
         """The points fixed by reflections on ``i_mask``: those at 0 there.

@@ -13,7 +13,7 @@ import pytest
 
 import rzformal
 from rzformal import SimplicialComplex, census, simplicial
-from rzformal.cli import run
+from rzformal.cli import build_parser, run
 from rzformal.cohomology import BettiTable
 from rzformal.moment_angle import CubicalComplex
 from rzformal.simplicial import CAPS, MAX_M
@@ -439,6 +439,30 @@ def test_the_package_runs_as_a_module(files, capsys):
     )
     assert run(["betti", cone]) == proc.returncode == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_commands_in_one_process_share_one_parser(files, capsys, monkeypatch):
+    # a usage error, a missing file, then a valid check, each as it runs alone
+    _, write = files
+    pts = write("pts.json", {"m": 3, "facets": [[1], [2], [3]]})
+    commands = [["check"], ["check", "/nonexistent/path.json"], ["check", pts, "--I", "1"]]
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap to the terminal
+    env = dict(os.environ, PYTHONPATH=str(Path(rzformal.__file__).parents[1]))
+    build_parser.cache_clear()
+    codes = []
+    for argv in commands:
+        alone = subprocess.run(
+            [sys.executable, "-m", "rzformal", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        try:
+            codes.append(run(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        out = capsys.readouterr()
+        assert (codes[-1], out.out, out.err) == (alone.returncode, alone.stdout, alone.stderr)
+    assert codes == [3, 3, 1]
+    assert build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
