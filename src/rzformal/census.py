@@ -41,13 +41,10 @@ def compute_record(k: SimplicialComplex, i_mask: int) -> CensusRecord:
     reports = evaluate_all(k, i_mask)
     flag = reports.get("flag_criterion")
     oracle = reports["betti_sum_oracle"]
-    facets = k._cache.get("json_facets")
-    if facets is None:  # once per complex, not per I; tuples, so no reader changes them
-        facets = k._cache["json_facets"] = tuple(map(tuple, k.to_json_obj()["facets"]))
     assert oracle.totals is not None
     return CensusRecord(
         m=k.m,
-        facets=facets,
+        facets=k.json_facets(),
         is_flag=flag is not None,
         I=mask_vertices(i_mask),
         verdict_flag=flag.verdict if flag is not None else None,
@@ -120,10 +117,8 @@ def census_tasks(m: int, mode: str) -> list[tuple[int, tuple[tuple[int, ...], ..
     if mode not in MODES:
         raise ValueError(f"unknown census mode {mode!r}")
     check_cap(f"census {mode}", m)
-    tasks = []
-    for k in flag_complexes(m) if mode == "flag" else all_complexes(m):
-        facets = tuple(tuple(f) for f in k.to_json_obj()["facets"])
-        tasks.append((m, facets))
+    complexes = flag_complexes(m) if mode == "flag" else all_complexes(m)
+    tasks = [(m, k.json_facets()) for k in complexes]
     if mode == "all-complexes":
         tasks.sort()
     return tasks

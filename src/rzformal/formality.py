@@ -35,13 +35,17 @@ class FixedPointModelError(RuntimeError):
 class FormalityReport:
     verdict: str
     method: str
-    hull: tuple[int, ...]
+    i_mask: int
     witness: dict | None = None
     totals: tuple[int, int] | None = None
 
     @property
     def formal(self) -> bool:
         return self.verdict == "formal"
+
+    @property
+    def hull(self) -> tuple[int, ...]:
+        return mask_vertices(self.i_mask)
 
     def to_json_obj(self) -> dict:
         return {
@@ -63,6 +67,12 @@ def _check_input(k: SimplicialComplex, i_mask: int) -> None:
         raise ValueError("the void complex has no faces")
 
 
+def _not_a_face(method: str, i_mask: int) -> FormalityReport:
+    """The criteria's report when I is not a face of K."""
+    witness = {"kind": "not_a_face", "I": list(mask_vertices(i_mask))}
+    return FormalityReport("not_formal", method, i_mask, witness)
+
+
 def flag_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     """Missing-edge test; valid for flag complexes only.
 
@@ -71,12 +81,10 @@ def flag_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     and the least such vertex.
     """
     _check_input(k, i_mask)
-    hull = mask_vertices(i_mask)
     if not k.is_flag():
         raise ValueError("flag criterion requires flag complex")
     if not k.has_face(i_mask):
-        witness = {"kind": "not_a_face", "I": list(hull)}
-        return FormalityReport("not_formal", "flag_criterion", hull, witness)
+        return _not_a_face("flag_criterion", i_mask)
     adj, verts = k.neighbours(), k.vertices_mask
     for j1 in mask_vertices(verts):
         n1 = adj[j1 - 1]
@@ -86,41 +94,37 @@ def flag_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
             if off:
                 i = (off & -off).bit_length()
                 witness = {"kind": "missing_edge", "edge": [j1, j2], "i": i}
-                return FormalityReport("not_formal", "flag_criterion", hull, witness)
-    return FormalityReport("formal", "flag_criterion", hull)
+                return FormalityReport("not_formal", "flag_criterion", i_mask, witness)
+    return FormalityReport("formal", "flag_criterion", i_mask)
 
 
 def general_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     """Restriction-map test; works for arbitrary complexes.
 
-    Requires I to be a face and, for every vertex subset J, the faces
-    of K_J not containing the face I ∩ J to form a subcomplex whose
-    inclusion is trivial on reduced cohomology.  Removing the open
-    star of I ∩ J rather than all of its vertices is essential: the
-    two deletions agree when I meets J in at most one vertex but not
-    in general, and only the star deletion matches the fixed-point
-    Betti count on every complex.  Each map is decided from three
-    Betti totals; the relative term is the link of σ = I ∩ J in K_J.
-    A map from β̃(K_J) = 0 is trivial, so only the J of ``_walked`` with
-    σ ≠ ∅ build a face list. The witness is the first failing J in
-    lexicographic order; the walk is capped like the Hochster sums. A
-    K_J that meets the apexes A is a cone and any other is (lk A)_J, so
-    the walk is that of lk A for I ∖ A, and none if I ⊆ A.
+    Requires I to be a face and, for every vertex subset J, the faces of
+    K_J not containing the face σ = I ∩ J to form a subcomplex whose
+    inclusion is trivial on reduced cohomology. Removing the open star of
+    σ rather than all of its vertices is essential: the two deletions
+    agree when |σ| ≤ 1 but not in general, and only the star deletion
+    matches the fixed-point Betti count on every complex. Each map is
+    decided from three Betti totals, the relative term being the link of
+    σ in K_J, and a map from β̃(K_J) = 0 is trivial. The witness is the
+    first failing J in lexicographic order; the walk is capped like the
+    Hochster sums. A K_J that meets the apexes A is a cone and any other
+    is (lk A)_J, so the walk is that of lk A for I ∖ A, and none if
+    I ⊆ A; the report still carries all of I.
     """
     _check_input(k, i_mask)
     check_cap("hochster", k.m)
-    hull = mask_vertices(i_mask)
     if not k.has_face(i_mask):
-        witness = {"kind": "not_a_face", "I": list(hull)}
-        return FormalityReport("not_formal", "general_criterion", hull, witness)
-    apexes = k.apexes
-    k, i_mask = k.link(apexes), i_mask & ~apexes
-    for j_mask, total in _walked(k) if i_mask else ():
-        sigma = j_mask & i_mask
-        if sigma and not _restriction_map_trivial(k.subfaces(j_mask), sigma, total):
+        return _not_a_face("general_criterion", i_mask)
+    link, rest = k.link(k.apexes), i_mask & ~k.apexes
+    for j_mask, total in _walked(link) if rest else ():
+        sigma = j_mask & rest
+        if sigma and not _restriction_map_trivial(link.subfaces(j_mask), sigma, total):
             witness = {"kind": "nontrivial_restriction", "J": list(mask_vertices(j_mask))}
-            return FormalityReport("not_formal", "general_criterion", hull, witness)
-    return FormalityReport("formal", "general_criterion", hull)
+            return FormalityReport("not_formal", "general_criterion", i_mask, witness)
+    return FormalityReport("formal", "general_criterion", i_mask)
 
 
 def _walked(k: SimplicialComplex):
@@ -178,11 +182,10 @@ def torus_oracle(k: SimplicialComplex, i_mask: int) -> FormalityReport:
 
 def _totals_report(method: str, i_mask: int, fixed: int, ambient: int) -> FormalityReport:
     """The report of a Betti-sum oracle: formal iff the two totals are equal."""
-    hull, totals = mask_vertices(i_mask), (fixed, ambient)
     if fixed == ambient:
-        return FormalityReport("formal", method, hull, None, totals)
+        return FormalityReport("formal", method, i_mask, None, (fixed, ambient))
     witness = {"kind": "betti_totals", "fixed": fixed, "ambient": ambient}
-    return FormalityReport("not_formal", method, hull, witness, totals)
+    return FormalityReport("not_formal", method, i_mask, witness, (fixed, ambient))
 
 
 def decide(k: SimplicialComplex, a: Subgroup) -> FormalityReport:
@@ -214,5 +217,4 @@ def evaluate_all(k: SimplicialComplex, i_mask: int) -> dict[str, FormalityReport
 
 
 def reports_agree(reports: dict[str, FormalityReport]) -> bool:
-    verdicts = {r.verdict for r in reports.values()}
-    return len(verdicts) == 1
+    return len({r.verdict for r in reports.values()}) == 1

@@ -9,10 +9,9 @@ changes these sums by a closed form, so such vertices are peeled off
 first, and the walk over the J visits only the core that is left,
 relabeled so that the vertices in the most small faces come first.
 
-``CubicalComplex`` recomputes these numbers from cells of the cube: a
-2-bit code per coordinate names one of the points {-1}, {0}, {1} or the
-interval [-1,1]. The plain model has one cell per face sigma and sign
-pattern off sigma.
+``CubicalComplex`` recomputes these numbers from cells of the cube, each
+coordinate one of the points {-1}, {0}, {1} or the interval [-1,1]. The
+plain model has one cell per face sigma and sign pattern off sigma.
 
 The reflection in coordinate i fixes the points with x_i = 0. Those of
 RZ_K with x_i = 0 on I lie over the faces containing I, and cutting the
@@ -188,21 +187,12 @@ def fixed_betti_via_link(k: SimplicialComplex, i_mask: int) -> BettiTable:
     return hochster_real_betti(k.link(i_mask))
 
 
-def _spread(mask: int, code: int) -> int:
-    """Place ``code`` in the 2-bit field of every set bit of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= code << (2 * (low.bit_length() - 1))
-        mask ^= low
-    return out
-
-
 class CubicalComplex:
     """A cubical complex in [-1,1]^m read off the faces of one complex.
 
-    A cell is an int with a 2-bit code per coordinate: 0 is {-1}, 1 is
-    {0}, 2 is {1} and 3 is [-1,1]. Besides the face masks, a complex
+    A cell is two vertex masks, ``lo | hi << w`` with w the bit length of
+    the ambient set; coordinate v is {-1} in neither, {0} in lo only, {1}
+    in hi only and [-1,1] in both. Besides the face masks, a complex
     keeps ``zero``, the coordinates held at 0. Every face sigma must
     contain ``zero``; its cells carry {0} on ``zero``, [-1,1] on the rest
     of sigma, and -1 or 1 off sigma. The faces must be closed under
@@ -215,8 +205,7 @@ class CubicalComplex:
         self.ambient = ambient
         self.faces = faces
         self.zero = zero
-        # bit 0 of the 2-bit field of every coordinate up to the top one
-        self._field_lows = ((1 << 2 * ambient.bit_length()) - 1) // 3
+        self._w = ambient.bit_length()
         self._cells: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -231,13 +220,12 @@ class CubicalComplex:
 
     def _generate(self) -> tuple[tuple[int, ...], ...]:
         by_dim: list[list[int]] = [[] for _ in range(self.m + 1)]
-        zero = self.zero
-        held = _spread(zero, 1)
+        w = self._w
         for face in self.faces:
-            free = face & ~zero
-            low = held + _spread(free, 3)
-            signs = submasks(_spread(self.ambient & ~face, 2))
-            by_dim[free.bit_count()] += [low + s for s in signs]
+            free = face & ~self.zero
+            low = face | free << w
+            signs = submasks((self.ambient & ~face) << w)
+            by_dim[free.bit_count()] += [low | s for s in signs]
         while by_dim and not by_dim[-1]:
             by_dim.pop()
         return tuple(tuple(cells) for cells in by_dim)
@@ -248,16 +236,16 @@ class CubicalComplex:
     def boundary(self, cell: int) -> list[int]:
         """Cells of one dimension lower in the F2 boundary of ``cell``.
 
-        Code 3 has both bits of its field set, so ``cell & cell >> 1`` holds
-        bit 0 of exactly the [-1,1] fields; their ends {-1} and {1} are codes
-        0 and 2, the cell less 3 or 1 in that field.
+        The intervals are the coordinates in both masks; the ends of one,
+        {-1} and {1}, drop it from both masks or from lo.
         """
         out = []
-        intervals = cell & cell >> 1 & self._field_lows
+        w = self._w
+        intervals = cell & cell >> w
         while intervals:
-            low = intervals & -intervals
-            out += (cell - 3 * low, cell - low)
-            intervals ^= low
+            v = intervals & -intervals
+            out += (cell - v - (v << w), cell - v)
+            intervals ^= v
         return out
 
     def betti(self) -> BettiTable:

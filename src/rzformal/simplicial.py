@@ -358,12 +358,21 @@ class SimplicialComplex:
         m = json_m(obj, "facets", "complex")
         return cls.from_facets(m, _int_lists(obj, "facets", "complex"))
 
+    def json_facets(self) -> tuple[tuple[int, ...], ...]:
+        """The facets as label tuples in JSON order: by size, then lexicographic.
+
+        Cached; tuples, so no reader changes them.
+        """
+        facets = self._cache.get("json_facets")
+        if facets is None:
+            if self.ambient != (1 << self.m) - 1:
+                raise ValueError("JSON output needs contiguous vertex labels")
+            facets = sorted(mask_vertices(f) for f in self.facets)
+            facets = self._cache["json_facets"] = tuple(sorted(facets, key=len))
+        return facets
+
     def to_json_obj(self) -> dict:
-        if self.ambient != (1 << self.m) - 1:
-            raise ValueError("JSON output needs contiguous vertex labels")
-        facets = sorted(mask_vertices(f) for f in self.facets)
-        facets.sort(key=len)
-        return {"m": self.m, "facets": [list(f) for f in facets]}
+        return {"m": self.m, "facets": [list(f) for f in self.json_facets()]}
 
     def __eq__(self, other: object) -> bool:
         return (

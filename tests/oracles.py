@@ -5,7 +5,7 @@ purpose: matrices are dense lists of 0/1 ints, faces are frozensets,
 and elimination is the textbook row-by-row sweep. Slow but obviously
 correct, which is the point. The cubical model of RZ_K below is cut at
 0 along any given coordinates; its cells are tuples of per-coordinate
-intervals, not the package's bit codes, and its boundary rows are sets
+intervals, not the package's vertex masks, and its boundary rows are sets
 of column numbers, since a dense matrix over up to 5^m cells is too
 slow to rank.
 """
@@ -343,19 +343,84 @@ def cube_betti(cells):
     return dims
 
 
-# the package's 2-bit codes of one coordinate: {-1}, {0}, {1} and [-1,1]
-_CODES = ((-1, -1), (0, 0), (1, 1), (-1, 1))
+# coordinate v of a package cell by its bits in the (hi, lo) masks:
+# {-1}, {0}, {1} and [-1,1]
+_CODES = {(0, 0): (-1, -1), (0, 1): (0, 0), (1, 0): (1, 1), (1, 1): (-1, 1)}
 
 
 def decode_cell(cell, ambient):
     """A cell of a package cubical model on ``ambient``, as a ``cube_cells`` cell.
 
-    The package codes coordinate v of a cell in its bits 2(v-1) and
-    2(v-1) + 1.
+    The package keeps a cell as two masks, ``lo | hi << w`` with w the bit
+    length of ``ambient``.
     """
-    return tuple((v, *_CODES[cell >> 2 * (v - 1) & 3]) for v in _labels(ambient))
+    w = ambient.bit_length()
+    return tuple(
+        (v, *_CODES[cell >> (w + v - 1) & 1, cell >> (v - 1) & 1]) for v in _labels(ambient)
+    )
 
 
 def decode_cells(model):
     """The cells of a package cubical model; a cell listed twice counts once."""
     return {decode_cell(c, model.ambient) for cells in model.cells_by_dim for c in cells}
+
+
+def _plus(x, y):
+    """The sum of two 0/1 tuples in (Z/2)^m."""
+    return tuple(a ^ b for a, b in zip(x, y))
+
+
+def subgroups_dense(m):
+    """Every subgroup of (Z/2)^m, as the frozenset of its elements (0/1 tuples)."""
+    vectors = list(product((0, 1), repeat=m))
+    found = {frozenset([vectors[0]])}
+    todo = list(found)
+    while todo:
+        group = todo.pop()
+        for v in vectors:
+            bigger = group | {_plus(v, a) for a in group}
+            if bigger not in found:
+                found.add(bigger)
+                todo.append(bigger)
+    return sorted(found, key=lambda group: (len(group), sorted(group)))
+
+
+def group_h1_dense(m, edges, a):
+    """dim H^1(G; F2), G the preimage of A in the right-angled Coxeter group.
+
+    The Coxeter group of the graph on {1..m} with ``edges`` has generators
+    g_v and relators g_v^2 and, for each edge uv, (g_u g_v)^2. It maps onto
+    (Z/2)^m, and G is the preimage of A, given as the set of its elements.
+    Reidemeister-Schreier rewriting (Magnus, Karrass and Solitar, 1966)
+    over the cosets (Z/2)^m / A gives G one generator (c, v) per coset c
+    and vertex v. Those on a BFS spanning tree of the coset graph are 1,
+    and each relator read from each coset is a relator of G. Read mod 2, a
+    relator is the set of generators it passes an odd number of times, so
+    dim Hom(G, F2) is the number of generators less the rank of these sets.
+    """
+    coset = {}  # each x to the least element of x + A
+    for x in product((0, 1), repeat=m):  # ascending, so x is the least of a new coset
+        if x not in coset:
+            coset.update((_plus(x, y), x) for y in a)
+    cosets = sorted(set(coset.values()))  # the first is A itself
+    units = [tuple(int(u == v) for u in range(m)) for v in range(m)]
+    step = {(c, v): coset[_plus(c, units[v])] for c in cosets for v in range(m)}
+    column = {key: n for n, key in enumerate(step)}
+    rows = []
+    seen, queue = {cosets[0]}, [cosets[0]]
+    for c in queue:
+        for v in range(m):
+            d = step[c, v]
+            if d not in seen:
+                seen.add(d)
+                queue.append(d)
+                rows.append({column[c, v]})
+    relators = [[v, v] for v in range(m)] + [[u - 1, v - 1] * 2 for u, v in edges]
+    for c in cosets:
+        for word in relators:
+            row, here = set(), c
+            for v in word:
+                row ^= {column[here, v]}
+                here = step[here, v]
+            rows.append(row)
+    return len(column) - _set_rank(rows)

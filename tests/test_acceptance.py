@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,9 @@ import pytest
 import rzformal
 from oracles import cells_at_zero, cube_betti, cube_cells, decode_cells
 from shapes import complete_graph, cycle_graph, empty_graph
+from test_group_report import h1_against_the_verdicts
 from rzformal import (
+    Graph,
     SimplicialComplex,
     Subgroup,
     betti_sum_oracle,
@@ -86,11 +89,14 @@ def test_criterion_1_flag_census_agrees():
 )
 def test_criterion_1_extended_flag_census_m5(tmp_path):
     def body():
-        summary = run_census(5, "flag", tmp_path / "flag5.jsonl", jobs=4)
+        out = tmp_path / "flag5.jsonl"
+        summary = run_census(5, "flag", out, jobs=4)
         assert summary["records"] == 32768
         assert summary["disagreements"] == 0
+        # written by four workers, so this pins the parallel bytes too
+        assert _sha256(out) == "1238aa7f6632cae7fc350165c480d473ed6db88b50d66bbaa709d98821fec25c"
 
-    _report(1, "extended flag census m=5", body)
+    _report(1, "extended flag census m=5, pinned", body)
 
 
 def test_criterion_2_all_complexes_census_agrees():
@@ -334,3 +340,37 @@ def test_criterion_10_formal_check_peaks_under_100_mb(tmp_path, m, kind):
         assert peak_mb <= 100, f"peak RSS {peak_mb:.1f} MB"
 
     _report(10, f"formal {kind} check at m={m} under 100 MB", body)
+
+
+def _sampled_graph_subgroup_pairs(m, count, rng):
+    """(graph, A) pairs: random graphs, and A spanned by up to m vectors,
+    half of them coordinate vectors, given as the set of its elements."""
+    vertex_pairs = list(combinations(range(1, m + 1), 2))
+    pairs = []
+    for _ in range(count):
+        g = Graph(m, [p for p in vertex_pairs if rng.random() < 0.5])
+        a = {(0,) * m}
+        for _ in range(rng.randint(0, m)):
+            if rng.random() < 0.5:
+                j = rng.randrange(m)
+                v = tuple(int(u == j) for u in range(m))
+            else:
+                v = tuple(rng.randint(0, 1) for _ in range(m))
+            a |= {tuple(x ^ y for x, y in zip(v, w)) for w in a}
+        pairs.append((g, a))
+    return pairs
+
+
+@pytest.mark.skipif(
+    os.environ.get("RZFORMAL_EXTENDED") != "1",
+    reason="group H^1 sample at m=5-6; set RZFORMAL_EXTENDED=1 to run",
+)
+def test_criterion_11_group_h1_on_a_sample_at_m5_and_m6():
+    def body():
+        rng = random.Random("group-h1")
+        pairs = _sampled_graph_subgroup_pairs(5, 1500, rng)
+        pairs += _sampled_graph_subgroup_pairs(6, 500, rng)
+        formal, short = h1_against_the_verdicts(pairs)
+        print(f"group H^1: {len(pairs)} pairs, {formal} formal, {short} strictly short")
+
+    _report(11, "group H^1 = rank A + beta_1 when formal, m=5-6 sample", body)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import rzformal
-from rzformal import SimplicialComplex, census, simplicial
+from rzformal import FormalityReport, SimplicialComplex, census, formality, simplicial
 from rzformal.cli import build_parser, run
 from rzformal.cohomology import BettiTable
 from rzformal.moment_angle import CubicalComplex
@@ -125,10 +125,17 @@ def test_check_malformed_json_is_input_error(files, capsys):
         ("check", ["[" * 200_000]),  # nested past the recursion limit
         ("hull", [{"m": MAX_M + 1, "generators": []}]),  # m over the input bound
         ("check", [{"m": 0, "facets": []}]),  # the void complex, no vertex a ghost
+        (
+            "report",  # an edge of three vertices
+            [{"m": 3, "edges": [[1, 2, 3]]}, {"m": 3, "generators": ["100"]}],
+        ),
+        ("hull", [{"m": 3, "generators": ["012"]}]),  # a generator digit not 0 or 1
+        ("report", [{"m": 3, "edges": [[1, 2]]}, {"m": 3, "generators": ["012"]}]),
     ],
     ids=[
         "missing-field", "non-int-vertex", "bool-m", "non-list-facet", "non-pair-edge",
-        "deep-nesting", "m-over-max", "void",
+        "deep-nesting", "m-over-max", "void", "edge-of-three", "hull-generator",
+        "report-generator",
     ],
 )
 def test_malformed_input_fields_are_input_errors(files, capsys, command, payloads):
@@ -136,7 +143,7 @@ def test_malformed_input_fields_are_input_errors(files, capsys, command, payload
     paths = [write(f"in{n}.json", obj) for n, obj in enumerate(payloads)]
     assert run([command, *paths]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -281,6 +288,20 @@ def test_verify_corrupt_census_exits_two(files, capsys):
     assert "line 2: corrupt" in capsys.readouterr().err
 
 
+def test_verify_names_a_blank_line_as_corrupt(files, capsys):
+    tmp_path, _ = files
+    out = tmp_path / "census.jsonl"
+    run(["census", "--max-vertices", "2", "--out", str(out)])
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    lines.insert(2, "")
+    out.write_text("\n".join(lines) + "\n")
+    assert run(["verify", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["line 3: corrupt record"]
+    assert "records=8 mismatches=0 corrupt=1" in captured.out
+
+
 def test_verify_names_a_line_that_is_not_utf8(files, capsys):
     tmp_path, _ = files
     out = tmp_path / "census.jsonl"
@@ -302,6 +323,45 @@ def test_verify_empty_file_warns_but_passes(files, capsys):
     assert run(["verify", str(empty)]) == 0
     captured = capsys.readouterr()
     assert "warning: 0 records" in captured.err
+
+
+@pytest.mark.parametrize("case", ["census-no-vertex", "clique-cap"])
+def test_an_empty_census_and_a_clique_listing_over_the_cap_exit_3_in_one_line(
+    files, capsys, monkeypatch, case
+):
+    tmp_path, write = files
+    if case == "census-no-vertex":
+        argv = ["census", "--max-vertices", "0", "--out", str(tmp_path / "x.jsonl")]
+        message = "census needs at least one vertex"
+    else:
+        # K4 has 16 cliques, over the 2^2 that the cap lets the report list
+        edges = [[u, v] for u in range(1, 5) for v in range(u + 1, 5)]
+        graph = write("g.json", {"m": 4, "edges": edges})
+        argv = ["report", graph, write("a.json", {"m": 4, "generators": ["1000"]})]
+        message = "listing more than 2^2 cliques exceeds the cap 2 (RZFORMAL_HOCHSTER_CAP)"
+        monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "2")
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_check_all_exits_2_with_every_report_when_the_deciders_disagree(
+    files, capsys, monkeypatch
+):
+    _, write = files
+    c4 = write("c4.json", {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]})
+    planted = FormalityReport("not_formal", "torus_oracle", 0b1, {"kind": "planted"})
+    monkeypatch.setattr(formality, "torus_oracle", lambda k, i_mask: planted)
+    assert run(["check", c4, "--I", "1", "--method", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = json.loads(captured.out)
+    assert [r["method"] for r in reports] == [
+        "flag_criterion", "general_criterion", "betti_sum_oracle", "torus_oracle"
+    ]
+    assert [r["verdict"] for r in reports] == ["formal"] * 3 + ["not_formal"]
+    assert reports[-1] == planted.to_json_obj()
 
 
 def test_census_over_cap_is_input_error(files, capsys):

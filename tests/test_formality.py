@@ -1,6 +1,7 @@
 """The four formality deciders and their agreement."""
 
 import gc
+import json
 import random
 import weakref
 from itertools import combinations
@@ -32,6 +33,7 @@ from rzformal import (
     torus_oracle,
 )
 from rzformal import cohomology, formality, moment_angle
+from rzformal.cli import run
 from rzformal.simplicial import label_mask, mask_vertices, submasks
 
 C4 = cycle_graph(4).clique_complex()
@@ -361,6 +363,30 @@ def face_sizes(faces):
     return sorted(map(int.bit_count, faces))
 
 
+# the pentagon on 1, 3, 4, 6, 7 joined with the edge {2, 5}: a flag cone
+PENTAGON_CONE = SimplicialComplex.from_facets(
+    7, [f + [2, 5] for f in [[1, 3], [3, 4], [4, 6], [6, 7], [1, 7]]]
+)
+
+
+@pytest.mark.parametrize("i_set", [[2], [1, 2], [2, 5], [1, 2, 5]])
+def test_every_report_on_a_cone_keeps_the_callers_i(tmp_path, capsys, i_set):
+    # the general criterion walks the link of the apexes {2, 5} for I less
+    # them; its report, like every other, still carries all of I
+    i_mask = label_mask(i_set, 7, "I")
+    for decider in (flag_criterion, general_criterion, betti_sum_oracle, torus_oracle):
+        report = decider(PENTAGON_CONE, i_mask)
+        assert report.i_mask == i_mask, decider
+        assert report.hull == tuple(i_set), decider
+        assert report.to_json_obj()["hull"] == i_set, decider
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(PENTAGON_CONE.to_json_obj()))
+    argv = ["check", str(path), "--I", ",".join(map(str, i_set)), "--method", "all"]
+    assert run(argv) in (0, 1)
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["hull"] for r in reports] == [i_set] * 4
+
+
 def test_a_formal_non_cone_walks_every_j(monkeypatch):
     # the general criterion's worst case: C4 * L with I = {1} is formal
     # for every L, and with no apex to split off and no witness to stop
@@ -544,6 +570,8 @@ def test_all_methods_agree_on_random_larger_complexes():
 
 
 def test_formal_report_round_trip_fields():
-    r = FormalityReport("formal", "flag_criterion", (1, 2))
+    r = FormalityReport("formal", "flag_criterion", 0b11)
     assert r.formal
+    assert r.hull == (1, 2)
+    assert r.to_json_obj()["hull"] == [1, 2]
     assert r.to_json_obj()["witness"] is None

@@ -206,6 +206,18 @@ def test_fixed_points_of_non_face_are_empty():
     assert fixed_betti_via_link(two, 0b11).total == 0
 
 
+def test_fixed_points_of_coordinates_outside_the_ambient_set_are_refused():
+    # the link of 1 in the triangle's boundary lives on {2, 3}, so 1 is
+    # outside it, as 4 is outside the triangle's boundary itself
+    tri = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
+    link = tri.link(0b001)
+    for k, i_mask in ((tri, 0b1000), (link, 0b001), (link, 0b011)):
+        with pytest.raises(ValueError, match="not contained in the vertex set"):
+            fixed_betti_via_link(k, i_mask)
+        with pytest.raises(ValueError, match="not contained in the vertex set"):
+            build_cubical(k).fixed_subcomplex(i_mask)
+
+
 def test_fixed_points_of_two_points_single_coordinate():
     two = SimplicialComplex.from_facets(2, [[1], [2]])
     assert dims(fixed_betti_via_link(two, 0b01)) == [2]
