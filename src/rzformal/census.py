@@ -165,13 +165,9 @@ def verify_census(path: str) -> dict:
     k = None
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, 1):
-            raw = raw.rstrip(b"\n")
-            if not raw:
-                corrupt.append(lineno)
-                continue
             records += 1
             try:
-                line = raw.decode()
+                line = raw.rstrip(b"\n").decode()
                 obj = json.loads(line)
                 m = obj["m"]
                 if m > max_m:

@@ -6,15 +6,18 @@ Conventions for the augmented cochain complex:
   cohomology F2 there and a nonvoid complex with a vertex has none;
 * the void complex has no faces and zero cohomology everywhere.
 
-Every Betti number in the package comes from one column reduction,
-``add_faces``: of the ``boundary_items`` of a whole face list in
-``hom_data``, of the faces beyond {v} that each J ∪ v adds to K_J in
-``subset_walk``, the one walk over vertex subsets J, and of the cells
-of a cubical model in ``moment_angle``. Shared results follow one policy,
+Betti numbers come from two column reductions. ``add_faces`` reduces
+the columns of one complex: the ``boundary_items`` of a whole face list
+in ``hom_data``, the faces beyond {v} that each J ∪ v adds to K_J in
+``subset_walk``, the general criterion's lazy walk over vertex subsets J,
+and the cells of a cubical model in ``moment_angle``. ``subset_sums``
+reduces the columns of every full subcomplex K_J at once, one J per bit
+of an int, for the Hochster sums over all J; one J at a time, those cost
+a Python loop pass per J. Shared results follow one policy,
 ``memoized``: each cache keeps its last ``MEMO_BOUND`` entries, each
 keyed by the exact data it is computed from. ``_hom_cache`` holds the
 restriction test's face lists, keyed by the tuple itself, and ``_memo``
-the Hochster walks and cubical ranks.
+the Hochster tables and cubical ranks.
 
 The one restriction map is onto a star deletion A = X ∖ st σ.
 Over a field the long exact sequence of the pair gives
@@ -29,6 +32,8 @@ shifted up by |σ|, so β(X, A) is the link's total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from math import comb
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ def _walk_groups(faces: tuple[int, ...]) -> dict[int, list[tuple[int, int, int]]
     return groups
 
 
-def subset_walk(faces: tuple[int, ...], changes=None):
+def subset_walk(faces: tuple[int, ...]):
     """Yield (J, β̃(K_J)) for each J ⊆ V(K) with β̃(K_J) ≠ 0, lexicographic in J.
 
     K is the complex of ``faces``, in any order; () is the void complex.
@@ -161,20 +166,14 @@ def subset_walk(faces: tuple[int, ...], changes=None):
     J ∪ v to K_J. The vertex needs no reduction: it kills the class of {}
     if J = ∅ and else bears a 0-cycle, and its pivot, at the empty face,
     meets no other column. The other faces go into the one pivot dict,
-    and leaving J ∪ v deletes their pivots. The change J ∪ v makes to its
-    parent's Betti row goes to ``changes[|J ∪ v|][a]``, a the vertices
-    above v, and K_∅'s to ``changes[0][|V(K)|]``; without ``changes`` the
-    walk fills a table of its own.
+    and leaving J ∪ v deletes their pivots.
     """
     groups = _walk_groups(faces)
-    n = len(groups)
-    if changes is None:
-        width = max(map(int.bit_count, faces), default=0) + 1
-        changes = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
+    # ``add_faces`` counts its changes here; the totals come from the pivots
+    scratch = [0] * (max(map(int.bit_count, faces), default=0) + 1)
     pivots: dict[int, int] = {}
     added: list[int] = []
     if faces:  # K_∅ = {}: its one face bears a (-1)-cycle
-        changes[0][n][0] += 1
         yield 0, 1
     # per J on the path: J, the vertices above top(J) still to append,
     # len(added) once K_J is in, and β̃(K_J); each pass enters one J ∪ v
@@ -189,13 +188,10 @@ def subset_walk(faces: tuple[int, ...], changes=None):
         v = above & -above
         above ^= v
         grown = j_mask | v
-        row = changes[len(frames)][above.bit_count()]
         if j_mask:
-            row[1] += 1
-            taken = add_faces(groups[v], pivots, row, added, grown)
+            taken = add_faces(groups[v], pivots, scratch, added, grown)
             total += 1 + taken - 2 * (len(added) - mark)
         else:
-            row[0] -= 1
             total -= 1
         if total:
             yield grown, total
@@ -204,6 +200,137 @@ def subset_walk(faces: tuple[int, ...], changes=None):
             frames.append([grown, above, len(added), total])
         else:  # J ∪ v holds the top vertex: J is done
             frames.pop()
+
+
+# lanes per block of ``subset_sums``: 2^12 lanes make 512-byte lane masks
+LANE_BITS = 12
+
+
+def _faces_by_size(faces: tuple[int, ...]) -> list[list[int]]:
+    """The faces relabeled onto bits 0..n-1 in label order, ascending, by size."""
+    new = {0: 0}
+    rest = 0
+    for f in faces:
+        rest |= f
+    i = 0
+    while rest:
+        v = rest & -rest
+        new[v] = 1 << i
+        i += 1
+        rest ^= v
+    by_size: list[list[int]] = [[] for _ in range(i + 1)]
+    for f in sorted(faces):  # f less its lowest vertex comes before f
+        g = new[f] = new[f & f - 1] | new[f & -f]
+        by_size[f.bit_count()].append(g)
+    while by_size and not by_size[-1]:
+        by_size.pop()
+    return by_size
+
+
+def subset_sums(faces: tuple[int, ...], width: int) -> list[list[int]]:
+    """T[s][d + 1] = Σ β̃_d(K_J) over the J ⊆ V(K) with |J| = s, s = 0..|V(K)|.
+
+    K is the complex of ``faces``, in any order, on n vertices, and
+    ``width`` at least dim K + 2. With f_d faces and r_d the rank of the
+    boundary of the d-faces, β̃_d(K_J) = f_d(K_J) - r_d(J) - r_(d+1)(J),
+    and each term is summed over all J at once. A face of k vertices lies
+    in C(n - k, s - k) of the J with |J| = s. A vertex's column has rank 1
+    in every J ≠ ∅. The ranks of the faces of k ≥ 2 vertices come from one
+    bit-sliced elimination (Biham's bit-slicing, 1997): lane J is bit J of
+    an int, so each F2 row operation acts on every J at once. A column f
+    has a 1 at row f ∖ u for each u ∈ f, in the lanes of the J ⊇ f. Going
+    down the rows, the lanes whose column leads at row p reduce by the
+    pivot they already have there, and the others make it their pivot.
+
+    A block holds the 2^LANE_BITS sets J of the lowest vertices; block h
+    fixes which of the others are in J, takes the faces inside, and adds
+    its ranks at s + |h|. So the lane masks stay 512 bytes long.
+    """
+    by_size = _faces_by_size(faces)
+    n = len(by_size[1]) if len(by_size) > 1 else 0
+    sums = [[0] * width for _ in range(n + 1)]
+    for k, group in enumerate(by_size):
+        for s in range(k, n + 1):
+            sums[s][k] += len(group) * comb(n - k, s - k)
+    for s in range(1, n + 1):
+        sums[s][0] -= comb(n, s)
+        sums[s][1] -= comb(n, s)
+    bits = min(n, LANE_BITS)
+    low = (1 << bits) - 1
+    every = (1 << (1 << bits)) - 1
+    # the lanes of the J that hold vertex v, runs of 2^v lanes without it
+    # and 2^v with it, and the lanes of the J with s vertices
+    holding = [every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1 << (1 << v))
+               for v in range(bits)]
+    of_size = [1]
+    for v in range(bits):
+        of_size = [a | b << (1 << v) for a, b in zip(of_size + [0], [0] + of_size)]
+    for k in range(2, len(by_size)):
+        index = {g: r for r, g in enumerate(by_size[k - 1])}
+        cols = []
+        for f in by_size[k]:
+            rows, rest = [], f
+            while rest:
+                u = rest & -rest
+                rows.append(index[f ^ u])
+                rest ^= u
+            cols.append((f >> bits, f & low, rows))
+        for h in range(1 << n - bits):
+            block = [(own, rows) for top, own, rows in cols if not top & ~h]
+            for mask in _pivot_lanes(block, holding, every):
+                for s, lanes in enumerate(of_size, h.bit_count()):
+                    r = (mask & lanes).bit_count()
+                    sums[s][k] -= r
+                    sums[s][k - 1] -= r
+    return sums
+
+
+def _pivot_lanes(cols: list[tuple[int, list[int]]], holding: list[int], every: int):
+    """Per row with a pivot, the lanes that have one there, once ``cols`` are reduced.
+
+    A column is its face's own vertices among the lane bits and its rows.
+    It lies in the lanes ``every`` less those that miss one of its own
+    vertices, by ``holding``, with a 1 at each row in each of them. A
+    pivot at p is stored as its rows below p, each with the lanes of the
+    pivots there.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    has: dict[int, int] = {}
+    for own, rows in cols:
+        active = every
+        while own:
+            u = own & -own
+            active &= holding[u.bit_length() - 1]
+            own ^= u
+        col = dict.fromkeys(rows, active)
+        heap = [-r for r in rows]
+        heapify(heap)
+        while heap:
+            p = -heappop(heap)
+            lead = col.pop(p) & active
+            if not lead:
+                continue
+            have = has.get(p, 0)
+            old = lead & have
+            if old:
+                for q, lanes in pivots[p].items():
+                    if q in col:
+                        col[q] ^= lanes & old
+                    else:
+                        col[q] = lanes & old
+                        heappush(heap, -q)
+            new = lead ^ old
+            if new:
+                below = pivots.setdefault(p, {})
+                for q, lanes in col.items():
+                    lanes &= new
+                    if lanes:
+                        below[q] = below.get(q, 0) | lanes
+                has[p] = have | new
+                active ^= new
+                if not active:
+                    break
+    return has.values()
 
 
 def _build_hom_data(faces: tuple[int, ...]) -> BettiTable:

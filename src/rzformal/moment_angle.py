@@ -6,8 +6,8 @@ of the full subcomplexes K_J (degree shift 1). The complex version has
 shift |J| + 1 and the same total dimension. Both are read off the sums
 T[s][d] of β̃_d(K_J) over the J with |J| = s. A vertex in one facet only
 changes these sums by a closed form, so such vertices are peeled off
-first, and the walk over the J visits only the core that is left,
-relabeled so that the vertices in the most small faces come first.
+first, and only the core that is left is summed over its J, by
+``cohomology.subset_sums``, every J at once.
 
 ``CubicalComplex`` recomputes these numbers from cells of the cube, each
 coordinate one of the points {-1}, {0}, {1} or the interval [-1,1]. The
@@ -31,8 +31,8 @@ from __future__ import annotations
 from itertools import chain
 from math import comb
 
-from .cohomology import BettiTable, add_faces, memoized, subset_walk
-from .simplicial import SimplicialComplex, check_cap, mask_vertices, submasks
+from .cohomology import BettiTable, add_faces, memoized, subset_sums
+from .simplicial import SimplicialComplex, check_cap, submasks
 
 
 def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
@@ -50,19 +50,20 @@ def _walk_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
     """Real and complex tables from the sums T[s][d] = Σ_{|J|=s} β̃_d(K_J).
 
     β̃_d(K_J) adds to degree d + 1 of the real space, d + |J| + 1 of the
-    complex one. A cone is walked once, as the link L of its apexes A: a
+    complex one. A cone is summed once, as the link L of its apexes A: a
     K_J that meets A is a cone, any other is L_J, and L keeps K's ghosts.
-    Otherwise ``_peel`` takes off free vertices, ``_core_sums`` walks the
-    core left, and each peeled vertex w, in the reverse order, turns the
-    sums of K ∖ w into those of K (see ``_peel``). A ghost vertex g gives
-    K_(J ∪ g) = K_J, so it multiplies the sums by 1 + x, x counting |J|.
+    Otherwise ``_peel`` takes off free vertices, ``subset_sums`` sums over
+    the J of the core left, and each peeled vertex w, in the reverse
+    order, turns the sums of K ∖ w into those of K (see ``_peel``). A
+    ghost vertex g gives K_(J ∪ g) = K_J, so it multiplies the sums by
+    1 + x, x counting |J|.
     """
     apexes = k.apexes
     if apexes:
         return _hochster_tables(k.link(apexes))
     core, peels = _peel(k)
     width = k.dim + 2  # β̃_d sits at d + 1
-    sums = _core_sums(core, width)
+    sums = subset_sums(core.faces(), width)
     for n, f in reversed(peels):
         sums = _times_one_plus_x(sums)
         sums[1][0] -= 1  # K_w is a point, not {}
@@ -116,51 +117,6 @@ def _peel(k: SimplicialComplex) -> tuple[SimplicialComplex, list[tuple[int, int]
                 peels.append((rest.bit_count(), (face & rest).bit_count() - 1))
                 rest ^= w
         core = SimplicialComplex(rest, [face & rest for face in core.facets])
-
-
-def _core_sums(core: SimplicialComplex, width: int) -> list[list[int]]:
-    """The sums T[s][d + 1] over J ⊆ V(core), from the changes of ``subset_walk``.
-
-    The walk is of ``_heaviest_stars_first(core)``, as the sums do not
-    depend on labels. The change that J ∪ v makes to its parent's Betti
-    row recurs in each of the 2^a sets J ∪ v ∪ S, S above v, and C(a, i)
-    of them have |S| = i, so it adds to row |J ∪ v| + i with weight C(a, i).
-    """
-    n = core.vertices_mask.bit_count()
-    # changes[s][a]: the Betti changes of the J with s vertices, a of V above top(J)
-    changes = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
-    for _ in subset_walk(_heaviest_stars_first(core), changes):
-        pass
-    sums = [[0] * width for _ in range(n + 1)]
-    for s, by_above in enumerate(changes):
-        for a, row in enumerate(by_above):
-            for d, b in enumerate(row):
-                if b:
-                    for i in range(a + 1):
-                        sums[s + i][d] += b * comb(a, i)
-    return sums
-
-
-def _heaviest_stars_first(core: SimplicialComplex) -> tuple[int, ...]:
-    """The faces of ``core`` relabeled 1..n by descending Σ_{f ∋ v} 2^-|f|.
-
-    Ties keep label order, and the faces keep theirs. The walk reduces a
-    face f once for each J below top(f) that holds f ∖ top(f),
-    2^(pos(top f) - |f| + 1) times, so vertices in many small faces go
-    first. The sums do not depend on labels.
-    """
-    faces = core.faces()
-    top = core.dim + 1
-    weight = dict.fromkeys(mask_vertices(core.vertices_mask), 0)
-    for f in faces[1:]:
-        w = 1 << top - f.bit_count()
-        for v in mask_vertices(f):
-            weight[v] += w
-    order = sorted(weight, key=lambda v: -weight[v])
-    new = {0: 0} | {1 << v - 1: 1 << i for i, v in enumerate(order)}
-    for f in faces:  # f less its lowest vertex comes before f
-        new[f] = new[f & f - 1] | new[f & -f]
-    return tuple(new[f] for f in faces)
 
 
 def hochster_real_betti(k: SimplicialComplex) -> BettiTable:

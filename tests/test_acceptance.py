@@ -294,16 +294,19 @@ _PEAK_RSS = (
 )
 
 
-def _formal_check_input(m, kind):
-    """(facets, I, method) of a formal check on m vertices.
+def _big_input(m, kind):
+    """(facets, command) of a large formal check, or ``betti``, on m vertices.
 
     A "cone" has apex m over random triangles that cover 1..m-1, as the
     benchmark's check inputs are built, and I = {apex}: the general
     criterion walks no J, and the Hochster sums of K and of lk(apex) share
-    one walk over the subsets of 1..m-1. A "c4join" is C4 * L, the 4-cycle
-    on 1..4 joined with every vertex of 5..m plus m random triangles, and
-    I = {1}: it has no apex, so the criterion walks every J, and ranks the
-    deletion of each J that holds 1 and has β̃(K_J) ≠ 0.
+    one elimination over the subsets of 1..m-1. A "c4join" is C4 * L, the
+    4-cycle on 1..4 joined with every vertex of 5..m plus m random
+    triangles, and I = {1}: it has no apex, so the criterion walks every J,
+    and ranks the deletion of each J that holds 1 and has β̃(K_J) ≠ 0. A
+    "band" is the triangles {v, v + 1, v + 2} mod m and two more, for
+    ``betti``: no vertex is free, so the Hochster sums span 2^(m - 12)
+    lane blocks.
     """
     if kind == "cone":
         rng = random.Random(f"big:{m}:cone")
@@ -311,35 +314,38 @@ def _formal_check_input(m, kind):
         perm += perm[:1]
         triangles = [sorted(perm[i : i + 3]) for i in range(0, m, 3)]
         facets = [[v, m] for v in range(1, m)] + [t + [m] for t in triangles]
-        return facets, m, "all"
+        return facets, ["check", "--I", str(m), "--method", "all"]
+    if kind == "band":
+        band = [sorted([v, v % m + 1, (v + 1) % m + 1]) for v in range(1, m + 1)]
+        return band + [[1, 7, 13], [4, 10, 16]], ["betti"]
     rng = random.Random(f"big:{m}:c4join")
     link = [[v] for v in range(5, m + 1)]
     link += [sorted(rng.sample(range(5, m + 1), 3)) for _ in range(m)]
     c4 = [[1, 2], [2, 3], [3, 4], [1, 4]]
-    return [e + f for e in c4 for f in link], 1, "general"
+    return [e + f for e in c4 for f in link], ["check", "--I", "1", "--method", "general"]
 
 
 @pytest.mark.skipif(
     os.environ.get("RZFORMAL_EXTENDED") != "1",
-    reason="formal checks at m=18 and 20; set RZFORMAL_EXTENDED=1 to run",
+    reason="checks and betti at m=18 and 20; set RZFORMAL_EXTENDED=1 to run",
 )
-@pytest.mark.parametrize("m, kind", [(18, "cone"), (20, "cone"), (18, "c4join")])
+@pytest.mark.parametrize("m, kind", [(18, "cone"), (20, "cone"), (18, "c4join"), (20, "band")])
 def test_criterion_10_formal_check_peaks_under_100_mb(tmp_path, m, kind):
+    facets, (command, *options) = _big_input(m, kind)
+
     def body():
-        facets, i, method = _formal_check_input(m, kind)
         path = tmp_path / f"{kind}{m}.json"
         path.write_text(json.dumps({"m": m, "facets": facets}))
         env = dict(os.environ, PYTHONPATH=str(Path(rzformal.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, "check", str(path), "--I", str(i),
-             "--method", method],
+            [sys.executable, "-c", _PEAK_RSS, command, str(path), *options],
             capture_output=True, text=True, env=env, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
         peak_mb = int(proc.stderr.split()[-1]) / 1024
         assert peak_mb <= 100, f"peak RSS {peak_mb:.1f} MB"
 
-    _report(10, f"formal {kind} check at m={m} under 100 MB", body)
+    _report(10, f"{command} on a {kind} at m={m} under 100 MB", body)
 
 
 def _sampled_graph_subgroup_pairs(m, count, rng):

@@ -9,6 +9,7 @@ from oracles import (
     reduced_betti_dense,
     restriction_trivial_dense,
     subset_rows_dense,
+    subset_sums_dense,
 )
 from shapes import cycle_graph, simplex, void_complex
 from rzformal import SimplicialComplex, cohomology, general_criterion
@@ -127,37 +128,54 @@ def test_betti_matches_dense_oracle(case):
 @settings(max_examples=150, deadline=None)
 @given(complexes(), st.sampled_from(["facets", "void", "{}"]))
 def test_the_subset_walk_yields_each_j_with_nonzero_betti_once_in_lex_order(case, kind):
-    # J ranges over the vertices that span a face, so a ghost is in no J.
-    # K_∅ adds its row to changes[0][n]; each J ∪ v, v above top(J), adds
-    # its row less K_J's to changes[|J ∪ v|][a], a the vertices above v.
-    # The vertex {v} enters without reduction: for J = ∅ it kills the class
-    # of {}, so each one-vertex J adds -1 at β̃_-1, and else bears a 0-cycle
+    # J ranges over the vertices that span a face, so a ghost is in no J,
+    # and the one-vertex J, points, never show
     m, facets = case
     facets = {"facets": facets, "void": [], "{}": [[]]}[kind]
     k = SimplicialComplex.from_facets(m, facets)
     rows = subset_rows_dense(facets, m)
-    n, width = k.vertices_mask.bit_count(), k.dim + 2
-    want = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
-    for j, row in rows.items():
-        if j:
-            v = 1 << j.bit_length() >> 1
-            above = (k.vertices_mask & ~(2 * v - 1)).bit_count()
-            parent = rows[j ^ v]
-        else:
-            above, parent = n, [0] * len(row)
-        target = want[j.bit_count()][above]
-        for d in range(width):
-            target[d] += row[d] - parent[d]
-    changes = [[[0] * width for _ in range(n + 1)] for _ in range(n + 1)]
-    pairs = list(cohomology.subset_walk(k.faces(), changes))
+    pairs = list(cohomology.subset_walk(k.faces()))
     lex = sorted(rows, key=mask_vertices)
     assert pairs == [(j, sum(rows[j])) for j in lex if sum(rows[j])]
-    assert changes == want
-    # without a table the walk fills its own, and any face order will do
+    # any face order will do
     assert list(cohomology.subset_walk(k.faces()[::-1])) == pairs
     if k.vertices_mask:
         assert pairs[0] == (0, 1) and all(j.bit_count() != 1 for j, _ in pairs)
-        assert sum(changes[1][a][0] for a in range(n)) == -n
+
+
+def test_the_bit_sliced_sums_equal_the_dense_sums(monkeypatch):
+    # void and {} included, and ghosts, which lie in no J; with two lane
+    # bits a block holds 4 lanes, so every n > 2 spans several blocks
+    rng = random.Random(23)
+    cases = [(3, []), (3, [[]]), (1, [[1]]), (4, [[2, 4]])]
+    while len(cases) < 120:
+        m = rng.randint(1, 12)
+        used = rng.sample(range(1, m + 1), min(m, rng.randint(1, 10)))
+        facets = [rng.sample(used, rng.randint(1, min(len(used), 4)))
+                  for _ in range(rng.randint(1, 9))]
+        cases.append((m, facets))
+    for lane_bits in (cohomology.LANE_BITS, 2):
+        monkeypatch.setattr(cohomology, "LANE_BITS", lane_bits)
+        for m, facets in cases:
+            k = SimplicialComplex.from_facets(m, facets)
+            want = subset_sums_dense(facets, m)
+            width = len(want[0]) + 1  # wider than dim K + 2: the extra column stays 0
+            got = cohomology.subset_sums(k.faces(), width)
+            assert got == [row + [0] for row in want], (lane_bits, m, facets)
+            assert cohomology.subset_sums(k.faces()[::-1], width) == got
+
+
+def test_the_sums_relabel_a_core_onto_the_lowest_bits_in_label_order():
+    # a face's image is that of the face less its lowest vertex joined
+    # with that vertex's image, so faces on the vertices 1..n keep their masks
+    c5 = cycle_graph(5).clique_complex()
+    by_size = cohomology._faces_by_size(c5.faces())
+    assert by_size == [sorted(f for f in c5.faces() if f.bit_count() == d) for d in range(3)]
+    gaps = SimplicialComplex.from_facets(9, [[2, 5, 9], [5, 7]])
+    moved = SimplicialComplex.from_facets(4, [[1, 2, 4], [2, 3]])
+    assert cohomology._faces_by_size(gaps.faces()) == cohomology._faces_by_size(moved.faces())
+    assert cohomology._faces_by_size(()) == []
+    assert cohomology._faces_by_size((0,)) == [[0]]
 
 
 @settings(max_examples=150, deadline=None)

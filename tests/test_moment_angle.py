@@ -24,7 +24,6 @@ from oracles import (
     hochster_complex_dense,
     hochster_real_dense,
     reduced_betti_dense,
-    subset_sums_dense,
 )
 from shapes import cycle_graph, simplex, void_complex
 from rzformal import (
@@ -587,96 +586,75 @@ def test_chordal_flag_complexes_peel_to_nothing():
         assert core.facets == (0,) and len(peels) == m
 
 
-def spy_walk(monkeypatch):
-    """The face tuples the Hochster sums walk from here on, memo cleared."""
-    walked = []
-    walk = moment_angle.subset_walk
-
-    def spy(faces, changes):
-        walked.append(faces)
-        return walk(faces, changes)
-
-    monkeypatch.setattr(moment_angle, "subset_walk", spy)
+def spy_sums(monkeypatch):
+    """The face tuples the Hochster sums are taken of from here on, memo cleared."""
+    summed = []
+    sums = moment_angle.subset_sums
+    monkeypatch.setattr(moment_angle, "subset_sums", lambda f, w: summed.append(f) or sums(f, w))
     cohomology.clear_caches()
-    return walked
+    return summed
 
 
 def test_the_walk_visits_only_the_core(monkeypatch):
-    walked = spy_walk(monkeypatch)
+    summed = spy_sums(monkeypatch)
     strip = SimplicialComplex.from_facets(6, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]])
     assert moment_angle._peel(strip)[0].facets == (0,)
     hochster_real_betti(strip)
-    assert walked == [(0,)]  # the core {}: K_∅ alone
-    # C4 has no free vertex: ∅ and every J of its four vertices
-    del walked[:]
+    assert summed == [(0,)]  # the core {}: K_∅ alone
+    # C4 has no free vertex: the sums take all of it
+    del summed[:]
     c4 = cycle_graph(4).clique_complex()
     hochster_real_betti(c4)
-    assert walked == [c4.faces()]
-    # a tail on C4 peels off, and the walk is C4's again
-    del walked[:]
+    assert summed == [c4.faces()]
+    # a tail on C4 peels off, and the sums are C4's again
+    del summed[:]
     tailed = SimplicialComplex.from_facets(6, [[1, 2], [2, 3], [3, 4], [4, 1], [4, 5], [5, 6]])
     hochster_real_betti(tailed)
-    assert walked == [c4.faces()]
+    assert summed == [c4.faces()]
+
+
+def test_the_sums_walk_a_core_out_of_order_relabeled(monkeypatch):
+    # C4 with the chord {1, 3} has no free vertex; 1 and 3 lie in three
+    # edges each, 2 and 4 in two. The sums relabel a core only onto the
+    # lowest bits in label order, so a core on 1..4 keeps its own faces
+    summed = spy_sums(monkeypatch)
+    chorded = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3]])
+    hochster_real_betti(chorded)
+    assert summed == [chorded.faces()]
+    relabeled = cohomology._faces_by_size(chorded.faces())
+    assert sorted(f for size in relabeled for f in size) == sorted(chorded.faces())
+    # the same core with its labels moved up keeps their order on 1..4
+    del summed[:]
+    shifted = SimplicialComplex.from_facets(6, [[3, 4], [4, 5], [5, 6], [3, 6], [3, 5]])
+    hochster_real_betti(shifted)
+    assert [sorted(faces) for faces in summed] == [sorted(shifted.faces())]
+    assert cohomology._faces_by_size(shifted.faces()) == relabeled
 
 
 def test_the_tables_do_not_depend_on_the_vertex_labels():
-    # the peel order and the walk order follow the labels; the sums must not
+    # the peel order and the lane order follow the labels; the sums must
+    # not. Past m = 12 the cores span more than one lane block
     rng = random.Random(41)
+    cases = []
     for _ in range(40):
         m = rng.randint(2, 12)
         used = rng.sample(range(1, m + 1), rng.randint(1, m))
         facets = [[v] for v in used]
         facets += [rng.sample(used, rng.randint(1, min(len(used), 3))) for _ in range(m)]
+        cases.append((m, facets))
+    for m in (14, 15):  # a band of triangles, with no free vertex, and a few more
+        band = [[v, v % m + 1, (v + 1) % m + 1] for v in range(1, m + 1)]
+        cases.append((m, band + [rng.sample(range(1, m + 1), 3) for _ in range(3)]))
+    blocks = 0
+    for m, facets in cases:
         k = SimplicialComplex.from_facets(m, facets)
+        blocks += moment_angle._peel(k)[0].vertices_mask.bit_count() > cohomology.LANE_BITS
         perm = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
         for relabel in ({v: m + 1 - v for v in perm}, perm):
             other = SimplicialComplex.from_facets(m, [[relabel[v] for v in f] for f in facets])
             assert hochster_real_betti(k) == hochster_real_betti(other), (m, facets, relabel)
             assert hochster_complex_betti(k) == hochster_complex_betti(other), (m, facets, relabel)
-
-
-def test_the_core_walked_heaviest_stars_first_gives_the_dense_sums():
-    # the walk takes the core relabeled by descending Σ_{f ∋ v} 2^-|f|;
-    # each case here is out of that order, so its labels change
-    rng = random.Random(97)
-    per_m = {6: 70, 7: 60, 8: 40, 9: 20, 10: 6, 11: 3, 12: 2}
-    for m, count in per_m.items():
-        done = 0
-        while done < count:
-            facets = [[v] for v in range(1, m + 1)]
-            facets += [rng.sample(range(1, m + 1), rng.randint(2, 3)) for _ in range(m - 2)]
-            k = SimplicialComplex.from_facets(m, facets)
-            walked = moment_angle._heaviest_stars_first(k)
-            if walked == k.faces():
-                continue
-            done += 1
-            assert sum(f for f in walked if f.bit_count() == 1) == k.ambient
-            sizes = [sorted(map(int.bit_count, c)) for c in (walked, k.faces())]
-            assert sizes[0] == sizes[1]
-            width = k.dim + 2
-            assert moment_angle._core_sums(k, width) == subset_sums_dense(facets, m), (m, facets)
-
-
-def test_a_core_in_heaviest_stars_order_keeps_its_labels():
-    # ties keep label order, so a complex whose stars weigh no more as the
-    # labels rise is walked on its own faces
-    c5 = cycle_graph(5).clique_complex()
-    # weights ×8: 1 in three edges 10, 2 and 3 in two 8, 4 in one 6
-    star = SimplicialComplex.from_facets(4, [[1, 2], [1, 3], [1, 4], [2, 3]])
-    for k in (c5, star, SimplicialComplex.from_facets(0, [[]])):
-        assert moment_angle._heaviest_stars_first(k) == k.faces()
-    moved = SimplicialComplex.from_facets(4, [[4, 3], [4, 2], [4, 1], [3, 2]])
-    assert sorted(moment_angle._heaviest_stars_first(moved)) == sorted(star.faces())
-
-
-def test_the_sums_walk_a_core_out_of_order_relabeled(monkeypatch):
-    # C4 with the chord {1, 3} has no free vertex; 1 and 3 lie in three
-    # edges each, 2 and 4 in two, so the walk takes 1, 3, 2, 4 as 1..4
-    walked = spy_walk(monkeypatch)
-    chorded = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3]])
-    hochster_real_betti(chorded)
-    relabeled = SimplicialComplex.from_facets(4, [[1, 3], [3, 2], [2, 4], [1, 4], [1, 2]])
-    assert [sorted(faces) for faces in walked] == [sorted(relabeled.faces())]
+    assert blocks == 2
 
 
 def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():
