@@ -30,7 +30,7 @@ from .moment_angle import (
     hochster_complex_betti,
     hochster_real_betti,
 )
-from .simplicial import Graph, SimplicialComplex
+from .simplicial import Graph, InputError, SimplicialComplex
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,7 @@ __all__ = [
     "FormalityReport",
     "Graph",
     "GroupReport",
+    "InputError",
     "PoincareSeries",
     "SimplicialComplex",
     "Subgroup",

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from itertools import combinations
 from multiprocessing import Pool
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .formality import FixedPointModelError, evaluate_all, reports_agree
 from .simplicial import (
-    CAPS, Graph, SimplicialComplex, cap, check_cap, label_mask, mask_vertices
+    CAPS, Graph, InputError, SimplicialComplex, cap, check_cap, json_m, label_mask,
+    mask_vertices,
 )
 
 MODES = ("flag", "all-complexes")
@@ -115,7 +116,7 @@ def _task_records(task: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[list[s
 def census_tasks(m: int, mode: str) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
     """One task per complex of the mode, refused over the mode's cap."""
     if mode not in MODES:
-        raise ValueError(f"unknown census mode {mode!r}")
+        raise InputError(f"unknown census mode {mode!r}")
     check_cap(f"census {mode}", m)
     complexes = flag_complexes(m) if mode == "flag" else all_complexes(m)
     tasks = [(m, k.json_facets()) for k in complexes]
@@ -124,20 +125,50 @@ def census_tasks(m: int, mode: str) -> list[tuple[int, tuple[tuple[int, ...], ..
     return tasks
 
 
+@contextmanager
+def _written_whole(out_path: str) -> Iterator[TextIO]:
+    """``out_path`` open for writing, replaced only if the block ends without error.
+
+    The lines go to a file beside it, renamed over it at the end and removed
+    on an error. A device or pipe such as /dev/stdout, or a path whose
+    directory takes no new file, is written in place; opening it there
+    raises as it always did.
+    """
+    real = os.path.realpath(out_path)  # through a symlink, to the file it names
+    tmp = f"{real}.{os.getpid()}.tmp"
+    try:
+        out = open(tmp, "w") if os.path.isfile(real) or not os.path.exists(real) else None
+    except OSError:
+        out = None
+    if out is None:
+        with open(out_path, "w") as out:
+            yield out
+        return
+    try:
+        with out:
+            yield out
+        os.replace(tmp, real)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def run_census(m: int, mode: str, out_path: str, jobs: int = 1) -> dict:
     """Write one record per (K, I) to ``out_path``; return the summary.
 
-    ``jobs`` must be at least 1 and is clamped to the CPU count.
+    ``jobs`` must be at least 1 and is clamped to the CPU count. A census
+    that fails leaves ``out_path`` as it was (see ``_written_whole``).
     """
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     if m < 1:
-        raise ValueError("census needs at least one vertex")
+        raise InputError("census needs at least one vertex")
     tasks = census_tasks(m, mode)
     records = 0
     disagreements = 0
-    with open(out_path, "w") as out, Pool(jobs) if jobs > 1 else nullcontext() as pool:
+    with _written_whole(out_path) as out, Pool(jobs) if jobs > 1 else nullcontext() as pool:
         for lines, bad in (pool.imap if pool else map)(_task_records, tasks):
             disagreements += bad
             records += len(lines)
@@ -146,16 +177,39 @@ def run_census(m: int, mode: str, out_path: str, jobs: int = 1) -> dict:
             "disagreements": disagreements, "out": out_path}
 
 
+def read_line(raw: bytes, max_m: int) -> tuple[str, SimplicialComplex, int]:
+    """The text, complex and I mask of one census line, read as ``check`` reads.
+
+    Raises InputError if the line is not UTF-8, not JSON, nested past the
+    recursion limit, or holds fields ``check`` would refuse, or if its m is
+    over ``max_m``.
+    """
+    try:
+        line = raw.rstrip(b"\n").decode()
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise InputError(f"not a JSON line: {exc}") from None
+    m = json_m(obj, "I", "census line")
+    if m > max_m:
+        raise InputError(f"m = {m} is over the census caps")
+    k = SimplicialComplex.from_json_obj(obj)
+    if not isinstance(obj["I"], list):
+        raise InputError("census line field 'I' must be a list")
+    return line, k, label_mask(obj["I"], m, "I")
+
+
 def verify_census(path: str) -> dict:
     """Recompute every record and compare byte-for-byte.
 
     Returns a summary with mismatching and corrupt line numbers; the
-    file passes only if both lists are empty. A line that is not UTF-8,
-    not JSON, or has fields ``check`` would refuse is corrupt, and so
-    is a line whose m is over both census caps: it is not recomputed,
-    since no census under the current caps writes it. A line whose
-    fixed-point models disagree is a mismatch. Consecutive lines of
-    one complex share its SimplicialComplex and everything cached on it.
+    file passes only if both lists are empty. A line is corrupt only
+    when reading or recomputing it raises InputError: it is not UTF-8,
+    not JSON, or has fields ``check`` would refuse, or its m is over
+    both census caps, since no census under the current caps writes it
+    (such a line is not recomputed). A line whose fixed-point models
+    disagree is a mismatch. Any other exception is a fault of the program
+    and propagates. Consecutive lines of one complex share its
+    SimplicialComplex and everything cached on it.
     """
     mismatches: list[int] = []
     corrupt: list[int] = []
@@ -167,17 +221,11 @@ def verify_census(path: str) -> dict:
         for lineno, raw in enumerate(f, 1):
             records += 1
             try:
-                line = raw.rstrip(b"\n").decode()
-                obj = json.loads(line)
-                m = obj["m"]
-                if m > max_m:
-                    raise ValueError(f"m = {m} is over the census caps")
-                line_k = SimplicialComplex.from_json_obj(obj)
-                i_mask = label_mask(obj["I"], m, "I")
+                line, line_k, i_mask = read_line(raw, max_m)
                 if line_k != k:
                     k = line_k
                 recomputed = compute_record(k, i_mask).json_line()
-            except (KeyError, TypeError, ValueError, RecursionError):
+            except InputError:
                 corrupt.append(lineno)
                 continue
             except FixedPointModelError:

@@ -7,9 +7,11 @@ graph is {"m": int, "edges": [[u, v], ...]}, and a subgroup is
 generator giving coordinate k.
 
 Exit codes for check: 0 formal, 1 not formal, 2 method disagreement
-(mode all) or a fixed-point model disagreement, 3 bad input. Census
-exits 1 when any record disagrees; verify exits 1 on mismatching
-records and 2 on corrupt ones.
+(mode all) or a fixed-point model disagreement. Census exits 1 when any
+record disagrees; verify exits 1 on mismatching records and 2 on
+corrupt ones. Every command, these three too, exits 3 on bad input, an
+InputError or an OSError told in one ``error:`` line, and 4: the program
+failed; the traceback is on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from functools import cache
 from typing import Iterable
 
@@ -24,9 +27,10 @@ from . import census as census_mod
 from . import formality, moment_angle
 from .f2 import Subgroup
 from .group_report import coabelian_report
-from .simplicial import Graph, SimplicialComplex, label_mask, read_caps_once
+from .simplicial import Graph, InputError, SimplicialComplex, label_mask, read_caps_once
 
 EXIT_INPUT_ERROR = 3
+EXIT_FAULT = 4
 
 # the single deciders of ``check --method``; "all" runs every applicable one
 METHODS = {
@@ -54,7 +58,9 @@ def _load_json(path: str) -> dict:
         try:
             return json.load(f)
         except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+            raise InputError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # not JSON, not UTF-8, or past int()'s digits
+            raise InputError(str(exc)) from None
 
 
 def _load_complex(path: str) -> SimplicialComplex:
@@ -68,7 +74,7 @@ def _parse_vertex_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated vertices, got {text!r}")
+        raise InputError(f"expected comma-separated vertices, got {text!r}") from None
 
 
 def _emit(obj) -> None:
@@ -188,7 +194,7 @@ def run(argv: Iterable[str] | None = None) -> int:
     try:
         with read_caps_once():  # a malformed cap is bad input for every command
             return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except formality.FixedPointModelError as exc:
@@ -197,7 +203,12 @@ def run(argv: Iterable[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+    except Exception:  # a fault of the program, never of its input
+        traceback.print_exc()
+        code = EXIT_FAULT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

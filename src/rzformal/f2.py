@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .simplicial import json_m, mask_vertices
+from .simplicial import InputError, json_m, mask_vertices
 
 
 def rank(rows: list[int], ncols: int) -> int:
@@ -87,7 +87,7 @@ def vector_from_string(s: str) -> int:
         if ch == "1":
             v |= 1 << i
         elif ch != "0":
-            raise ValueError(f"invalid F2 vector string {s!r}")
+            raise InputError(f"invalid F2 vector string {s!r}")
     return v
 
 
@@ -110,12 +110,12 @@ class Subgroup:
 
     def __init__(self, m: int, generators: Iterable[int | str]):
         if m < 0:
-            raise ValueError("m must be nonnegative")
+            raise InputError("m must be nonnegative")
         gens = []
         for g in generators:
             v = vector_from_string(g) if isinstance(g, str) else g
             if v < 0 or v >> m:
-                raise ValueError(f"generator {g!r} does not fit in {m} coordinates")
+                raise InputError(f"generator {g!r} does not fit in {m} coordinates")
             gens.append(v)
         self.m = m
         self.basis = tuple(rref(gens, m)[0])
@@ -145,10 +145,10 @@ class Subgroup:
         m = json_m(obj, "generators", "subgroup")
         gens = obj["generators"]
         if not isinstance(gens, list):
-            raise ValueError("subgroup field 'generators' must be a list")
+            raise InputError("subgroup field 'generators' must be a list")
         for g in gens:
             if not isinstance(g, str) or len(g) != m:
-                raise ValueError(f"generator {g!r} must be a string of {m} bits")
+                raise InputError(f"generator {g!r} must be a string of {m} bits")
         return cls(m, gens)
 
     def to_json_obj(self) -> dict:

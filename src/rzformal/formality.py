@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import moment_angle
 from .cohomology import _restriction_map_trivial, subset_walk
 from .f2 import Subgroup
-from .simplicial import SimplicialComplex, cap, check_cap, mask_vertices
+from .simplicial import InputError, SimplicialComplex, cap, check_cap, mask_vertices
 
 
 class FixedPointModelError(RuntimeError):
@@ -60,11 +60,11 @@ class FormalityReport:
 def _check_input(k: SimplicialComplex, i_mask: int) -> None:
     """Refuse a (K, I) that the deciders do not take."""
     if i_mask & ~k.ambient:
-        raise ValueError("coordinate set is not contained in the vertex set")
+        raise InputError("coordinate set is not contained in the vertex set")
     if k.ghost_mask:
-        raise ValueError("every vertex must be a face")
+        raise InputError("every vertex must be a face")
     if not k.facets:
-        raise ValueError("the void complex has no faces")
+        raise InputError("the void complex has no faces")
 
 
 def _not_a_face(method: str, i_mask: int) -> FormalityReport:
@@ -82,7 +82,7 @@ def flag_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     """
     _check_input(k, i_mask)
     if not k.is_flag():
-        raise ValueError("flag criterion requires flag complex")
+        raise InputError("flag criterion requires flag complex")
     if not k.has_face(i_mask):
         return _not_a_face("flag_criterion", i_mask)
     adj, verts = k.neighbours(), k.vertices_mask
@@ -196,7 +196,7 @@ def decide(k: SimplicialComplex, a: Subgroup) -> FormalityReport:
     when K is flag, the restriction criterion otherwise.
     """
     if a.m != k.m:
-        raise ValueError(
+        raise InputError(
             f"subgroup on {a.m} coordinates does not match {k.m} vertices"
         )
     i_mask = a.hull_mask

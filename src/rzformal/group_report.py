@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .f2 import Subgroup
 from .formality import FormalityReport, decide
 from .moment_angle import hochster_real_betti
-from .simplicial import Graph, SimplicialComplex, mask_vertices
+from .simplicial import Graph, InputError, SimplicialComplex, mask_vertices
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def coabelian_report(g: Graph, a: Subgroup) -> GroupReport:
     attached exactly when the verdict is formal.
     """
     if a.m != g.m:
-        raise ValueError(
+        raise InputError(
             f"subgroup on {a.m} coordinates does not match {g.m} vertices"
         )
     k = g.clique_complex()

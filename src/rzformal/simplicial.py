@@ -17,6 +17,15 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 
+class InputError(ValueError):
+    """A refusal of outside input: a file, a census line, an option or a variable.
+
+    A command reports it in one ``error:`` line with exit 3, and ``verify``
+    calls a line that raises it corrupt. Any other exception is a fault of
+    the program.
+    """
+
+
 def label_mask(labels: Iterable, m: int, what: str) -> int:
     """Bitmask of the vertex labels of an input ``what``, each an int in 1..m.
 
@@ -25,7 +34,7 @@ def label_mask(labels: Iterable, m: int, what: str) -> int:
     mask = 0
     for v in labels:
         if type(v) is not int or not 1 <= v <= m:
-            raise ValueError(f"{what} holds {v!r}, not a vertex in 1..{m}")
+            raise InputError(f"{what} holds {v!r}, not a vertex in 1..{m}")
         mask |= 1 << (v - 1)
     return mask
 
@@ -77,8 +86,11 @@ def _cap_from_env(name: str) -> int:
     if raw is None:
         return default
     if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"{env} must be a non-negative integer, got {raw!r}")
-    return int(raw)
+        raise InputError(f"{env} must be a non-negative integer, got {raw!r}")
+    try:
+        return int(raw)
+    except ValueError as exc:  # more digits than int() converts
+        raise InputError(str(exc)) from None
 
 
 def cap(name: str) -> int:
@@ -108,10 +120,10 @@ def read_caps_once() -> Iterator[None]:
         _read_caps = outer
 
 
-def _over_listing_cap(what: str) -> ValueError:
+def _over_listing_cap(what: str) -> InputError:
     """Refusal of a list of more than 2^cap("hochster") ``what``."""
     n, env = cap("hochster"), CAPS["hochster"][0]
-    return ValueError(f"listing more than 2^{n} {what} exceeds the cap {n} ({env})")
+    return InputError(f"listing more than 2^{n} {what} exceeds the cap {n} ({env})")
 
 
 def check_cap(name: str, m: int) -> None:
@@ -119,7 +131,7 @@ def check_cap(name: str, m: int) -> None:
     limit = cap(name)
     if m > limit:
         env, _, what = CAPS[name]
-        raise ValueError(f"{what} on {m} vertices exceeds the cap {limit} ({env})")
+        raise InputError(f"{what} on {m} vertices exceeds the cap {limit} ({env})")
 
 
 def json_m(obj: dict, field: str, what: str) -> int:
@@ -128,10 +140,10 @@ def json_m(obj: dict, field: str, what: str) -> int:
     Refused outside 0..MAX_M before anything of size m is built.
     """
     if not isinstance(obj, dict) or "m" not in obj or field not in obj:
-        raise ValueError(f"{what} JSON needs fields 'm' and {field!r}")
+        raise InputError(f"{what} JSON needs fields 'm' and {field!r}")
     m = obj["m"]
     if type(m) is not int or not 0 <= m <= MAX_M:
-        raise ValueError(f"{what} field 'm' must be an integer in 0..{MAX_M}")
+        raise InputError(f"{what} field 'm' must be an integer in 0..{MAX_M}")
     return m
 
 
@@ -142,7 +154,7 @@ def _int_lists(obj: dict, field: str, what: str) -> list[list[int]]:
         isinstance(item, list) and all(type(v) is int for v in item)
         for item in value
     ):
-        raise ValueError(f"{what} field {field!r} must be a list of lists of integers")
+        raise InputError(f"{what} field {field!r} must be a list of lists of integers")
     return value
 
 
@@ -166,14 +178,14 @@ class Graph:
 
     def __init__(self, m: int, edges: Iterable[Iterable[int]]):
         if m < 0:
-            raise ValueError("m must be nonnegative")
+            raise InputError("m must be nonnegative")
         seen = set()
         adj = [0] * m
         for e in edges:
             u, v = sorted(e)
             label_mask((u, v), m, "an edge")
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise InputError(f"loop at vertex {u}")
             seen.add((u, v))
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
@@ -193,7 +205,7 @@ class Graph:
         edges = _int_lists(obj, "edges", "graph")
         for e in edges:
             if len(e) != 2:
-                raise ValueError(f"edge {e!r} must have two endpoints")
+                raise InputError(f"edge {e!r} must have two endpoints")
         return cls(m, edges)
 
     def to_json_obj(self) -> dict:
@@ -253,7 +265,7 @@ class SimplicialComplex:
             apexes &= f
         if spanned & ~ambient:
             outside = mask_vertices(spanned & ~ambient)
-            raise ValueError(f"vertices {outside} not in the ambient set")
+            raise InputError(f"vertices {outside} not in the ambient set")
         self.ambient = ambient
         self.facets = facets
         self.vertices_mask = spanned

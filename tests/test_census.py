@@ -6,7 +6,7 @@ import json
 import pytest
 
 from shapes import cycle_graph
-from rzformal import SimplicialComplex, census, cohomology, run_census, verify_census
+from rzformal import SimplicialComplex, census, cohomology, formality, run_census, verify_census
 from rzformal.census import all_complexes, compute_record, census_tasks, flag_complexes
 from rzformal.cohomology import BettiTable
 from rzformal.moment_angle import CubicalComplex
@@ -188,6 +188,17 @@ def test_verify_reuses_the_complex_and_reports_only_the_flipped_line(tmp_path, m
     assert len({id(k) for k in seen}) == 2
 
 
+def _census_line(**fields) -> bytes:
+    """Line 1 of the flag m=2 census with ``fields`` set; None deletes one."""
+    obj = json.loads(compute_record(SimplicialComplex.from_facets(2, [[1], [2]]), 0).json_line())
+    for name, value in fields.items():
+        if value is None:
+            del obj[name]
+        else:
+            obj[name] = value
+    return json.dumps(obj, separators=(",", ":")).encode()
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -201,14 +212,21 @@ def test_verify_reuses_the_complex_and_reports_only_the_flipped_line(tmp_path, m
         '{"m": 2, "facets": [[1], [2]], "I": [1099511627776]}',
         # nested past the recursion limit of the JSON decoder
         pytest.param("[" * 200_000, id="deep-nesting"),
+        # each raises InputError as the line is read, not a KeyError or TypeError
+        pytest.param(_census_line(I=5), id="I-is-5"),
+        pytest.param(_census_line(I=None), id="no-I"),
+        pytest.param(_census_line(m="3"), id="m-is-a-string"),
+        pytest.param(b'[{"m": 2, "facets": [[1], [2]], "I": []}]', id="a-list"),
+        pytest.param(b"\xff" + _census_line(), id="not-utf8"),
+        pytest.param(_census_line()[:-9], id="truncated"),
     ],
 )
 def test_verify_reports_only_a_corrupt_line_inside_one_complex(tmp_path, bad):
     out = tmp_path / "c.jsonl"
     run_census(2, "flag", out)
-    lines = out.read_text().splitlines()
-    lines.insert(2, bad)
-    out.write_text("\n".join(lines) + "\n")
+    lines = out.read_bytes().splitlines()
+    lines.insert(2, bad if isinstance(bad, bytes) else bad.encode())
+    out.write_bytes(b"\n".join(lines) + b"\n")
     result = verify_census(out)
     assert result["records"] == 9
     assert result["corrupt"] == [3]
@@ -306,3 +324,30 @@ def test_every_all_complex_has_all_vertices():
     for k in all_complexes(3):
         assert k.ghost_mask == 0
         assert k.vertices_mask == 0b111
+
+
+def test_a_fault_in_a_decider_is_raised_by_verify_not_called_corrupt(tmp_path, monkeypatch):
+    # a KeyError in a decider is a fault of the program, never a corrupt line
+    out = tmp_path / "c.jsonl"
+    run_census(2, "flag", out)
+    torus = formality.torus_oracle
+
+    def faulty(k, i_mask):
+        if i_mask == 0b11:
+            raise KeyError("planted fault")
+        return torus(k, i_mask)
+
+    monkeypatch.setattr(formality, "torus_oracle", faulty)
+    with pytest.raises(KeyError, match="planted fault"):
+        verify_census(out)
+
+
+def test_a_census_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    target, link = tmp_path / "c.jsonl", tmp_path / "link.jsonl"
+    target.write_text("stale\n")
+    link.symlink_to(target)
+    run_census(2, "flag", link)
+    run_census(2, "flag", tmp_path / "direct.jsonl")
+    assert link.is_symlink()
+    assert target.read_bytes() == (tmp_path / "direct.jsonl").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "direct.jsonl", "link.jsonl"]

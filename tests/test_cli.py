@@ -12,9 +12,13 @@ from types import SimpleNamespace
 import pytest
 
 import rzformal
-from rzformal import FormalityReport, SimplicialComplex, census, formality, simplicial
+from rzformal import (
+    FormalityReport, Graph, InputError, SimplicialComplex, Subgroup, census, cli,
+    coabelian_report, formality, poincare_series, simplicial,
+)
 from rzformal.cli import build_parser, run
 from rzformal.cohomology import BettiTable
+from rzformal.f2 import vector_from_string, vector_to_string
 from rzformal.moment_angle import CubicalComplex
 from rzformal.simplicial import CAPS, MAX_M
 
@@ -737,3 +741,154 @@ def test_a_malformed_cap_variable_is_named_in_one_line(
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"{variable} must be a non-negative integer" in captured.err
     assert census_file.exists() == (command == "verify")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("existing", [True, False], ids=["over-a-census", "no-file"])
+def test_a_census_refused_in_its_workers_exits_3_and_leaves_out_alone(
+    files, capsys, monkeypatch, jobs, existing
+):
+    # all-complexes m=3 lists no face before its workers run, so the lowered
+    # cap refuses the first record inside a worker; the InputError crosses
+    # the pool as itself
+    tmp, _ = files
+    out = tmp / "c.jsonl"
+    argv = ["census", "--mode", "all-complexes", "--max-vertices", "3",
+            "--jobs", jobs, "--out", str(out)]
+    if existing:
+        assert run(argv) == 0
+        capsys.readouterr()
+    before = out.read_bytes() if existing else None
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool for --jobs 2 on one CPU too
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "2")
+    assert run(argv) == 3
+    assert tuple(capsys.readouterr()) == (
+        "",
+        "error: loop over vertex subsets on 3 vertices exceeds the cap 2"
+        " (RZFORMAL_HOCHSTER_CAP)\n",
+    )
+    assert os.listdir(tmp) == (["c.jsonl"] if existing else [])
+    if existing:
+        assert out.read_bytes() == before
+
+
+def test_a_value_error_from_a_decider_escapes_run(files, monkeypatch):
+    # only InputError is bad input: a plain ValueError is a fault, not exit 3
+    _, write = files
+    c4 = write("c4.json", C4)
+
+    def fault(k, i_mask):
+        raise ValueError("planted fault")
+
+    monkeypatch.setitem(cli.METHODS, "general", fault)
+    with pytest.raises(ValueError, match="planted fault"):
+        run(["check", c4, "--I", "1"])
+
+
+FAULTY_MAIN = """\
+import runpy
+from rzformal import cli
+
+def fault(k, i_mask):
+    raise ValueError("planted fault")
+
+cli.METHODS["general"] = fault
+runpy.run_module("rzformal", run_name="__main__")
+"""
+
+
+def test_a_fault_exits_4_with_its_traceback(files):
+    _, write = files
+    c4 = write("c4.json", C4)
+    env = dict(os.environ, PYTHONPATH=str(Path(rzformal.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTY_MAIN, "check", c4, "--I", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.splitlines()[-1] == "ValueError: planted fault"
+
+
+def _k4_cliques_under_cap_2():
+    edges = [[u, v] for u in range(1, 5) for v in range(u + 1, 5)]
+    return Graph(4, edges).clique_complex()
+
+
+def _read(tmp, data):
+    path = tmp / "in.json"
+    path.write_bytes(data)
+    return cli._load_json(str(path))
+
+
+TRIANGLE = SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
+
+# id: (environment, call(tmp)) for each refusal of outside input that a
+# command reaches
+REFUSALS = {
+    "label_mask": ({}, lambda tmp: simplicial.label_mask([True], 3, "I")),
+    "json_m": ({}, lambda tmp: simplicial.json_m({"m": -1, "facets": []}, "facets", "K")),
+    "int_lists": ({}, lambda tmp: simplicial._int_lists({"f": [1]}, "f", "K")),
+    "cap-not-digits": (
+        {"RZFORMAL_HOCHSTER_CAP": "abc"}, lambda tmp: simplicial._cap_from_env("hochster")
+    ),
+    "cap-past-int-digits": (
+        {"RZFORMAL_HOCHSTER_CAP": "9" * 5000},
+        lambda tmp: simplicial._cap_from_env("hochster"),
+    ),
+    "check_cap": ({}, lambda tmp: simplicial.check_cap("cubical", 9)),
+    "over-listing-cap": ({"RZFORMAL_HOCHSTER_CAP": "2"}, lambda tmp: _k4_cliques_under_cap_2()),
+    "graph-edge-of-three": (
+        {}, lambda tmp: Graph.from_json_obj({"m": 3, "edges": [[1, 2, 3]]})
+    ),
+    "graph-loop": ({}, lambda tmp: Graph.from_json_obj({"m": 3, "edges": [[2, 2]]})),
+    "complex-reader": (
+        {}, lambda tmp: SimplicialComplex.from_json_obj({"m": 3, "facets": [[1, 4]]})
+    ),
+    "subgroup-reader": (
+        {}, lambda tmp: Subgroup.from_json_obj({"m": 3, "generators": ["10"]})
+    ),
+    "vector_from_string": ({}, lambda tmp: vector_from_string("012")),
+    "check_input": (
+        {}, lambda tmp: formality.general_criterion(SimplicialComplex.from_facets(3, [[1, 2]]), 0)
+    ),
+    "flag-of-non-flag": ({}, lambda tmp: formality.flag_criterion(TRIANGLE, 1)),
+    "decide-m": ({}, lambda tmp: formality.decide(TRIANGLE, Subgroup(4, []))),
+    "report-m": ({}, lambda tmp: coabelian_report(Graph(3, []), Subgroup(4, []))),
+    "census-mode": ({}, lambda tmp: census.census_tasks(2, "all")),
+    "census-jobs": ({}, lambda tmp: census.run_census(2, "flag", tmp / "x.jsonl", jobs=0)),
+    "census-m": ({}, lambda tmp: census.run_census(0, "flag", tmp / "x.jsonl")),
+    "census-cap": ({}, lambda tmp: census.census_tasks(9, "flag")),
+    "parse_vertex_list": ({}, lambda tmp: cli._parse_vertex_list("1,zebra")),
+    "load-not-json": ({}, lambda tmp: _read(tmp, b"{not json")),
+    "load-not-utf8": ({}, lambda tmp: _read(tmp, b'{"m": 1, "facets": [[1]]}\xff')),
+    "load-nested": ({}, lambda tmp: _read(tmp, b"[" * 200_000)),
+    "census-line": ({}, lambda tmp: census.read_line(b'{"m": 2, "facets": [[1]]}', 5)),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_every_refusal_of_outside_input_is_an_input_error(tmp_path, monkeypatch, case):
+    env, call = REFUSALS[case]
+    for variable, value in env.items():
+        monkeypatch.setenv(variable, value)
+    with pytest.raises(InputError):
+        call(tmp_path)
+
+
+# refusals that no command reaches: library misuse, so plain ValueErrors
+MISUSES = {
+    "link-of-a-non-face": lambda: SimplicialComplex.from_facets(2, [[1], [2]]).link(0b11),
+    "json-of-gapped-labels": lambda: SimplicialComplex(0b101, [0b101]).json_facets(),
+    "vector_to_string": lambda: vector_to_string(8, 3),
+    "poincare-series-r": lambda: poincare_series(TRIANGLE, -1),
+    "cubical-closure": lambda: CubicalComplex(0b11, (0b11,), 0).betti(),
+}
+
+
+@pytest.mark.parametrize("case", MISUSES)
+def test_a_refusal_no_command_reaches_stays_a_plain_value_error(case):
+    with pytest.raises(ValueError) as exc:
+        MISUSES[case]()
+    assert type(exc.value) is ValueError
