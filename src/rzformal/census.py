@@ -8,6 +8,10 @@ subset I, in bitmask order. Records carry the verdict of every
 applicable decider plus the oracle's Betti totals, so a census file is
 a self-contained equivalence check of the criteria.
 
+A line's head, the fields of K, is encoded once per complex; the fields
+of I go into a fixed template, and each line equals the record's
+compact ``json.dumps``. ``verify_census`` reads each complex once.
+
 Workers are pure functions of their task, which makes parallel runs
 byte-identical to serial ones.
 """
@@ -23,27 +27,50 @@ from typing import Iterator, TextIO
 
 from .formality import FixedPointModelError, evaluate_all, reports_agree
 from .simplicial import (
-    CAPS, Graph, InputError, SimplicialComplex, cap, check_cap, json_m, label_mask,
-    mask_vertices,
+    CAPS, Graph, InputError, SimplicialComplex, _int_lists, cap, check_cap, json_m,
+    label_mask, mask_vertices,
 )
 
 MODES = ("flag", "all-complexes")
 
 
+# the JSON of each value other than an int that a field after the head takes
+_JSON = {None: "null", True: "true", False: "false",
+         "formal": '"formal"', "not_formal": '"not_formal"'}
+_LINE = ('%s,"I":[%s],"verdict_flag":%s,"verdict_general":%s,"verdict_oracle":%s,'
+         '"verdict_torus":%s,"betti_total_ambient":%d,"betti_total_fixed":%d,"agree":%s}')
+
+
 class CensusRecord(dict):
-    """The fields of one census line, in file order."""
+    """The fields of one census line, in file order.
+
+    ``head``: the compact JSON of "m", "facets" and "is_flag", unclosed.
+    """
+
+    __slots__ = ("head",)
 
     def json_line(self) -> str:
-        return json.dumps(self, separators=(",", ":"))
+        """``json.dumps(self, separators=(",", ":"))``."""
+        return _LINE % (
+            self.head,
+            ",".join(map(str, self["I"])),
+            _JSON[self["verdict_flag"]],
+            _JSON[self["verdict_general"]],
+            _JSON[self["verdict_oracle"]],
+            _JSON[self["verdict_torus"]],
+            self["betti_total_ambient"],
+            self["betti_total_fixed"],
+            _JSON[self["agree"]],
+        )
 
 
 def compute_record(k: SimplicialComplex, i_mask: int) -> CensusRecord:
-    """Run every applicable decider on one (K, I) pair."""
+    """Run every applicable decider on one (K, I) pair; the head is kept on ``k``."""
     reports = evaluate_all(k, i_mask)
     flag = reports.get("flag_criterion")
     oracle = reports["betti_sum_oracle"]
     assert oracle.totals is not None
-    return CensusRecord(
+    record = CensusRecord(
         m=k.m,
         facets=k.json_facets(),
         is_flag=flag is not None,
@@ -56,6 +83,12 @@ def compute_record(k: SimplicialComplex, i_mask: int) -> CensusRecord:
         betti_total_fixed=oracle.totals[0],
         agree=reports_agree(reports),
     )
+    head = k._cache.get("census_head")
+    if head is None:
+        fields = {name: record[name] for name in ("m", "facets", "is_flag")}
+        head = k._cache["census_head"] = json.dumps(fields, separators=(",", ":"))[:-1]
+    record.head = head
+    return record
 
 
 def flag_complexes(m: int) -> Iterator[SimplicialComplex]:
@@ -177,8 +210,13 @@ def run_census(m: int, mode: str, out_path: str, jobs: int = 1) -> dict:
             "disagreements": disagreements, "out": out_path}
 
 
-def read_line(raw: bytes, max_m: int) -> tuple[str, SimplicialComplex, int]:
-    """The text, complex and I mask of one census line, read as ``check`` reads.
+def read_line(
+    raw: bytes, max_m: int, last: tuple[list | None, SimplicialComplex | None] = (None, None)
+) -> tuple[str, tuple[list, SimplicialComplex], int]:
+    """The text, (facets, complex) and I mask of one census line, read as ``check`` reads.
+
+    ``last`` is the (facets, complex) of the line before, whose complex a
+    line with the same m and facets reuses.
 
     Raises InputError if the line is not UTF-8, not JSON, nested past the
     recursion limit, or holds fields ``check`` would refuse, or if its m is
@@ -192,10 +230,15 @@ def read_line(raw: bytes, max_m: int) -> tuple[str, SimplicialComplex, int]:
     m = json_m(obj, "I", "census line")
     if m > max_m:
         raise InputError(f"m = {m} is over the census caps")
-    k = SimplicialComplex.from_json_obj(obj)
+    facets, k = last
+    if k is not None and k.m == m and obj.get("facets") == facets:
+        _int_lists(obj, "facets", "complex")  # to ==, true and 1.0 are 1
+    else:
+        k = SimplicialComplex.from_json_obj(obj)
+        facets = obj["facets"]
     if not isinstance(obj["I"], list):
         raise InputError("census line field 'I' must be a list")
-    return line, k, label_mask(obj["I"], m, "I")
+    return line, (facets, k), label_mask(obj["I"], m, "I")
 
 
 def verify_census(path: str) -> dict:
@@ -208,23 +251,21 @@ def verify_census(path: str) -> dict:
     both census caps, since no census under the current caps writes it
     (such a line is not recomputed). A line whose fixed-point models
     disagree is a mismatch. Any other exception is a fault of the program
-    and propagates. Consecutive lines of one complex share its
-    SimplicialComplex and everything cached on it.
+    and propagates. Consecutive lines with the same m and facets share
+    one SimplicialComplex and everything cached on it.
     """
     mismatches: list[int] = []
     corrupt: list[int] = []
     records = 0
     caps = {name: cap(name) for name in CAPS}  # a malformed one fails here, once
     max_m = max(caps[f"census {mode}"] for mode in MODES)
-    k = None
+    last: tuple = (None, None)
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, 1):
             records += 1
             try:
-                line, line_k, i_mask = read_line(raw, max_m)
-                if line_k != k:
-                    k = line_k
-                recomputed = compute_record(k, i_mask).json_line()
+                line, last, i_mask = read_line(raw, max_m, last)
+                recomputed = compute_record(last[1], i_mask).json_line()
             except InputError:
                 corrupt.append(lineno)
                 continue

@@ -10,10 +10,11 @@ Betti numbers come from two column reductions. ``add_faces`` reduces
 the columns of one complex: the ``boundary_items`` of a whole face list
 in ``hom_data``, the faces beyond {v} that each J ∪ v adds to K_J in
 ``subset_walk``, the general criterion's lazy walk over vertex subsets J,
-and the cells of a cubical model in ``moment_angle``. ``subset_sums``
-reduces the columns of every full subcomplex K_J at once, one J per bit
-of an int, for the Hochster sums over all J; one J at a time, those cost
-a Python loop pass per J. Shared results follow one policy,
+and the cells of a cubical model, top dimension first with clearing: a
+cell at a pivot row one dimension up gets no column (``moment_angle``).
+``subset_sums`` reduces the columns of every full subcomplex K_J at once,
+one J per bit of an int, for the Hochster sums over all J; one J at a
+time, those cost a Python loop pass per J. Shared results follow one policy,
 ``memoized``: each cache keeps its last ``MEMO_BOUND`` entries, each
 keyed by the exact data it is computed from. ``_hom_cache`` holds the
 restriction test's face lists, keyed by the tuple itself, and ``_memo``

@@ -28,7 +28,6 @@ models with up to 3^m cells, and census enumeration.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import comb
 
 from .cohomology import BettiTable, add_faces, memoized, subset_sums
@@ -153,8 +152,8 @@ class CubicalComplex:
     contain ``zero``; its cells carry {0} on ``zero``, [-1,1] on the rest
     of sigma, and -1 or 1 off sigma. The faces must be closed under
     removing a vertex outside ``zero``, so that the cells are closed
-    under taking boundaries. The cells are generated on first use, and
-    ``betti`` raises ValueError at a boundary cell that is missing.
+    under taking boundaries; ``betti`` raises ValueError if they are not.
+    The cells are generated on first use.
     """
 
     def __init__(self, ambient: int, faces: tuple[int, ...], zero: int):
@@ -216,24 +215,48 @@ class CubicalComplex:
         return memoized(key, CubicalComplex._rank, self)
 
     def _rank(self) -> BettiTable:
-        """β_d at entry d + 1 of one ``add_faces`` row, cells indexed by dimension."""
+        """β_d = c_d − r_d − r_(d+1) at entry d + 1, the ranks r by ``add_faces``.
+
+        Top dimension first, with clearing (Chen and Kerber, 2011): a
+        reduced d-column is a cycle, so the (d−1)-cell at its pivot row has
+        a boundary in the span of those of the rows before it. Its column
+        is never built and counts as zero; r_(d−1) is unchanged.
+
+        Cleared cells' boundaries are never looked up, so closure is
+        checked on the faces. The boundary cells of a cell of sigma are,
+        for each v in sigma ∖ zero, cells of sigma ∖ v, which ``_generate``
+        makes exactly when sigma ∖ v is a face; and every face has a cell.
+        """
+        faces = set(self.faces)
+        for f in self.faces:
+            free = f & ~self.zero
+            while free:
+                v = free & -free
+                if f ^ v not in faces:
+                    raise ValueError(
+                        "every face of a cubical model must contain zero, and the "
+                        "faces must be closed under removing vertices outside zero"
+                    )
+                free ^= v
         by_dim = self.cells_by_dim
-        index = {c: i for i, c in enumerate(chain.from_iterable(by_dim))}
-        items = [(cell, 0, 1) for cell in by_dim[0]] if by_dim else []
-        try:
-            for d, cells in enumerate(by_dim[1:], 2):
-                for cell in cells:
-                    col = 0
-                    for child in self.boundary(cell):
-                        col |= 1 << index[child]
-                    items.append((cell, col, d))
-        except KeyError:  # a boundary cell with no face of its own
-            raise ValueError(
-                "every face of a cubical model must contain zero, and the "
-                "faces must be closed under removing vertices outside zero"
-            ) from None
         betti = [0] * (len(by_dim) + 1)
-        add_faces(items, {}, betti, [])
+        cleared: set[int] = set()  # indices of (d−1)-cells at pivot rows
+        for d in range(len(by_dim) - 1, 0, -1):
+            rows = {c: i for i, c in enumerate(by_dim[d - 1])}
+            items = []
+            for i, cell in enumerate(by_dim[d]):
+                if i in cleared:
+                    continue
+                col = 0
+                for child in self.boundary(cell):
+                    col |= 1 << rows[child]
+                items.append((cell, col, d + 1))
+            betti[d + 1] += len(cleared)
+            added: list[int] = []
+            add_faces(items, {}, betti, added)
+            cleared = {p - 1 for p in added}
+        if by_dim:  # a 0-cell's column is empty
+            betti[1] += len(by_dim[0])
         return BettiTable.from_row(betti[1:], 0)
 
     def fixed_subcomplex(self, i_mask: int) -> "CubicalComplex":

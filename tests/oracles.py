@@ -323,20 +323,25 @@ def _set_rank(rows):
     return len(pivots)
 
 
-def cube_betti(cells):
-    """F2 homology Betti numbers of a closed cell set, trailing zeros cut."""
+def cube_ranks(cells):
+    """{d: F2 rank of the boundary map from d-cells} of a closed cell set, d ≥ 1."""
     by_dim = {}
     for c in cells:
         by_dim.setdefault(cube_dim(c), []).append(c)
-    top = max(by_dim, default=-1)
     ranks = {}
-    for d in range(1, top + 1):
+    for d in range(1, max(by_dim, default=-1) + 1):
         column = {c: j for j, c in enumerate(by_dim.get(d - 1, ()))}
         rows = [{column[b] for b in cube_boundary(c)} for c in by_dim.get(d, ())]
         ranks[d] = _set_rank(rows)
+    return ranks
+
+
+def cube_betti(cells):
+    """F2 homology Betti numbers of a closed cell set, trailing zeros cut."""
+    counts = cube_counts(cells)
+    ranks = cube_ranks(cells)
     dims = [
-        len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        for d in range(top + 1)
+        n - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, n in enumerate(counts)
     ]
     while dims and not dims[-1]:
         dims.pop()

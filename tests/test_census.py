@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shapes import cycle_graph
 from rzformal import SimplicialComplex, census, cohomology, formality, run_census, verify_census
@@ -53,6 +55,41 @@ def test_record_json_key_order_and_content():
     assert obj["verdict_flag"] == "formal"
     assert obj["agree"] is True
     assert " " not in line  # compact separators
+
+
+def _compact(record):
+    return json.dumps(record, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("mode", census.MODES)
+def test_every_census_line_to_m4_is_its_compact_json(mode):
+    # the head comes from one json.dumps per complex and the rest from a
+    # template; together they must be the record's compact JSON
+    complexes = flag_complexes if mode == "flag" else all_complexes
+    for m in range(1, 5):
+        for k in complexes(m):
+            for i_mask in range(1 << m):
+                record = compute_record(k, i_mask)
+                assert record.json_line() == _compact(record)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.lists(st.integers(1, m), min_size=1, max_size=3, unique=True), max_size=5),
+    st.integers(0, (1 << m) - 1),
+)))
+@example((3, [[1, 2], [2, 3], [1, 3]], 0))  # not flag, so verdict_flag is null; I = ∅
+@example((4, [[1, 2], [2, 3], [3, 4], [1, 4]], 0b0101))
+def test_a_drawn_record_line_is_its_compact_json(case):
+    m, facets, i_mask = case
+    k = SimplicialComplex.from_facets(m, facets + [[v] for v in range(1, m + 1)])
+    record = compute_record(k, i_mask)
+    assert record.json_line() == _compact(record)
+    # a second record of the same complex reads the head kept on it
+    again = compute_record(k, i_mask ^ 1)
+    assert again.head is record.head
+    assert again.json_line() == _compact(again)
 
 
 def test_record_for_non_flag_complex_has_null_flag_verdict():
@@ -181,11 +218,21 @@ def test_verify_reuses_the_complex_and_reports_only_the_flipped_line(tmp_path, m
         return compute(k, i_mask)
 
     monkeypatch.setattr(census, "compute_record", spy)
+    read = SimplicialComplex.from_json_obj.__func__
+    reads = []
+
+    def counted(cls, obj):
+        reads.append(obj)
+        return read(cls, obj)
+
+    monkeypatch.setattr(SimplicialComplex, "from_json_obj", classmethod(counted))
     result = verify_census(out)
     assert result["mismatches"] == [2]
     assert result["corrupt"] == []
-    # one SimplicialComplex per complex, shared by its consecutive lines
+    # one SimplicialComplex per complex, read from its first line and
+    # shared by its consecutive lines
     assert len({id(k) for k in seen}) == 2
+    assert len(reads) == 2
 
 
 def _census_line(**fields) -> bytes:
@@ -207,7 +254,10 @@ def _census_line(**fields) -> bytes:
         "not json",
         # booleans are JSON values of their own, not vertex 1
         '{"m": 2, "facets": [[1], [2]], "I": [true]}',
+        # after two lines with facets [[1], [2]], which Python's == finds
+        # equal to these, so the complex is not reused for them
         '{"m": 2, "facets": [[true], [2]], "I": [1]}',
+        '{"m": 2, "facets": [[1.0], [2]], "I": [1]}',
         # rejected before any mask is built for it
         '{"m": 2, "facets": [[1], [2]], "I": [1099511627776]}',
         # nested past the recursion limit of the JSON decoder

@@ -8,6 +8,7 @@ also compared against the dense reference oracle from oracles.py.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ from oracles import (
     cube_cells,
     cube_boundary,
     cube_counts,
+    cube_dim,
+    cube_ranks,
     decode_cell,
     decode_cells,
     hochster_complex_dense,
@@ -337,12 +340,16 @@ def test_oracle_builds_and_ranks_only_the_fixed_cells(monkeypatch, i_set):
     k = SimplicialComplex.from_facets(6, [[1, 2, 3], [1, 2, 4], [3, 4, 5], [5, 6], [1, 6]])
     i_mask = label_mask(i_set, 6, "I")
     betti_sum_oracle(k, i_mask)
-    sizes = [2 ** (6 - f.bit_count()) for f in k.faces() if f & i_mask == i_mask]
-    # the fixed set has a vertex per sign pattern off I; every other
-    # cell gets one boundary row, and no cell outside it is generated
-    assert len(generated) == sum(sizes)
-    assert len(calls) == sum(sizes) - 2 ** (6 - len(i_set))
-    assert set(calls) < set(generated)
+    cells = cells_at_zero(cube_cells(k, i_mask), i_mask)
+    counts, ranks = cube_counts(cells), cube_ranks(cells)
+    # no cell outside the fixed set is generated; a cell of dimension
+    # d ≥ 1 gets one boundary row unless it was cleared, and the d-cells
+    # cleared are the pivot rows of the (d+1)-columns, r_(d+1) of them
+    assert len(generated) == len(set(generated)) == len(cells)
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= set(generated)
+    rows = Counter(cube_dim(decode_cell(c, k.ambient)) for c in calls)
+    assert rows == Counter({d: n - ranks.get(d + 1, 0) for d, n in enumerate(counts) if d})
 
 
 def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
