@@ -27,8 +27,8 @@ from typing import Iterator, TextIO
 
 from .formality import FixedPointModelError, evaluate_all, reports_agree
 from .simplicial import (
-    CAPS, Graph, InputError, SimplicialComplex, _int_lists, cap, check_cap, json_m,
-    label_mask, mask_vertices,
+    Graph, InputError, SimplicialComplex, _int_lists, cap, check_cap, json_m,
+    label_mask, mask_vertices, read_caps_once,
 )
 
 MODES = ("flag", "all-complexes")
@@ -187,11 +187,13 @@ def _written_whole(out_path: str) -> Iterator[TextIO]:
         raise
 
 
+@read_caps_once()
 def run_census(m: int, mode: str, out_path: str, jobs: int = 1) -> dict:
     """Write one record per (K, I) to ``out_path``; return the summary.
 
     ``jobs`` must be at least 1 and is clamped to the CPU count. A census
     that fails leaves ``out_path`` as it was (see ``_written_whole``).
+    Each cap is read once per call.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
@@ -241,6 +243,7 @@ def read_line(
     return line, (facets, k), label_mask(obj["I"], m, "I")
 
 
+@read_caps_once()
 def verify_census(path: str) -> dict:
     """Recompute every record and compare byte-for-byte.
 
@@ -252,13 +255,13 @@ def verify_census(path: str) -> dict:
     (such a line is not recomputed). A line whose fixed-point models
     disagree is a mismatch. Any other exception is a fault of the program
     and propagates. Consecutive lines with the same m and facets share
-    one SimplicialComplex and everything cached on it.
+    one SimplicialComplex and everything cached on it. Each cap is read
+    once per call, and a malformed one fails before any line is read.
     """
     mismatches: list[int] = []
     corrupt: list[int] = []
     records = 0
-    caps = {name: cap(name) for name in CAPS}  # a malformed one fails here, once
-    max_m = max(caps[f"census {mode}"] for mode in MODES)
+    max_m = max(cap(f"census {mode}") for mode in MODES)
     last: tuple = (None, None)
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, 1):

@@ -19,7 +19,7 @@ the verdict is negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import moment_angle
 from .cohomology import _restriction_map_trivial, subset_walk
@@ -31,8 +31,7 @@ class FixedPointModelError(RuntimeError):
     """Link-based and cubical-model fixed-point Betti numbers differ."""
 
 
-@dataclass(frozen=True)
-class FormalityReport:
+class FormalityReport(NamedTuple):
     verdict: str
     method: str
     i_mask: int

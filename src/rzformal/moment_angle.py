@@ -11,7 +11,9 @@ first, and only the core that is left is summed over its J, by
 
 ``CubicalComplex`` recomputes these numbers from cells of the cube, each
 coordinate one of the points {-1}, {0}, {1} or the interval [-1,1]. The
-plain model has one cell per face sigma and sign pattern off sigma.
+plain model has one cell per face sigma and sign pattern off sigma. No
+cell is ever generated: a cell is indexed by its face and sign pattern,
+so a boundary column is a few shifts of masks read off the faces.
 
 The reflection in coordinate i fixes the points with x_i = 0. Those of
 RZ_K with x_i = 0 on I lie over the faces containing I, and cutting the
@@ -31,18 +33,21 @@ from __future__ import annotations
 from math import comb
 
 from .cohomology import BettiTable, add_faces, memoized, subset_sums
-from .simplicial import SimplicialComplex, check_cap, submasks
+from .simplicial import SimplicialComplex, check_cap
 
 
 def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
-    """Real and complex tables of ``k``, memoized on its ambient set and facets.
+    """Real and complex tables of ``k``, kept on it and memoized on its ambient set and facets.
 
     The ambient set is in the key because ghost vertices scale the tables;
     so every complex with the same facets and vertices shares one entry,
-    such as the links lk_K(I) that recur across a census.
+    such as the links lk_K(I) that recur across a census. The cap comes first.
     """
     check_cap("hochster", k.m)
-    return memoized((k.ambient, k.facets), _walk_tables, k)
+    tables = k._cache.get("tables")
+    if tables is None:
+        tables = k._cache["tables"] = memoized((k.ambient, k.facets), _walk_tables, k)
+    return tables
 
 
 def _walk_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
@@ -153,7 +158,7 @@ class CubicalComplex:
     of sigma, and -1 or 1 off sigma. The faces must be closed under
     removing a vertex outside ``zero``, so that the cells are closed
     under taking boundaries; ``betti`` raises ValueError if they are not.
-    The cells are generated on first use.
+    No cell is generated: a cell is indexed by its face and sign pattern.
     """
 
     def __init__(self, ambient: int, faces: tuple[int, ...], zero: int):
@@ -161,32 +166,30 @@ class CubicalComplex:
         self.faces = faces
         self.zero = zero
         self._w = ambient.bit_length()
-        self._cells: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def m(self) -> int:
         return self.ambient.bit_count()
 
-    @property
-    def cells_by_dim(self) -> tuple[tuple[int, ...], ...]:
-        if self._cells is None:
-            self._cells = self._generate()
-        return self._cells
+    def _offsets(self) -> tuple[dict[int, int], list[int]]:
+        """``base``, the index of each face's first cell, and the cell counts.
 
-    def _generate(self) -> tuple[tuple[int, ...], ...]:
-        by_dim: list[list[int]] = [[] for _ in range(self.m + 1)]
-        w = self._w
-        for face in self.faces:
-            free = face & ~self.zero
-            low = face | free << w
-            signs = submasks((self.ambient & ~face) << w)
-            by_dim[free.bit_count()] += [low | s for s in signs]
-        while by_dim and not by_dim[-1]:
-            by_dim.pop()
-        return tuple(tuple(cells) for cells in by_dim)
+        The cells of face sigma have dimension |sigma ∖ zero|. The one whose
+        sign pattern, read on the bits of ``ambient ∖ sigma`` from the lowest
+        up with 1 for {1}, is i has index ``base[sigma] + i`` in it.
+        """
+        base = {}
+        sizes = [0] * (self.m + 1)
+        for f in self.faces:
+            d = (f & ~self.zero).bit_count()
+            base[f] = sizes[d]
+            sizes[d] += 1 << (self.ambient & ~f).bit_count()
+        while sizes and not sizes[-1]:
+            sizes.pop()
+        return base, sizes
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(cells) for cells in self.cells_by_dim)
+        return tuple(self._offsets()[1])
 
     def boundary(self, cell: int) -> list[int]:
         """Cells of one dimension lower in the F2 boundary of ``cell``.
@@ -206,13 +209,35 @@ class CubicalComplex:
     def betti(self) -> BettiTable:
         """Cellular F2 homology Betti numbers.
 
-        Memoized on the data the cells are generated from, the ambient set,
+        Memoized on the data the cells are read from, the ambient set,
         ``zero`` and the faces, so models with the same cells share one
         rank and no other result is ever read for them.
         """
         # three fields, where a Hochster key has two: the kinds never collide
         key = (self.ambient, self.zero, self.faces)
         return memoized(key, CubicalComplex._rank, self)
+
+    def _columns(self, face: int, base: dict[int, int]) -> list[tuple[int, int]]:
+        """(mask, low) per vertex v of ``face`` off ``zero``, for its columns.
+
+        The column of cell i of ``face`` is the sum over v of ``mask`` shifted
+        by ins(i, p) = 2i − (i & low), low = 2^p − 1, which inserts a 0 bit
+        into i at p, the number of bits of ``ambient ∖ face`` below v: the
+        ends of v are the cells of ``face ∖ v`` whose patterns are i with v
+        at bit p. The masks are read off ``boundary`` of the cell i = 0.
+        """
+        w, off = self._w, self.ambient & ~face
+        ends: dict[int, int] = {}
+        for child in self.boundary(face | (face & ~self.zero) << w):
+            lo = child & ((1 << w) - 1)
+            index, ones = base[lo], child >> w & ~lo  # ones: the coordinates at {1}
+            while ones:
+                u = ones & -ones
+                index += 1 << (self.ambient & ~lo & u - 1).bit_count()
+                ones ^= u
+            v = face ^ lo
+            ends[v] = ends.get(v, 0) | 1 << index
+        return [(mask, (1 << (off & v - 1).bit_count()) - 1) for v, mask in ends.items()]
 
     def _rank(self) -> BettiTable:
         """β_d = c_d − r_d − r_(d+1) at entry d + 1, the ranks r by ``add_faces``.
@@ -222,10 +247,10 @@ class CubicalComplex:
         a boundary in the span of those of the rows before it. Its column
         is never built and counts as zero; r_(d−1) is unchanged.
 
-        Cleared cells' boundaries are never looked up, so closure is
-        checked on the faces. The boundary cells of a cell of sigma are,
-        for each v in sigma ∖ zero, cells of sigma ∖ v, which ``_generate``
-        makes exactly when sigma ∖ v is a face; and every face has a cell.
+        A column's rows are found by ``_columns`` from the faces alone, so
+        closure is checked on the faces. The boundary cells of a cell of
+        sigma are, for each v in sigma ∖ zero, cells of sigma ∖ v, which
+        exist exactly when sigma ∖ v is a face.
         """
         faces = set(self.faces)
         for f in self.faces:
@@ -238,25 +263,30 @@ class CubicalComplex:
                         "faces must be closed under removing vertices outside zero"
                     )
                 free ^= v
-        by_dim = self.cells_by_dim
-        betti = [0] * (len(by_dim) + 1)
+        base, sizes = self._offsets()
+        by_dim: list[list[int]] = [[] for _ in sizes]
+        for f in self.faces:
+            by_dim[(f & ~self.zero).bit_count()].append(f)
+        betti = [0] * (len(sizes) + 1)
         cleared: set[int] = set()  # indices of (d−1)-cells at pivot rows
-        for d in range(len(by_dim) - 1, 0, -1):
-            rows = {c: i for i, c in enumerate(by_dim[d - 1])}
+        for d in range(len(sizes) - 1, 0, -1):
             items = []
-            for i, cell in enumerate(by_dim[d]):
-                if i in cleared:
-                    continue
-                col = 0
-                for child in self.boundary(cell):
-                    col |= 1 << rows[child]
-                items.append((cell, col, d + 1))
+            for f in by_dim[d]:
+                first = base[f]
+                parts = self._columns(f, base)
+                for i in range(1 << (self.ambient & ~f).bit_count()):
+                    if first + i in cleared:
+                        continue
+                    col = 0
+                    for mask, low in parts:
+                        col |= mask << (i << 1) - (i & low)
+                    items.append((first + i, col, d + 1))
             betti[d + 1] += len(cleared)
             added: list[int] = []
             add_faces(items, {}, betti, added)
             cleared = {p - 1 for p in added}
-        if by_dim:  # a 0-cell's column is empty
-            betti[1] += len(by_dim[0])
+        if sizes:  # a 0-cell's column is empty
+            betti[1] += sizes[0]
         return BettiTable.from_row(betti[1:], 0)
 
     def fixed_subcomplex(self, i_mask: int) -> "CubicalComplex":

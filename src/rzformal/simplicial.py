@@ -108,12 +108,14 @@ def cap(name: str) -> int:
 def read_caps_once() -> Iterator[None]:
     """Read every cap once, now; ``cap`` returns these values until the block ends.
 
-    A malformed variable raises here. Forked workers inherit the values;
-    a spawned one reads the environment again, which holds the same.
+    A malformed variable raises here. Within another such block, the values
+    read as that one began are kept. Forked workers inherit the values; a
+    spawned one reads the environment again, which holds the same.
     """
     global _read_caps
     outer = _read_caps
-    _read_caps = {name: _cap_from_env(name) for name in CAPS}
+    if outer is None:
+        _read_caps = {name: _cap_from_env(name) for name in CAPS}
     try:
         yield
     finally:

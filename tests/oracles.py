@@ -365,9 +365,28 @@ def decode_cell(cell, ambient):
     )
 
 
+def model_cells(model):
+    """The cells of a package cubical model as its masks, by dimension, in index order.
+
+    Face sigma, in the order of ``model.faces``, has one cell per sign
+    pattern on the coordinates off sigma: {0} on ``zero``, [-1,1] on the
+    rest of sigma. Pattern i puts its bit j, 1 for {1}, on the j-th lowest
+    coordinate off sigma, and the cells of a face go up in i.
+    """
+    w = model.ambient.bit_length()
+    by_dim = {}
+    for face in model.faces:
+        free = face & ~model.zero
+        off = _labels(model.ambient & ~face)
+        for i in range(1 << len(off)):
+            ones = sum(1 << (v - 1) for j, v in enumerate(off) if i >> j & 1)
+            by_dim.setdefault(free.bit_count(), []).append(face | (free | ones) << w)
+    return [by_dim.get(d, []) for d in range(max(by_dim, default=-1) + 1)]
+
+
 def decode_cells(model):
     """The cells of a package cubical model; a cell listed twice counts once."""
-    return {decode_cell(c, model.ambient) for cells in model.cells_by_dim for c in cells}
+    return {decode_cell(c, model.ambient) for cells in model_cells(model) for c in cells}
 
 
 def _plus(x, y):

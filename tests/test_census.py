@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shapes import cycle_graph
-from rzformal import SimplicialComplex, census, cohomology, formality, run_census, verify_census
+from rzformal import (
+    SimplicialComplex, census, cohomology, formality, run_census, simplicial, verify_census,
+)
 from rzformal.census import all_complexes, compute_record, census_tasks, flag_complexes
 from rzformal.cohomology import BettiTable
 from rzformal.moment_angle import CubicalComplex
@@ -368,6 +370,27 @@ def test_census_caps(tmp_path, monkeypatch):
         run_census(3, "flag", tmp_path / "z.jsonl")
     monkeypatch.delenv("RZFORMAL_CENSUS_FLAG_CAP")
     run_census(3, "flag", tmp_path / "ok.jsonl")
+
+
+def test_a_library_census_and_verify_read_each_cap_once(tmp_path, monkeypatch):
+    # every decider checks its caps per record; a direct call, outside the
+    # command line, still reads the environment once per cap
+    reads = []
+    from_env = simplicial._cap_from_env
+
+    def counted(name):
+        reads.append(name)
+        return from_env(name)
+
+    monkeypatch.setattr(simplicial, "_cap_from_env", counted)
+    out = tmp_path / "c.jsonl"
+    for mode in census.MODES:
+        run_census(3, mode, out)
+        assert len(reads) <= len(simplicial.CAPS), mode
+        reads.clear()
+        assert verify_census(out)["mismatches"] == []
+        assert len(reads) <= len(simplicial.CAPS), mode
+        reads.clear()
 
 
 def test_every_all_complex_has_all_vertices():

@@ -20,12 +20,12 @@ from oracles import (
     cube_cells,
     cube_boundary,
     cube_counts,
-    cube_dim,
     cube_ranks,
     decode_cell,
     decode_cells,
     hochster_complex_dense,
     hochster_real_dense,
+    model_cells,
     reduced_betti_dense,
 )
 from shapes import cycle_graph, simplex, void_complex
@@ -40,7 +40,7 @@ from rzformal import (
     moment_angle,
     torus_oracle,
 )
-from rzformal.census import all_complexes
+from rzformal.census import all_complexes, flag_complexes
 from rzformal.cohomology import BettiTable
 from rzformal.moment_angle import CubicalComplex
 from rzformal.simplicial import label_mask, mask_vertices, submasks
@@ -173,7 +173,7 @@ def test_cubical_agrees_with_hochster_on_ghosts():
 
 
 def assert_boundaries_are_the_oracles(model):
-    for cells in model.cells_by_dim:
+    for cells in model_cells(model):
         for cell in cells:
             got = [decode_cell(b, model.ambient) for b in model.boundary(cell)]
             assert sorted(got) == sorted(cube_boundary(decode_cell(cell, model.ambient)))
@@ -319,37 +319,90 @@ def test_fixed_cells_are_the_oracle_cells_at_zero_on_i(case):
         assert_boundaries_are_the_oracles(fixed)
 
 
+def spy_columns(monkeypatch):
+    """The (cell index, column, d + 1) items of every d-column ``_rank`` builds."""
+    built = []
+    add = moment_angle.add_faces
+
+    def spy(items, *args):
+        built.extend(items)
+        return add(items, *args)
+
+    monkeypatch.setattr(moment_angle, "add_faces", spy)
+    return built
+
+
 @pytest.mark.parametrize("i_set", [[], [1, 2]])
 def test_oracle_builds_and_ranks_only_the_fixed_cells(monkeypatch, i_set):
-    calls, generated = [], []
+    calls = []
     boundary = CubicalComplex.boundary
-    generate = CubicalComplex._generate
 
     def counted(self, cell):
         calls.append(cell)
         return boundary(self, cell)
 
-    def recorded(self):
-        cells = generate(self)
-        generated.extend(c for part in cells for c in part)
-        return cells
-
     monkeypatch.setattr(CubicalComplex, "boundary", counted)
-    monkeypatch.setattr(CubicalComplex, "_generate", recorded)
+    built = spy_columns(monkeypatch)
     cohomology.clear_caches()
     k = SimplicialComplex.from_facets(6, [[1, 2, 3], [1, 2, 4], [3, 4, 5], [5, 6], [1, 6]])
     i_mask = label_mask(i_set, 6, "I")
     betti_sum_oracle(k, i_mask)
     cells = cells_at_zero(cube_cells(k, i_mask), i_mask)
     counts, ranks = cube_counts(cells), cube_ranks(cells)
-    # no cell outside the fixed set is generated; a cell of dimension
-    # d ≥ 1 gets one boundary row unless it was cleared, and the d-cells
-    # cleared are the pivot rows of the (d+1)-columns, r_(d+1) of them
-    assert len(generated) == len(set(generated)) == len(cells)
-    assert len(calls) == len(set(calls))
-    assert set(calls) <= set(generated)
-    rows = Counter(cube_dim(decode_cell(c, k.ambient)) for c in calls)
-    assert rows == Counter({d: n - ranks.get(d + 1, 0) for d, n in enumerate(counts) if d})
+    # ranking generates no cell: ``boundary`` is read once per face of the
+    # fixed set with a vertex off I, on its cell with every sign -1
+    w = k.ambient.bit_length()
+    star = [f for f in k.faces() if f & i_mask == i_mask]
+    assert sorted(calls) == sorted(f | (f & ~i_mask) << w for f in star if f & ~i_mask)
+    # a cell of dimension d ≥ 1 gets one column unless it was cleared, and
+    # the d-cells cleared are the pivot rows of the (d+1)-columns
+    columns = Counter(d - 1 for _, _, d in built)
+    assert len(set((i, d) for i, _, d in built)) == len(built)
+    assert columns == Counter({d: n - ranks.get(d + 1, 0) for d, n in enumerate(counts) if d})
+
+
+def test_each_column_is_the_boundary_of_its_cell(monkeypatch):
+    # every column that ``_rank`` builds, against ``boundary`` of the cell at
+    # its index: the plain and every fixed model of the flag complexes at
+    # m <= 4 and of all complexes at m <= 3, then seeded m = 5-7 models
+    # with ghost vertices, fixed on faces and non-faces
+    built = spy_columns(monkeypatch)
+    cases = [(k, list(submasks(k.ambient))) for m in range(1, 5) for k in flag_complexes(m)]
+    cases += [(k, list(submasks(k.ambient))) for m in range(1, 4) for k in all_complexes(m)]
+    rng = random.Random(28)
+    for _ in range(12):
+        m = rng.randint(5, 7)
+        used = rng.sample(range(1, m + 1), m - rng.randint(1, 2))
+        facets = [rng.sample(used, rng.randint(1, min(4, len(used)))) for _ in range(3)]
+        k = SimplicialComplex.from_facets(m, [[v] for v in used] + facets)
+        faces = [f for f in k.faces() if f]
+        cases.append((k, [0] + rng.sample(faces, 3) + [rng.getrandbits(m) for _ in range(2)]))
+    for k, i_masks in cases:
+        plain = build_cubical(k)
+        for model in [plain] + [plain.fixed_subcomplex(i) for i in i_masks]:
+            del built[:]
+            got = model._rank()
+            cells = model_cells(model)
+            index = [{c: j for j, c in enumerate(part)} for part in cells]
+            for j, col, d in built:
+                want = sum(1 << index[d - 2][b] for b in model.boundary(cells[d - 1][j]))
+                assert col == want, (model, d, j)
+            assert dims(got) == cube_betti(decode_cells(model)), model
+
+
+def test_counts_are_read_off_the_faces(monkeypatch):
+    # Σ 2^|ambient ∖ sigma| cells per dimension |sigma ∖ zero|, no cell
+    # generated, equal to the oracle's count of the cells at 0 on I
+    def no_cells(self, cell):
+        raise AssertionError("a cell was generated")
+
+    monkeypatch.setattr(CubicalComplex, "boundary", no_cells)
+    for m in range(1, 4):
+        for k in all_complexes(m):
+            for i_mask in submasks(k.ambient):
+                fixed = build_cubical(k).fixed_subcomplex(i_mask)
+                cells = cells_at_zero(cube_cells(k, i_mask), i_mask)
+                assert fixed.counts() == cube_counts(cells), (k, i_mask)
 
 
 def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
@@ -455,7 +508,7 @@ def test_the_repr_of_a_model_generates_no_cell():
     model = build_cubical(k)
     assert repr(model) == f"CubicalComplex(m=8, zero=0b0, faces={len(k.faces())})"
     assert repr(model.fixed_subcomplex(0b11)) == "CubicalComplex(m=8, zero=0b11, faces=2)"
-    assert model._cells is None
+    assert vars(model).keys() == {"ambient", "faces", "zero", "_w"}
 
 
 def test_a_cubical_entry_is_the_star_of_i_not_its_link(monkeypatch):
