@@ -77,24 +77,44 @@ def flag_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
 
     The witness is the first non-edge {j1 < j2}, in lexicographic order,
     with a vertex of I off it that is not a common neighbour of j1 and j2,
-    and the least such vertex.
+    and the least such vertex. Each non-edge's mask of such vertices, and
+    their union, are kept on ``k``: I is formal iff it misses the union,
+    and otherwise the masks are tried in order.
     """
     _check_input(k, i_mask)
     if not k.is_flag():
         raise InputError("flag criterion requires flag complex")
     if not k.has_face(i_mask):
         return _not_a_face("flag_criterion", i_mask)
-    adj, verts = k.neighbours(), k.vertices_mask
-    for j1 in mask_vertices(verts):
-        n1 = adj[j1 - 1]
-        for j2 in mask_vertices((verts & ~n1) >> j1 << j1):  # non-neighbours above j1
-            ends = 1 << (j1 - 1) | 1 << (j2 - 1)
-            off = i_mask & ~ends & ~(n1 & adj[j2 - 1])
+    union, obstructions = _obstructions(k)
+    if i_mask & union:
+        for j1, j2, bad in obstructions:
+            off = i_mask & bad
             if off:
                 i = (off & -off).bit_length()
                 witness = {"kind": "missing_edge", "edge": [j1, j2], "i": i}
                 return FormalityReport("not_formal", "flag_criterion", i_mask, witness)
     return FormalityReport("formal", "flag_criterion", i_mask)
+
+
+def _obstructions(k: SimplicialComplex) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(union, (j1, j2, bad) per non-edge {j1 < j2} in lexicographic order), cached.
+
+    ``bad`` holds the vertices off {j1, j2} that are not common neighbours
+    of j1 and j2.
+    """
+    found = k._cache.get("flag_obstructions")
+    if found is None:
+        adj, verts = k.neighbours(), k.vertices_mask
+        union, obstructions = 0, []
+        for j1 in mask_vertices(verts):
+            n1 = adj[j1 - 1]
+            for j2 in mask_vertices((verts & ~n1) >> j1 << j1):  # non-neighbours above j1
+                bad = verts & ~(1 << (j1 - 1) | 1 << (j2 - 1)) & ~(n1 & adj[j2 - 1])
+                union |= bad
+                obstructions.append((j1, j2, bad))
+        found = k._cache["flag_obstructions"] = union, tuple(obstructions)
+    return found
 
 
 def general_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:

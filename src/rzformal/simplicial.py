@@ -39,13 +39,25 @@ def label_mask(labels: Iterable, m: int, what: str) -> int:
     return mask
 
 
+# entry b: the labels 1..8 of the bits of the byte b
+_BYTE_LABELS = tuple(
+    tuple(k + 1 for k in range(8) if b >> k & 1) for b in range(256)
+)
+
+
 def mask_vertices(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based vertex labels of a bitmask."""
-    out = []
+    """Sorted 1-based vertex labels of a nonnegative bitmask, a byte at a time."""
+    if mask < 256:
+        return _BYTE_LABELS[mask]
+    out: list[int] = []
+    base = 0
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
+        byte = mask & 255
+        if byte:
+            for v in _BYTE_LABELS[byte]:
+                out.append(base + v)
+        mask >>= 8
+        base += 8
     return tuple(out)
 
 
@@ -130,7 +142,7 @@ def _over_listing_cap(what: str) -> InputError:
 
 def check_cap(name: str, m: int) -> None:
     """Refuse an m-vertex input over the cap ``name``."""
-    limit = cap(name)
+    limit = _read_caps[name] if _read_caps is not None else _cap_from_env(name)
     if m > limit:
         env, _, what = CAPS[name]
         raise InputError(f"{what} on {m} vertices exceeds the cap {limit} ({env})")
@@ -250,25 +262,29 @@ def _cliques(adj, verts: int) -> Iterator[tuple[int, int]]:
 class SimplicialComplex:
     """An abstract simplicial complex, stored by its maximal faces.
 
-    ``ambient`` is the bitmask of ambient vertices and ``facets`` the
-    canonically ordered maximal faces. Of the ambient vertices,
-    ``vertices_mask`` holds those that span a face, ``ghost_mask`` the
-    rest and ``apexes`` those in every facet (0 if K is void or {}); K is
-    the join of the simplex on its apexes with ``link(apexes)``. Equality
-    compares ambient set and facets, so a complex with a ghost vertex
-    differs from the same face set without it.
+    ``ambient`` is the bitmask of ambient vertices, ``m`` their number
+    and ``facets`` the canonically ordered maximal faces. Of the ambient
+    vertices, ``vertices_mask`` holds those that span a face,
+    ``ghost_mask`` the rest and ``apexes`` those in every facet (0 if K is
+    void or {}); K is the join of the simplex on its apexes with
+    ``link(apexes)``. Equality compares ambient set and facets, so a
+    complex with a ghost vertex differs from the same face set without it.
     """
 
     def __init__(self, ambient: int, facet_masks: Iterable[int]):
-        facets = _canonical_facets(facet_masks)
+        self._set(ambient, _canonical_facets(facet_masks))
+        outside = self.vertices_mask & ~ambient
+        if outside:
+            raise InputError(f"vertices {mask_vertices(outside)} not in the ambient set")
+
+    def _set(self, ambient: int, facets: tuple[int, ...]) -> None:
+        """Fill the fields from canonical facets within ``ambient``."""
         spanned, apexes = 0, -1 if facets else 0
         for f in facets:
             spanned |= f
             apexes &= f
-        if spanned & ~ambient:
-            outside = mask_vertices(spanned & ~ambient)
-            raise InputError(f"vertices {outside} not in the ambient set")
         self.ambient = ambient
+        self.m = ambient.bit_count()
         self.facets = facets
         self.vertices_mask = spanned
         self.ghost_mask = ambient & ~spanned
@@ -279,11 +295,6 @@ class SimplicialComplex:
     def from_facets(cls, m: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Complex on ambient {1..m} spanned by the given faces."""
         return cls((1 << m) - 1, [label_mask(face, m, "a face") for face in facets])
-
-    @property
-    def m(self) -> int:
-        """Number of ambient vertices."""
-        return self.ambient.bit_count()
 
     @property
     def dim(self) -> int:
@@ -340,8 +351,13 @@ class SimplicialComplex:
             return self._cache[key]
         except KeyError:
             pass
-        new_facets = [f & ~s_mask for f in self.facets if f & s_mask == s_mask]
-        lk = self._cache[key] = SimplicialComplex(self.ambient & ~s_mask, new_facets)
+        # a facet through s, less s, is maximal in the link, and f ↦ f − s
+        # keeps the (dimension, mask) order: the facets are canonical as built
+        lk = self._cache[key] = SimplicialComplex.__new__(SimplicialComplex)
+        lk._set(
+            self.ambient & ~s_mask,
+            tuple(f - s_mask for f in self.facets if f & s_mask == s_mask),
+        )
         return lk
 
     def neighbours(self) -> tuple[int, ...]:

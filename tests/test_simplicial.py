@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cliques_of, faces_of
+from oracles import _labels, cliques_of, faces_of
 from shapes import complete_graph, cycle_graph, empty_graph, void_complex
 from rzformal import Graph, SimplicialComplex
 from rzformal.simplicial import label_mask, mask_vertices, submasks
@@ -24,6 +24,20 @@ def test_vertex_mask_round_trip():
     assert label_mask([1, 3], 3, "I") == 0b101
     assert mask_vertices(0b101) == (1, 3)
     assert label_mask([], 3, "I") == 0
+
+
+def test_mask_vertices_reads_every_byte():
+    # masks of up to 12 bits, then seeded ones up to 2^1024 with bits on
+    # each side of a byte boundary, so that a mislabeled byte shows
+    for mask in range(1 << 12):
+        assert list(mask_vertices(mask)) == _labels(mask), mask
+    rng = random.Random(41)
+    for bits in ((7, 8), (15, 16), (63, 64), (1023,)):
+        edge = sum(1 << b for b in bits)
+        for width in (0, 16, 64, 200, 1024):
+            for _ in range(10):
+                mask = rng.getrandbits(width) | edge if width else edge
+                assert list(mask_vertices(mask)) == _labels(mask), hex(mask)
 
 
 def test_submasks_enumerates_all_subsets_ascending():
@@ -168,6 +182,35 @@ def test_link_of_non_face_raises():
     two = SimplicialComplex.from_facets(2, [[1], [2]])
     with pytest.raises(ValueError):
         two.link(0b11)
+
+
+def test_a_link_equals_the_complex_built_from_its_facets():
+    # every face of the all-complexes m <= 4, then of 50 seeded complexes
+    # with ghost vertices: the link is built without the antichain test
+    from rzformal.census import all_complexes
+
+    rng = random.Random(43)
+    ghosts = []
+    for _ in range(50):
+        m = rng.randint(2, 9)
+        spanned = rng.sample(range(1, m + 1), rng.randint(1, m - 1))
+        facets = [
+            rng.sample(spanned, rng.randint(1, min(len(spanned), 4)))
+            for _ in range(rng.randint(1, 7))
+        ]
+        ghosts.append(SimplicialComplex.from_facets(m, facets))
+    assert all(k.ghost_mask for k in ghosts)
+    cases = [k for m in range(1, 5) for k in all_complexes(m)] + ghosts
+    fields = ("facets", "vertices_mask", "ghost_mask", "apexes", "m", "ambient")
+    for k in cases:
+        for s in k.faces():
+            built = SimplicialComplex(
+                k.ambient & ~s, [f & ~s for f in k.facets if f & s == s]
+            )
+            lk = k.link(s)
+            assert lk == built
+            for field in fields:
+                assert getattr(lk, field) == getattr(built, field), (k, s, field)
 
 
 def test_link_faces_join_back():
