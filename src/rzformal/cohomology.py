@@ -16,9 +16,15 @@ cell at a pivot row one dimension up gets no column (``moment_angle``).
 one J per bit of an int, for the Hochster sums over all J; one J at a
 time, those cost a Python loop pass per J. Shared results follow one policy,
 ``memoized``: each cache keeps the ``MEMO_BOUND`` entries used last, each
-keyed by the exact data it is computed from. ``_hom_cache`` holds the
-restriction test's face lists, keyed by the tuple itself, and ``_memo``
-the Hochster tables and cubical ranks.
+keyed by the data it is computed from. ``_hom_cache`` holds the
+restriction test's face lists, keyed by the tuple itself. ``_memo`` holds
+the Hochster tables and cubical ranks, which do not depend on the vertex
+labels: keys are taken up to order-preserving relabeling. An entry is
+looked up under its raw key, and on a miss again under the key of its
+squeezed copy, a complex's labels closed up onto 1..m, a cubical model's
+coordinates held at 0 dropped and the rest closed up. The general
+criterion keeps each restriction test per (J, σ) on the complex it
+walks, in a dict of its own under the same policy.
 
 The one restriction map is onto a star deletion A = X ∖ st σ.
 Over a field the long exact sequence of the pair gives
@@ -32,6 +38,7 @@ shifted up by |σ|, so β(X, A) is the link's total.
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb
 from typing import NamedTuple
@@ -64,11 +71,13 @@ class BettiTable(NamedTuple):
         return {"min_degree": self.min_degree, "dims": dims, "total": self.total}
 
 
-# census flag m=5 meets 1,856 distinct cubical and 1,830 table keys; kept
-# to the last 1,024 used, 1,990 ranks and 1,962 walks run (2,376 and 2,255
-# evicting the oldest), and the memo adds under 1 MB to its peak. A formal
-# non-cone check at m = 18 would keep 30,948 face lists, and double its
-# peak, without the bound
+# census flag m=5 meets 1,856 raw cubical and 1,830 raw table keys, 1,167
+# and 1,163 squeezed; kept to the last 1,024 used, raw and squeezed keys
+# together, 1,358 ranks and 1,328 walks run (1,990 and 1,962 on raw keys
+# alone), and the memo adds under 1 MB to its peak. Its general criterion
+# tests 12,237 (J, σ) per walked complex where it tested 21,705 (K, I, J).
+# A formal non-cone check at m = 18 would keep 30,948 face lists, and
+# double its peak, without the bound
 MEMO_BOUND = 1024
 _memo: dict[tuple, object] = {}
 # apart from ``_memo``: sharing one dict makes each evict the other's hits
@@ -258,14 +267,7 @@ def subset_sums(faces: tuple[int, ...], width: int) -> list[list[int]]:
         sums[s][1] -= comb(n, s)
     bits = min(n, LANE_BITS)
     low = (1 << bits) - 1
-    every = (1 << (1 << bits)) - 1
-    # the lanes of the J that hold vertex v, runs of 2^v lanes without it
-    # and 2^v with it, and the lanes of the J with s vertices
-    holding = [every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1 << (1 << v))
-               for v in range(bits)]
-    of_size = [1]
-    for v in range(bits):
-        of_size = [a | b << (1 << v) for a, b in zip(of_size + [0], [0] + of_size)]
+    every, holding, of_size = _lane_masks(bits)
     for k in range(2, len(by_size)):
         index = {g: r for r, g in enumerate(by_size[k - 1])}
         cols = []
@@ -278,15 +280,42 @@ def subset_sums(faces: tuple[int, ...], width: int) -> list[list[int]]:
             cols.append((f >> bits, f & low, rows))
         for h in range(1 << n - bits):
             block = [(own, rows) for top, own, rows in cols if not top & ~h]
-            for mask in _pivot_lanes(block, holding, every):
-                for s, lanes in enumerate(of_size, h.bit_count()):
-                    r = (mask & lanes).bit_count()
-                    sums[s][k] -= r
-                    sums[s][k - 1] -= r
+            # bit i of lane J's count of pivot rows in planes[i]: each
+            # row's lanes go in by a ripple-carry add
+            planes: list[int] = []
+            for carry in _pivot_lanes(block, holding, every):
+                i = 0
+                while carry:
+                    if i == len(planes):
+                        planes.append(carry)
+                        break
+                    planes[i], carry = planes[i] ^ carry, planes[i] & carry
+                    i += 1
+            for s, lanes in enumerate(of_size, h.bit_count()):
+                r = sum((plane & lanes).bit_count() << i for i, plane in enumerate(planes))
+                sums[s][k] -= r
+                sums[s][k - 1] -= r
     return sums
 
 
-def _pivot_lanes(cols: list[tuple[int, list[int]]], holding: list[int], every: int):
+@cache
+def _lane_masks(bits: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The masks of 2^bits lanes: every lane, the lanes of the J holding v, per v,
+    and the lanes of the J with s vertices, per s.
+
+    Constants of the width, built once each: ``clear_caches`` leaves them.
+    The lanes holding v run 2^v without it and 2^v with it.
+    """
+    every = (1 << (1 << bits)) - 1
+    holding = [every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1 << (1 << v))
+               for v in range(bits)]
+    of_size = [1]
+    for v in range(bits):
+        of_size = [a | b << (1 << v) for a, b in zip(of_size + [0], [0] + of_size)]
+    return every, tuple(holding), tuple(of_size)
+
+
+def _pivot_lanes(cols: list[tuple[int, list[int]]], holding: tuple[int, ...], every: int):
     """Per row with a pivot, the lanes that have one there, once ``cols`` are reduced.
 
     A column is its face's own vertices among the lane bits and its rows.

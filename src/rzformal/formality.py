@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import moment_angle
-from .cohomology import _restriction_map_trivial, subset_walk
+from .cohomology import _restriction_map_trivial, memoized, subset_walk
 from .f2 import Subgroup
 from .simplicial import InputError, SimplicialComplex, cap, check_cap, mask_vertices
 
@@ -129,7 +129,9 @@ def general_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     decided from three Betti totals, the relative term being the link of
     σ in K_J, and a map from β̃(K_J) = 0 is trivial. The witness is the
     first failing J in lexicographic order; the walk is capped like the
-    Hochster sums. A K_J that meets the apexes A is a cone and any other
+    Hochster sums. Each test's result is kept per (J, σ) on the walked
+    complex, among its last ``MEMO_BOUND``, so the other I of a census
+    read it. A K_J that meets the apexes A is a cone and any other
     is (lk A)_J, so the walk is that of lk A for I ∖ A, and none if
     I ⊆ A; the report still carries all of I.
     """
@@ -138,12 +140,22 @@ def general_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     if not k.has_face(i_mask):
         return _not_a_face("general_criterion", i_mask)
     link, rest = k.link(k.apexes), i_mask & ~k.apexes
-    for j_mask, total in _walked(link) if rest else ():
-        sigma = j_mask & rest
-        if sigma and not _restriction_map_trivial(link.subfaces(j_mask), sigma, total):
-            witness = {"kind": "nontrivial_restriction", "J": list(mask_vertices(j_mask))}
-            return FormalityReport("not_formal", "general_criterion", i_mask, witness)
+    if rest:
+        tested = link._cache.setdefault("restrictions", {})
+        for j_mask, total in _walked(link):
+            sigma = j_mask & rest
+            if sigma and not memoized(
+                (j_mask, sigma), _restricted, (link, j_mask, sigma, total), tested
+            ):
+                witness = {"kind": "nontrivial_restriction", "J": list(mask_vertices(j_mask))}
+                return FormalityReport("not_formal", "general_criterion", i_mask, witness)
     return FormalityReport("formal", "general_criterion", i_mask)
+
+
+def _restricted(args: tuple[SimplicialComplex, int, int, int]) -> bool:
+    """The restriction test of (L, J, σ, β̃(L_J)), on the faces of L_J."""
+    link, j_mask, sigma, total = args
+    return _restriction_map_trivial(link.subfaces(j_mask), sigma, total)
 
 
 def _walked(k: SimplicialComplex):

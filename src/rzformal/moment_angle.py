@@ -22,6 +22,14 @@ containing I and sign pattern off it, with {0} on I, at most 3^m cells.
 Reading the fixed set off the cube never uses the link formula that it
 checks.
 
+Neither result depends on the vertex labels. A model whose cells are {0}
+on ``zero`` has the cells of the model with those coordinates dropped,
+and an order-preserving relabeling keeps every cell index and boundary;
+the Hochster tables depend on K up to isomorphism. So the memo keys are
+taken up to order-preserving relabeling: two (K, I) whose fixed models
+agree once the held coordinates are dropped share one rank, and two links
+that agree once their labels are closed up share one table.
+
 Every computation exponential in the vertex count m checks one entry of
 ``simplicial.CAPS`` with ``check_cap`` before it starts: the 2^m sums
 over vertex subsets here and in the general criterion, the cubical
@@ -33,21 +41,32 @@ from __future__ import annotations
 from math import comb
 
 from .cohomology import BettiTable, add_faces, memoized, subset_sums
-from .simplicial import SimplicialComplex, check_cap
+from .simplicial import SimplicialComplex, check_cap, squeeze
 
 
 def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
     """Real and complex tables of ``k``, kept on it and memoized on its ambient set and facets.
 
-    The ambient set is in the key because ghost vertices scale the tables;
-    so every complex with the same facets and vertices shares one entry,
-    such as the links lk_K(I) that recur across a census. The cap comes first.
+    The ambient set is in the key because ghost vertices scale the tables.
+    On a miss, a complex whose ambient set is not 1..m is looked up again
+    as ``k.squeezed()``, its labels closed up in order: the tables do not
+    depend on the labels. So every complex with the same facets and
+    vertices up to an order-preserving relabeling shares one walk, such as
+    the links lk_K(I) that recur across a census. The cap comes first.
     """
     check_cap("hochster", k.m)
     tables = k._cache.get("tables")
     if tables is None:
-        tables = k._cache["tables"] = memoized((k.ambient, k.facets), _walk_tables, k)
+        tables = k._cache["tables"] = memoized((k.ambient, k.facets), _squeezed_tables, k)
     return tables
+
+
+def _squeezed_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
+    """The tables of ``k`` by way of the memo entry of ``k.squeezed()``."""
+    if k.ambient == (1 << k.m) - 1:
+        return _walk_tables(k)
+    squeezed = k.squeezed()
+    return memoized((squeezed.ambient, squeezed.facets), _walk_tables, squeezed)
 
 
 def _walk_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
@@ -147,6 +166,12 @@ def fixed_betti_via_link(k: SimplicialComplex, i_mask: int) -> BettiTable:
     return hochster_real_betti(k.link(i_mask))
 
 
+_NOT_A_MODEL = (
+    "every face of a cubical model must contain zero, and the "
+    "faces must be closed under removing vertices outside zero"
+)
+
+
 class CubicalComplex:
     """A cubical complex in [-1,1]^m read off the faces of one complex.
 
@@ -157,7 +182,7 @@ class CubicalComplex:
     contain ``zero``; its cells carry {0} on ``zero``, [-1,1] on the rest
     of sigma, and -1 or 1 off sigma. The faces must be closed under
     removing a vertex outside ``zero``, so that the cells are closed
-    under taking boundaries; ``betti`` raises ValueError if they are not.
+    under taking boundaries; ``betti`` raises ValueError if either fails.
     No cell is generated: a cell is indexed by its face and sign pattern.
     """
 
@@ -211,11 +236,36 @@ class CubicalComplex:
 
         Memoized on the data the cells are read from, the ambient set,
         ``zero`` and the faces, so models with the same cells share one
-        rank and no other result is ever read for them.
+        rank and no other result is ever read for them. On a miss, the
+        model is looked up again as ``squeezed()``, the same cells with
+        the coordinates held at 0 dropped; ``_rank`` builds the same
+        columns for both.
         """
         # three fields, where a Hochster key has two: the kinds never collide
         key = (self.ambient, self.zero, self.faces)
-        return memoized(key, CubicalComplex._rank, self)
+        return memoized(key, CubicalComplex._squeezed_betti, self)
+
+    def _squeezed_betti(self) -> BettiTable:
+        """The Betti numbers by way of the memo entry of ``squeezed()``."""
+        if self.zero == 0 and self.ambient == (1 << self.m) - 1:
+            return self._rank()
+        model = self.squeezed()
+        return memoized((model.ambient, 0, model.faces), CubicalComplex._rank, model)
+
+    def squeezed(self) -> "CubicalComplex":
+        """The model on ambient 1..n of ``ambient ∖ zero``, its labels closed up in order.
+
+        Every cell is {0} on ``zero``, so dropping those coordinates, and
+        closing up the rest in order, keeps each face's cells, their
+        indices and their boundaries. Raises ValueError if a face does not
+        contain ``zero``.
+        """
+        zero = self.zero
+        for f in self.faces:
+            if f & zero != zero:
+                raise ValueError(_NOT_A_MODEL)
+        keep = self.ambient & ~zero
+        return CubicalComplex((1 << keep.bit_count()) - 1, squeeze(self.faces, keep), 0)
 
     def _columns(self, face: int, base: dict[int, int]) -> list[tuple[int, int]]:
         """(mask, low) per vertex v of ``face`` off ``zero``, for its columns.
@@ -258,10 +308,7 @@ class CubicalComplex:
             while free:
                 v = free & -free
                 if f ^ v not in faces:
-                    raise ValueError(
-                        "every face of a cubical model must contain zero, and the "
-                        "faces must be closed under removing vertices outside zero"
-                    )
+                    raise ValueError(_NOT_A_MODEL)
                 free ^= v
         base, sizes = self._offsets()
         by_dim: list[list[int]] = [[] for _ in sizes]

@@ -61,6 +61,30 @@ def mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def squeeze(masks: Iterable[int], keep: int) -> tuple[int, ...]:
+    """The masks with the bits of ``keep`` closed up onto bits 0, 1, ... in order.
+
+    Bits outside ``keep`` are dropped. The relabeling keeps the order of
+    vertices, so it keeps the numeric order of masks within ``keep``.
+    Each run of consecutive bits of ``keep`` moves down by the number of
+    bits outside ``keep`` below it.
+    """
+    runs = []
+    rest = keep
+    while rest:
+        low = rest & -rest
+        run = rest ^ (rest + low) & rest
+        runs.append((run, low.bit_length() - 1 - (keep & low - 1).bit_count()))
+        rest ^= run
+    out = []
+    for f in masks:
+        g = 0
+        for run, shift in runs:
+            g |= (f & run) >> shift
+        out.append(g)
+    return tuple(out)
+
+
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, including 0 and the mask itself.
 
@@ -353,12 +377,27 @@ class SimplicialComplex:
             pass
         # a facet through s, less s, is maximal in the link, and f ↦ f − s
         # keeps the (dimension, mask) order: the facets are canonical as built
-        lk = self._cache[key] = SimplicialComplex.__new__(SimplicialComplex)
-        lk._set(
+        lk = self._cache[key] = SimplicialComplex._canonical(
             self.ambient & ~s_mask,
             tuple(f - s_mask for f in self.facets if f & s_mask == s_mask),
         )
         return lk
+
+    def squeezed(self) -> "SimplicialComplex":
+        """The same complex on ambient 1..m, its labels closed up in order.
+
+        Ghost vertices stay ghosts. The relabeling keeps the order of
+        masks, so the facets stay canonical; not cached.
+        """
+        full = (1 << self.m) - 1
+        return SimplicialComplex._canonical(full, squeeze(self.facets, self.ambient))
+
+    @staticmethod
+    def _canonical(ambient: int, facets: tuple[int, ...]) -> "SimplicialComplex":
+        """The complex of facets already canonical within ``ambient``, unchecked."""
+        k = SimplicialComplex.__new__(SimplicialComplex)
+        k._set(ambient, facets)
+        return k
 
     def neighbours(self) -> tuple[int, ...]:
         """The 1-skeleton: entry k-1 is the neighbour mask of vertex k."""

@@ -190,6 +190,30 @@ def flag_witness_dense(faces, m, i_set):
     return None
 
 
+def general_criterion_dense(faces, m, i_set):
+    """(formal, witness) of the general criterion, every map tested afresh.
+
+    ``faces`` comes from ``faces_of``. I must be a face; then for each
+    J ⊆ {1..m} in sorted-tuple order with σ = I ∩ J ≠ ∅, the restriction
+    H̃*(K_J) -> H̃*(K_J ∖ st σ) must vanish, by the definition unless
+    H̃*(K_J) = 0. The witness is the first J that fails. Nothing is kept
+    from one J, or one call, to the next.
+    """
+    i_set = frozenset(i_set)
+    if i_set not in faces:
+        return False, {"kind": "not_a_face", "I": sorted(i_set)}
+    subsets = sorted(c for r in range(m + 1) for c in combinations(range(1, m + 1), r))
+    for j in map(frozenset, subsets):
+        sigma = i_set & j
+        if not sigma:
+            continue
+        x = [f for f in faces if f <= j]
+        deleted = [f for f in x if not sigma <= f]
+        if reduced_betti_dense(x) and not restriction_trivial_dense(x, deleted):
+            return False, {"kind": "nontrivial_restriction", "J": sorted(j)}
+    return True, None
+
+
 def hochster_real_dense(facets, m):
     """RZ_K Betti numbers from the dense cohomology oracle.
 

@@ -327,9 +327,11 @@ def _big_input(m, kind):
 
 @pytest.mark.skipif(
     os.environ.get("RZFORMAL_EXTENDED") != "1",
-    reason="checks and betti at m=18 and 20; set RZFORMAL_EXTENDED=1 to run",
+    reason="checks and betti at m=16 to 20; set RZFORMAL_EXTENDED=1 to run",
 )
-@pytest.mark.parametrize("m, kind", [(18, "cone"), (20, "cone"), (18, "c4join"), (20, "band")])
+@pytest.mark.parametrize(
+    "m, kind", [(18, "cone"), (20, "cone"), (16, "c4join"), (18, "c4join"), (20, "band")]
+)
 def test_criterion_10_formal_check_peaks_under_100_mb(tmp_path, m, kind):
     facets, (command, *options) = _big_input(m, kind)
 

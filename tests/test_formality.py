@@ -4,12 +4,14 @@ import gc
 import json
 import random
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from oracles import (
     faces_of,
     flag_witness_dense,
+    general_criterion_dense,
     hochster_complex_dense,
     hochster_real_dense,
     restriction_trivial_dense,
@@ -314,6 +316,25 @@ def test_cones_match_the_dense_oracles_unreduced():
     assert ghosted > 10 and restrictions > 100
 
 
+def test_the_criterion_matches_an_unmemoized_reference_on_every_i():
+    # every I of every complex at m <= 4 (the flag ones among them) and of
+    # every flag complex at m = 5, in census order: a later I reads the
+    # restriction tests that earlier ones kept per (J, σ) on the link
+    from rzformal.census import all_complexes, flag_complexes
+
+    cohomology.clear_caches()
+    cases = [k for m in range(1, 5) for k in all_complexes(m)] + list(flag_complexes(5))
+    kinds = Counter()
+    for k in cases:
+        faces = faces_of(mask_vertices(f) for f in k.facets)
+        for i_mask in submasks(k.ambient):
+            r = general_criterion(k, i_mask)
+            want = general_criterion_dense(faces, k.m, mask_vertices(i_mask))
+            assert (r.formal, r.witness) == want, (k, i_mask)
+            kinds[r.witness and r.witness["kind"]] += 1
+    assert kinds.keys() == {None, "not_a_face", "nontrivial_restriction"}
+
+
 def test_a_cone_is_walked_once_as_the_link_of_its_apexes(monkeypatch):
     hochster_walks = []
     hochster_walk = moment_angle._walk_tables
@@ -337,11 +358,12 @@ def test_a_cone_is_walked_once_as_the_link_of_its_apexes(monkeypatch):
     assert k.apexes == apexes
     hochster_real_betti(k)
     hochster_complex_betti(k)
-    # K's call hands over to lk A's, whose sums are the only ones taken
-    # (no vertex of the pentagon is free, so the link is its own core)
+    # K's call hands over to lk A's, whose sums, on the link's labels
+    # closed up to 1..5, are the only ones taken (no vertex of the
+    # pentagon is free, so the link is its own core)
     link = k.link(apexes)
-    assert hochster_walks == [k, link]
-    assert summed == [link.faces()]
+    assert hochster_walks == [k, link.squeezed()]
+    assert summed == [link.squeezed().faces()]
     assert link.vertices_mask.bit_count() == 5
     # reflections on apexes only, I = ∅ included, walk no J
     for i_mask in submasks(apexes):

@@ -43,7 +43,7 @@ from rzformal import (
 from rzformal.census import all_complexes, flag_complexes
 from rzformal.cohomology import BettiTable
 from rzformal.moment_angle import CubicalComplex
-from rzformal.simplicial import label_mask, mask_vertices, submasks
+from rzformal.simplicial import label_mask, mask_vertices, squeeze, submasks
 
 
 def dims(table):
@@ -350,10 +350,13 @@ def test_oracle_builds_and_ranks_only_the_fixed_cells(monkeypatch, i_set):
     cells = cells_at_zero(cube_cells(k, i_mask), i_mask)
     counts, ranks = cube_counts(cells), cube_ranks(cells)
     # ranking generates no cell: ``boundary`` is read once per face of the
-    # fixed set with a vertex off I, on its cell with every sign -1
-    w = k.ambient.bit_length()
+    # fixed set with a vertex off I, on its cell with every sign -1, in the
+    # squeezed model, where I is dropped and the rest of 1..6 closed up
+    model = build_cubical(k).fixed_subcomplex(i_mask).squeezed()
     star = [f for f in k.faces() if f & i_mask == i_mask]
-    assert sorted(calls) == sorted(f | (f & ~i_mask) << w for f in star if f & ~i_mask)
+    assert model.ambient == (1 << 6 - len(i_set)) - 1 and model.zero == 0
+    assert model.faces == squeeze(star, k.ambient & ~i_mask)
+    assert sorted(calls) == sorted(f | f << model._w for f in model.faces if f)
     # a cell of dimension d ≥ 1 gets one column unless it was cleared, and
     # the d-cells cleared are the pivot rows of the (d+1)-columns
     columns = Counter(d - 1 for _, _, d in built)
@@ -421,11 +424,18 @@ def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
     # one walk of K fills both tables
     assert walked == [k]
     fixed_betti_via_link(k, 0b0001)
-    # the torus oracle reuses the memoized link and its tables
+    # the torus oracle reuses the memoized link and its tables; the link,
+    # on 2, 4 and the ghost 3, is walked as its squeezed copy on 1..3
     torus_oracle(k, 0b0001)
-    assert len(walked) == 2 and walked[1] is k.link(0b0001)
+    assert walked == [k, k.link(0b0001).squeezed()]
+    assert walked[1] == SimplicialComplex(0b111, [0b001, 0b100])
     # the sums reduce along the walk and never touch the cohomology cache
     assert cohomology._hom_cache == {}
+
+
+def cells_key(model):
+    """The data a model's cells are read from: its memo key."""
+    return model.ambient, model.zero, model.faces
 
 
 def spy_ranks(monkeypatch):
@@ -474,7 +484,8 @@ def test_the_same_star_of_i_shares_one_cubical_entry(monkeypatch):
     assert fixed[0].faces == fixed[1].faces == (0b0001, 0b0011)
     assert fixed[0].betti() is fixed[1].betti()
     assert fixed[0].betti() == fixed_betti_via_link(k2, 0b0001)
-    assert ranked == [fixed[0]]
+    # ranked once, as the squeezed model: {1} dropped, 2, 3, 4 closed up
+    assert [cells_key(c) for c in ranked] == [(0b111, 0, (0b000, 0b001))]
     assert build_cubical(k1).betti() != build_cubical(k2).betti()
     assert len(ranked) == 3
 
@@ -483,12 +494,52 @@ def test_zero_is_in_the_cubical_memo_key(monkeypatch):
     ranked = spy_ranks(monkeypatch)
     k = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
     # {1, 3} and {1, 4} are no faces: no faces and no cells, held at 0 on
-    # other coordinates, two entries
+    # other coordinates, two raw entries; with zero dropped, both are the
+    # empty model on two coordinates, one squeezed entry and one rank
     empty = [build_cubical(k).fixed_subcomplex(i) for i in (0b0101, 0b1001)]
     assert empty[0].faces == empty[1].faces == ()
     assert empty[0].zero != empty[1].zero
     assert [c.betti().total for c in empty] == [0, 0]
-    assert ranked == empty
+    assert set(cohomology._memo) == {cells_key(c) for c in empty} | {(0b11, 0, ())}
+    assert [cells_key(c) for c in ranked] == [(0b11, 0, ())]
+
+
+def relabel(mask, labels):
+    """``mask`` with vertex v moved to ``labels[v - 1]``."""
+    return label_mask([labels[v - 1] for v in mask_vertices(mask)], max(labels), "a face")
+
+
+def test_shifted_padded_and_relabeled_copies_share_one_entry(monkeypatch):
+    # K on 1..5 with the ghost 3, and copies with the same vertex order: K
+    # shifted up by 3, K on 2, 3, 5, 6, 8 coned over 1, 4, 7 (fixed on
+    # its apexes, the cells of K padded with coordinates held at 0, and the
+    # link of the apexes a gapped copy of K), and K on 1, 4, 5, 8, 9
+    ranked = spy_ranks(monkeypatch)
+    walked = []
+    walk = moment_angle._walk_tables
+    monkeypatch.setattr(moment_angle, "_walk_tables", lambda c: walked.append(c) or walk(c))
+    facets = [[1, 2], [2, 4], [1, 4], [4, 5]]
+    k = SimplicialComplex.from_facets(5, facets)
+    pad = label_mask([1, 4, 7], 8, "pad")
+    coned = SimplicialComplex(0xFF, [relabel(f, [2, 3, 5, 6, 8]) | pad for f in k.facets])
+    copies = [
+        SimplicialComplex(0b11111 << 3, [relabel(f, [4, 5, 6, 7, 8]) for f in k.facets]),
+        coned.link(pad),
+        SimplicialComplex(0b110011001, [relabel(f, [1, 4, 5, 8, 9]) for f in k.facets]),
+    ]
+    assert [c.ghost_mask.bit_count() for c in copies] == [1, 1, 1]
+    tables = [(hochster_real_betti(c), hochster_complex_betti(c)) for c in [k] + copies]
+    assert tables == [tables[0]] * 4
+    assert list(tables[0][0].dims) == hochster_real_dense(facets, 5)
+    assert walked == [k]
+    # one rank for the plain models of K and two copies, and the cone's model
+    # fixed on its apexes
+    models = [build_cubical(k)] + [build_cubical(c) for c in (copies[0], copies[2])]
+    models.append(build_cubical(coned).fixed_subcomplex(pad))
+    assert [c.betti() for c in models] == [models[0].betti()] * 4
+    assert models[0].betti() == hochster_real_betti(k)
+    assert [cells_key(c) for c in ranked] == [cells_key(models[0])]
+    assert {cells_key(c.squeezed()) for c in models} == {cells_key(models[0])}
 
 
 def test_a_model_of_faces_not_closed_off_zero_names_its_precondition():
