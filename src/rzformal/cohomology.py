@@ -21,8 +21,7 @@ restriction test's face lists, keyed by the tuple itself. ``_memo`` holds
 the Hochster tables and cubical ranks, which do not depend on the vertex
 labels: keys are taken up to order-preserving relabeling. An entry is
 looked up under its raw key, and on a miss again under the key of its
-squeezed copy, a complex's labels closed up onto 1..m, a cubical model's
-coordinates held at 0 dropped and the rest closed up. The general
+squeezed copy, its labels closed up onto 1..m. The general
 criterion keeps each restriction test per (J, σ) on the complex it
 walks, in a dict of its own under the same policy.
 
@@ -42,6 +41,8 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb
 from typing import NamedTuple
+
+from .simplicial import squeeze
 
 
 class BettiTable(NamedTuple):
@@ -73,7 +74,7 @@ class BettiTable(NamedTuple):
 
 # census flag m=5 meets 1,856 raw cubical and 1,830 raw table keys, 1,167
 # and 1,163 squeezed; kept to the last 1,024 used, raw and squeezed keys
-# together, 1,358 ranks and 1,328 walks run (1,990 and 1,962 on raw keys
+# together, 1,319 ranks and 1,315 walks run (1,990 and 1,962 on raw keys
 # alone), and the memo adds under 1 MB to its peak. Its general criterion
 # tests 12,237 (J, σ) per walked complex where it tested 21,705 (K, I, J).
 # A formal non-cone check at m = 18 would keep 30,948 face lists, and
@@ -218,20 +219,12 @@ LANE_BITS = 12
 
 def _faces_by_size(faces: tuple[int, ...]) -> list[list[int]]:
     """The faces relabeled onto bits 0..n-1 in label order, ascending, by size."""
-    new = {0: 0}
-    rest = 0
+    vertices = 0
     for f in faces:
-        rest |= f
-    i = 0
-    while rest:
-        v = rest & -rest
-        new[v] = 1 << i
-        i += 1
-        rest ^= v
-    by_size: list[list[int]] = [[] for _ in range(i + 1)]
-    for f in sorted(faces):  # f less its lowest vertex comes before f
-        g = new[f] = new[f & f - 1] | new[f & -f]
-        by_size[f.bit_count()].append(g)
+        vertices |= f
+    by_size: list[list[int]] = [[] for _ in range(vertices.bit_count() + 1)]
+    for g in squeeze(sorted(faces), vertices):  # squeezing keeps the order
+        by_size[g.bit_count()].append(g)
     while by_size and not by_size[-1]:
         by_size.pop()
     return by_size

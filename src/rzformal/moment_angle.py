@@ -10,25 +10,25 @@ first, and only the core that is left is summed over its J, by
 ``cohomology.subset_sums``, every J at once.
 
 ``CubicalComplex`` recomputes these numbers from cells of the cube, each
-coordinate one of the points {-1}, {0}, {1} or the interval [-1,1]. The
+coordinate one of the points {-1}, {1} or the interval [-1,1]. The
 plain model has one cell per face sigma and sign pattern off sigma. No
 cell is ever generated: a cell is indexed by its face and sign pattern,
 so a boundary column is a few shifts of masks read off the faces.
 
 The reflection in coordinate i fixes the points with x_i = 0. Those of
 RZ_K with x_i = 0 on I lie over the faces containing I, and cutting the
-cube at 0 along I alone makes them a subcomplex: a cell per face
-containing I and sign pattern off it, with {0} on I, at most 3^m cells.
-Reading the fixed set off the cube never uses the link formula that it
-checks.
+cube at 0 along I alone makes them a subcomplex: a cell per face sigma
+containing I and sign pattern off sigma, with {0} on I. Dropping the
+coordinates of I leaves the plain model on the ambient set less I of the
+faces sigma ∖ I, at most 3^m cells. They are read off the faces of K's
+own model, so the fixed set never uses the link formula that it checks.
 
-Neither result depends on the vertex labels. A model whose cells are {0}
-on ``zero`` has the cells of the model with those coordinates dropped,
-and an order-preserving relabeling keeps every cell index and boundary;
-the Hochster tables depend on K up to isomorphism. So the memo keys are
-taken up to order-preserving relabeling: two (K, I) whose fixed models
-agree once the held coordinates are dropped share one rank, and two links
-that agree once their labels are closed up share one table.
+Neither result depends on the vertex labels. An order-preserving
+relabeling keeps every cell index and boundary, and the Hochster tables
+depend on K up to isomorphism. So the memo keys are taken up to
+order-preserving relabeling: two models that agree once their labels are
+closed up share one rank, and two complexes that agree so share one
+table.
 
 Every computation exponential in the vertex count m checks one entry of
 ``simplicial.CAPS`` with ``check_cap`` before it starts: the 2^m sums
@@ -166,30 +166,24 @@ def fixed_betti_via_link(k: SimplicialComplex, i_mask: int) -> BettiTable:
     return hochster_real_betti(k.link(i_mask))
 
 
-_NOT_A_MODEL = (
-    "every face of a cubical model must contain zero, and the "
-    "faces must be closed under removing vertices outside zero"
-)
+_NOT_CLOSED = "the faces of a cubical model must be closed under removing a vertex"
 
 
 class CubicalComplex:
     """A cubical complex in [-1,1]^m read off the faces of one complex.
 
     A cell is two vertex masks, ``lo | hi << w`` with w the bit length of
-    the ambient set; coordinate v is {-1} in neither, {0} in lo only, {1}
-    in hi only and [-1,1] in both. Besides the face masks, a complex
-    keeps ``zero``, the coordinates held at 0. Every face sigma must
-    contain ``zero``; its cells carry {0} on ``zero``, [-1,1] on the rest
-    of sigma, and -1 or 1 off sigma. The faces must be closed under
-    removing a vertex outside ``zero``, so that the cells are closed
-    under taking boundaries; ``betti`` raises ValueError if either fails.
-    No cell is generated: a cell is indexed by its face and sign pattern.
+    the ambient set; coordinate v is {-1} in neither, {1} in hi only and
+    [-1,1] in both. The cells of a face sigma are [-1,1] on sigma and -1
+    or 1 off it, so lo is sigma. The faces must be closed under removing
+    a vertex, so that the cells are closed under taking boundaries;
+    ``betti`` raises ValueError if they are not. No cell is generated: a
+    cell is indexed by its face and sign pattern.
     """
 
-    def __init__(self, ambient: int, faces: tuple[int, ...], zero: int):
+    def __init__(self, ambient: int, faces: tuple[int, ...]):
         self.ambient = ambient
         self.faces = faces
-        self.zero = zero
         self._w = ambient.bit_length()
 
     @property
@@ -199,14 +193,14 @@ class CubicalComplex:
     def _offsets(self) -> tuple[dict[int, int], list[int]]:
         """``base``, the index of each face's first cell, and the cell counts.
 
-        The cells of face sigma have dimension |sigma ∖ zero|. The one whose
-        sign pattern, read on the bits of ``ambient ∖ sigma`` from the lowest
-        up with 1 for {1}, is i has index ``base[sigma] + i`` in it.
+        The cells of face sigma have dimension |sigma|. The one whose sign
+        pattern, read on the bits of ``ambient ∖ sigma`` from the lowest up
+        with 1 for {1}, is i has index ``base[sigma] + i`` in it.
         """
         base = {}
         sizes = [0] * (self.m + 1)
         for f in self.faces:
-            d = (f & ~self.zero).bit_count()
+            d = f.bit_count()
             base[f] = sizes[d]
             sizes[d] += 1 << (self.ambient & ~f).bit_count()
         while sizes and not sizes[-1]:
@@ -234,41 +228,32 @@ class CubicalComplex:
     def betti(self) -> BettiTable:
         """Cellular F2 homology Betti numbers.
 
-        Memoized on the data the cells are read from, the ambient set,
-        ``zero`` and the faces, so models with the same cells share one
-        rank and no other result is ever read for them. On a miss, the
-        model is looked up again as ``squeezed()``, the same cells with
-        the coordinates held at 0 dropped; ``_rank`` builds the same
-        columns for both.
+        Memoized on the data the cells are read from, the ambient set and
+        the faces, so models with the same cells share one rank and no
+        other result is ever read for them. On a miss, the model is looked
+        up again as ``squeezed()``, the same cells with the labels closed
+        up; ``_rank`` builds the same columns for both.
         """
         # three fields, where a Hochster key has two: the kinds never collide
-        key = (self.ambient, self.zero, self.faces)
-        return memoized(key, CubicalComplex._squeezed_betti, self)
+        return memoized((self.ambient, 0, self.faces), CubicalComplex._squeezed_betti, self)
 
     def _squeezed_betti(self) -> BettiTable:
         """The Betti numbers by way of the memo entry of ``squeezed()``."""
-        if self.zero == 0 and self.ambient == (1 << self.m) - 1:
+        if self.ambient == (1 << self.m) - 1:
             return self._rank()
         model = self.squeezed()
         return memoized((model.ambient, 0, model.faces), CubicalComplex._rank, model)
 
     def squeezed(self) -> "CubicalComplex":
-        """The model on ambient 1..n of ``ambient ∖ zero``, its labels closed up in order.
+        """The model on ambient 1..m, its labels closed up in order.
 
-        Every cell is {0} on ``zero``, so dropping those coordinates, and
-        closing up the rest in order, keeps each face's cells, their
-        indices and their boundaries. Raises ValueError if a face does not
-        contain ``zero``.
+        The relabeling keeps the order of coordinates, so it keeps each
+        face's cells, their indices and their boundaries.
         """
-        zero = self.zero
-        for f in self.faces:
-            if f & zero != zero:
-                raise ValueError(_NOT_A_MODEL)
-        keep = self.ambient & ~zero
-        return CubicalComplex((1 << keep.bit_count()) - 1, squeeze(self.faces, keep), 0)
+        return CubicalComplex((1 << self.m) - 1, squeeze(self.faces, self.ambient))
 
     def _columns(self, face: int, base: dict[int, int]) -> list[tuple[int, int]]:
-        """(mask, low) per vertex v of ``face`` off ``zero``, for its columns.
+        """(mask, low) per vertex v of ``face``, for its columns.
 
         The column of cell i of ``face`` is the sum over v of ``mask`` shifted
         by ins(i, p) = 2i − (i & low), low = 2^p − 1, which inserts a 0 bit
@@ -278,7 +263,7 @@ class CubicalComplex:
         """
         w, off = self._w, self.ambient & ~face
         ends: dict[int, int] = {}
-        for child in self.boundary(face | (face & ~self.zero) << w):
+        for child in self.boundary(face | face << w):
             lo = child & ((1 << w) - 1)
             index, ones = base[lo], child >> w & ~lo  # ones: the coordinates at {1}
             while ones:
@@ -299,21 +284,21 @@ class CubicalComplex:
 
         A column's rows are found by ``_columns`` from the faces alone, so
         closure is checked on the faces. The boundary cells of a cell of
-        sigma are, for each v in sigma ∖ zero, cells of sigma ∖ v, which
-        exist exactly when sigma ∖ v is a face.
+        sigma are, for each v in sigma, cells of sigma ∖ v, which exist
+        exactly when sigma ∖ v is a face.
         """
         faces = set(self.faces)
         for f in self.faces:
-            free = f & ~self.zero
-            while free:
-                v = free & -free
+            rest = f
+            while rest:
+                v = rest & -rest
                 if f ^ v not in faces:
-                    raise ValueError(_NOT_A_MODEL)
-                free ^= v
+                    raise ValueError(_NOT_CLOSED)
+                rest ^= v
         base, sizes = self._offsets()
         by_dim: list[list[int]] = [[] for _ in sizes]
         for f in self.faces:
-            by_dim[(f & ~self.zero).bit_count()].append(f)
+            by_dim[f.bit_count()].append(f)
         betti = [0] * (len(sizes) + 1)
         cleared: set[int] = set()  # indices of (d−1)-cells at pivot rows
         for d in range(len(sizes) - 1, 0, -1):
@@ -341,17 +326,18 @@ class CubicalComplex:
 
         A point of RZ_K has x_i = 0 only if its face contains i, and
         cutting the coordinates of I at 0 makes {x_i = 0 for i in I} a
-        union of cells, closed under taking faces. So the fixed set is the
-        subcomplex of the faces sigma containing I with {0} on I, and only
-        those faces, the star of I, are passed on.
+        union of cells, closed under taking faces: a cell per face sigma
+        containing I and sign pattern off sigma, {0} on I. With the
+        coordinates of I dropped, these are the cells of the model on
+        ``ambient ∖ I`` of the faces sigma ∖ I, read off this model's faces.
         """
         if i_mask & ~self.ambient:
             raise ValueError("coordinate set is not contained in the vertex set")
-        star = tuple([f for f in self.faces if f & i_mask == i_mask])
-        return CubicalComplex(self.ambient, star, self.zero | i_mask)
+        faces = tuple([f ^ i_mask for f in self.faces if f & i_mask == i_mask])
+        return CubicalComplex(self.ambient ^ i_mask, faces)
 
     def __repr__(self) -> str:
-        return f"CubicalComplex(m={self.m}, zero={self.zero:#b}, faces={len(self.faces)})"
+        return f"CubicalComplex(m={self.m}, faces={len(self.faces)})"
 
 
 def build_cubical(k: SimplicialComplex) -> CubicalComplex:
@@ -359,5 +345,5 @@ def build_cubical(k: SimplicialComplex) -> CubicalComplex:
     check_cap("cubical", k.m)
     model = k._cache.get("cubical")
     if model is None:
-        model = k._cache["cubical"] = CubicalComplex(k.ambient, k.faces(), 0)
+        model = k._cache["cubical"] = CubicalComplex(k.ambient, k.faces())
     return model

@@ -322,12 +322,15 @@ def cube_boundary(cell):
     return out
 
 
-def cells_at_zero(cells, mask):
-    """The cells that are the point 0 on every coordinate of ``mask``."""
+def fixed_cells(cells, mask):
+    """The cells that are the point 0 on every coordinate of ``mask``, those dropped.
+
+    A cell that lacks a coordinate of ``mask`` is not among them.
+    """
     out = set(cells)
     for v in _labels(mask):
         out = {c for c in out if (v, 0, 0) in c}
-    return out
+    return {tuple(x for x in c if not mask >> (x[0] - 1) & 1) for c in out}
 
 
 def cube_counts(cells):
@@ -393,18 +396,17 @@ def model_cells(model):
     """The cells of a package cubical model as its masks, by dimension, in index order.
 
     Face sigma, in the order of ``model.faces``, has one cell per sign
-    pattern on the coordinates off sigma: {0} on ``zero``, [-1,1] on the
-    rest of sigma. Pattern i puts its bit j, 1 for {1}, on the j-th lowest
-    coordinate off sigma, and the cells of a face go up in i.
+    pattern on the coordinates off sigma, and [-1,1] on sigma. Pattern i
+    puts its bit j, 1 for {1}, on the j-th lowest coordinate off sigma,
+    and the cells of a face go up in i.
     """
     w = model.ambient.bit_length()
     by_dim = {}
     for face in model.faces:
-        free = face & ~model.zero
         off = _labels(model.ambient & ~face)
         for i in range(1 << len(off)):
             ones = sum(1 << (v - 1) for j, v in enumerate(off) if i >> j & 1)
-            by_dim.setdefault(free.bit_count(), []).append(face | (free | ones) << w)
+            by_dim.setdefault(face.bit_count(), []).append(face | (face | ones) << w)
     return [by_dim.get(d, []) for d in range(max(by_dim, default=-1) + 1)]
 
 

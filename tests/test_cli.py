@@ -883,7 +883,7 @@ MISUSES = {
     "json-of-gapped-labels": lambda: SimplicialComplex(0b101, [0b101]).json_facets(),
     "vector_to_string": lambda: vector_to_string(8, 3),
     "poincare-series-r": lambda: poincare_series(TRIANGLE, -1),
-    "cubical-closure": lambda: CubicalComplex(0b11, (0b11,), 0).betti(),
+    "cubical-closure": lambda: CubicalComplex(0b11, (0b11,)).betti(),
 }
 
 

@@ -166,8 +166,8 @@ def test_the_bit_sliced_sums_equal_the_dense_sums(monkeypatch):
 
 
 def test_the_sums_relabel_a_core_onto_the_lowest_bits_in_label_order():
-    # a face's image is that of the face less its lowest vertex joined
-    # with that vertex's image, so faces on the vertices 1..n keep their masks
+    # the vertices are closed up in order, so faces on the vertices 1..n
+    # keep their masks
     c5 = cycle_graph(5).clique_complex()
     by_size = cohomology._faces_by_size(c5.faces())
     assert by_size == [sorted(f for f in c5.faces() if f.bit_count() == d) for d in range(3)]
@@ -176,6 +176,20 @@ def test_the_sums_relabel_a_core_onto_the_lowest_bits_in_label_order():
     assert cohomology._faces_by_size(gaps.faces()) == cohomology._faces_by_size(moved.faces())
     assert cohomology._faces_by_size(()) == []
     assert cohomology._faces_by_size((0,)) == [[0]]
+    # against a label map, on seeded face lists with gaps, in both orders
+    rng = random.Random(23)
+    for _ in range(100):
+        m = rng.randint(1, 10)
+        used = rng.sample(range(1, m + 1), rng.randint(1, m))
+        facets = [rng.sample(used, rng.randint(1, min(4, len(used)))) for _ in range(3)]
+        k = SimplicialComplex.from_facets(m, [[v] for v in used] + facets)
+        new = {v: 1 << i for i, v in enumerate(sorted(used))}
+        want = [[] for _ in range(k.dim + 2)]
+        for f in k.faces():
+            want[f.bit_count()].append(sum(new[v] for v in mask_vertices(f)))
+        want = [sorted(size) for size in want]
+        for faces in (k.faces(), k.faces()[::-1]):
+            assert cohomology._faces_by_size(faces) == want, (k, faces)
 
 
 @settings(max_examples=150, deadline=None)

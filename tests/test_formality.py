@@ -582,6 +582,36 @@ def test_all_methods_agree_on_random_larger_complexes():
         assert reports_agree(reports), (k, i)
 
 
+def test_all_routes_agree_on_a_seeded_sweep_at_m_6_to_8():
+    # beyond the censuses and with the cubical check on, every complex
+    # without ghosts, some of them cones; I drawn from the faces, the
+    # non-faces and the subsets of the apexes. A FixedPointModelError,
+    # the cubical model against the link formula, fails the sweep
+    rng = random.Random(2718)
+    kinds = Counter()
+    for n in range(300):
+        m = rng.randint(6, 8)
+        apexes = rng.sample(range(1, m + 1), rng.randint(1, 2)) if n % 2 else []
+        rest = [v for v in range(1, m + 1) if v not in apexes]
+        facets = [
+            rng.sample(rest, rng.randint(1, min(len(rest), 4))) + apexes
+            for _ in range(rng.randint(2, 6))
+        ]
+        k = SimplicialComplex.from_facets(m, facets + [[v] + apexes for v in rest])
+        non_faces = [i for i in (rng.getrandbits(m) for _ in range(6)) if not k.has_face(i)]
+        drawn = {
+            "face": rng.sample(k.faces(), 3),
+            "non-face": non_faces[:2],
+            "apexes": rng.sample(list(submasks(k.apexes)), min(2, 1 << k.apexes.bit_count())),
+        }
+        for kind, i_masks in drawn.items():
+            for i_mask in i_masks:
+                reports = evaluate_all(k, i_mask)
+                assert reports_agree(reports), (k, i_mask, reports)
+                kinds[kind] += 1
+    assert min(kinds.values()) > 400, kinds
+
+
 def test_formal_report_round_trip_fields():
     r = FormalityReport("formal", "flag_criterion", 0b11)
     assert r.formal

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    cells_at_zero,
     cube_betti,
     cube_cells,
     cube_boundary,
@@ -23,6 +22,7 @@ from oracles import (
     cube_ranks,
     decode_cell,
     decode_cells,
+    fixed_cells,
     hochster_complex_dense,
     hochster_real_dense,
     model_cells,
@@ -181,7 +181,7 @@ def assert_boundaries_are_the_oracles(model):
 
 def fixed_by_oracle(k, i_mask, cut):
     """Betti numbers of the oracle's cells at 0 on I, the model cut along ``cut``."""
-    return cube_betti(cells_at_zero(cube_cells(k, cut), i_mask))
+    return cube_betti(fixed_cells(cube_cells(k, cut), i_mask))
 
 
 def test_fixed_points_of_triangle_boundary_single_coordinate():
@@ -204,7 +204,7 @@ def test_fixed_points_of_triangle_boundary_edge():
 def test_fixed_points_of_non_face_are_empty():
     two = SimplicialComplex.from_facets(2, [[1], [2]])
     assert build_cubical(two).fixed_subcomplex(0b11).counts() == ()
-    assert cells_at_zero(cube_cells(two, two.ambient), 0b11) == set()
+    assert fixed_cells(cube_cells(two, two.ambient), 0b11) == set()
     assert fixed_betti_via_link(two, 0b11).total == 0
 
 
@@ -276,6 +276,33 @@ def test_fixed_cubical_models_rank_to_the_oracle():
         assert got == fixed_by_oracle(k, i_mask, i_mask), (k, i_mask)
 
 
+def test_the_fixed_model_is_the_model_of_the_link():
+    # read off K's own model, the model fixed on a face I lives on the
+    # ambient set less I and has the faces of lk I; a non-face gives no
+    # faces. Every I of every complex at m <= 4, then seeded m = 5-7
+    # complexes with ghost vertices, fixed on faces and non-faces
+    cases = [(k, list(submasks(k.ambient))) for m in range(1, 5) for k in all_complexes(m)]
+    rng = random.Random(17)
+    for _ in range(40):
+        m = rng.randint(5, 7)
+        used = rng.sample(range(1, m + 1), m - rng.randint(1, 2))
+        facets = [rng.sample(used, rng.randint(1, min(4, len(used)))) for _ in range(4)]
+        k = SimplicialComplex.from_facets(m, [[v] for v in used] + facets)
+        i_masks = rng.sample(k.faces(), 6) + [rng.getrandbits(m) for _ in range(4)]
+        cases.append((k, i_masks))
+    non_faces = 0
+    for k, i_masks in cases:
+        for i_mask in i_masks:
+            fixed = build_cubical(k).fixed_subcomplex(i_mask)
+            assert fixed.ambient == k.ambient & ~i_mask, (k, i_mask)
+            if k.has_face(i_mask):
+                assert fixed.faces == k.link(i_mask).faces(), (k, i_mask)
+            else:
+                assert fixed.faces == (), (k, i_mask)
+                non_faces += 1
+    assert non_faces > 100
+
+
 def test_fixed_subcomplex_rows_match_rebuilt_complex_and_link():
     # the fixed cells ranked by the package, the oracle's cells at 0 on I,
     # rebuilt and ranked from the model cut along I, and the link formula
@@ -294,7 +321,7 @@ def test_fixed_subcomplex_cut_along_i_equals_the_full_subdivision():
             fine = cube_cells(k, k.ambient)
             for i_mask in submasks(k.ambient):
                 fixed = build_cubical(k).fixed_subcomplex(i_mask)
-                want = cube_betti(cells_at_zero(fine, i_mask))
+                want = cube_betti(fixed_cells(fine, i_mask))
                 assert dims(fixed.betti()) == want, (k, i_mask)
                 # one cell per face sigma containing I and sign pattern off sigma
                 sizes = [2 ** (m - f.bit_count()) for f in k.faces() if f & i_mask == i_mask]
@@ -307,14 +334,15 @@ def test_fixed_subcomplex_cut_along_i_equals_the_full_subdivision():
 ))
 def test_fixed_cells_are_the_oracle_cells_at_zero_on_i(case):
     # for every I, each cell of the package's fixed set, decoded into
-    # intervals, is a cell at 0 on I of the oracle model cut along I, each
-    # such cell is listed exactly once, and each boundary is the oracle's
+    # intervals, is a cell at 0 on I of the oracle model cut along I, with
+    # the coordinates of I dropped, each such cell is listed exactly once,
+    # and each boundary is the oracle's
     m, facets = case
     k = SimplicialComplex((1 << m) - 1, facets)
     for i_mask in submasks(k.ambient):
         fixed = build_cubical(k).fixed_subcomplex(i_mask)
         cells = decode_cells(fixed)
-        assert cells == cells_at_zero(cube_cells(k, i_mask), i_mask), i_mask
+        assert cells == fixed_cells(cube_cells(k, i_mask), i_mask), i_mask
         assert fixed.counts() == cube_counts(cells), i_mask
         assert_boundaries_are_the_oracles(fixed)
 
@@ -347,14 +375,14 @@ def test_oracle_builds_and_ranks_only_the_fixed_cells(monkeypatch, i_set):
     k = SimplicialComplex.from_facets(6, [[1, 2, 3], [1, 2, 4], [3, 4, 5], [5, 6], [1, 6]])
     i_mask = label_mask(i_set, 6, "I")
     betti_sum_oracle(k, i_mask)
-    cells = cells_at_zero(cube_cells(k, i_mask), i_mask)
+    cells = fixed_cells(cube_cells(k, i_mask), i_mask)
     counts, ranks = cube_counts(cells), cube_ranks(cells)
-    # ranking generates no cell: ``boundary`` is read once per face of the
-    # fixed set with a vertex off I, on its cell with every sign -1, in the
-    # squeezed model, where I is dropped and the rest of 1..6 closed up
+    # ranking generates no cell: ``boundary`` is read once per nonempty face
+    # of the fixed model, on its cell with every sign -1, in the squeezed
+    # model, where the rest of 1..6 is closed up
     model = build_cubical(k).fixed_subcomplex(i_mask).squeezed()
     star = [f for f in k.faces() if f & i_mask == i_mask]
-    assert model.ambient == (1 << 6 - len(i_set)) - 1 and model.zero == 0
+    assert model.ambient == (1 << 6 - len(i_set)) - 1
     assert model.faces == squeeze(star, k.ambient & ~i_mask)
     assert sorted(calls) == sorted(f | f << model._w for f in model.faces if f)
     # a cell of dimension d ≥ 1 gets one column unless it was cleared, and
@@ -394,8 +422,8 @@ def test_each_column_is_the_boundary_of_its_cell(monkeypatch):
 
 
 def test_counts_are_read_off_the_faces(monkeypatch):
-    # Σ 2^|ambient ∖ sigma| cells per dimension |sigma ∖ zero|, no cell
-    # generated, equal to the oracle's count of the cells at 0 on I
+    # Σ 2^|ambient ∖ sigma| cells per dimension |sigma|, no cell generated,
+    # equal to the oracle's count of the cells at 0 on I
     def no_cells(self, cell):
         raise AssertionError("a cell was generated")
 
@@ -404,7 +432,7 @@ def test_counts_are_read_off_the_faces(monkeypatch):
         for k in all_complexes(m):
             for i_mask in submasks(k.ambient):
                 fixed = build_cubical(k).fixed_subcomplex(i_mask)
-                cells = cells_at_zero(cube_cells(k, i_mask), i_mask)
+                cells = fixed_cells(cube_cells(k, i_mask), i_mask)
                 assert fixed.counts() == cube_counts(cells), (k, i_mask)
 
 
@@ -435,7 +463,7 @@ def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
 
 def cells_key(model):
     """The data a model's cells are read from: its memo key."""
-    return model.ambient, model.zero, model.faces
+    return model.ambient, 0, model.faces
 
 
 def spy_ranks(monkeypatch):
@@ -481,24 +509,27 @@ def test_the_same_star_of_i_shares_one_cubical_entry(monkeypatch):
     k1 = SimplicialComplex.from_facets(4, [[1, 2], [3, 4]])
     k2 = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
     fixed = [build_cubical(k).fixed_subcomplex(0b0001) for k in (k1, k2)]
-    assert fixed[0].faces == fixed[1].faces == (0b0001, 0b0011)
+    # less I, on the coordinates 2, 3, 4
+    assert fixed[0].faces == fixed[1].faces == (0b0000, 0b0010)
+    assert fixed[0].ambient == fixed[1].ambient == 0b1110
     assert fixed[0].betti() is fixed[1].betti()
     assert fixed[0].betti() == fixed_betti_via_link(k2, 0b0001)
-    # ranked once, as the squeezed model: {1} dropped, 2, 3, 4 closed up
+    # ranked once, as the squeezed model: 2, 3, 4 closed up
     assert [cells_key(c) for c in ranked] == [(0b111, 0, (0b000, 0b001))]
     assert build_cubical(k1).betti() != build_cubical(k2).betti()
     assert len(ranked) == 3
 
 
-def test_zero_is_in_the_cubical_memo_key(monkeypatch):
+def test_empty_fixed_models_on_other_coordinates_share_one_rank(monkeypatch):
     ranked = spy_ranks(monkeypatch)
     k = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
-    # {1, 3} and {1, 4} are no faces: no faces and no cells, held at 0 on
-    # other coordinates, two raw entries; with zero dropped, both are the
-    # empty model on two coordinates, one squeezed entry and one rank
+    # {1, 3} and {1, 4} are no faces: no faces and no cells, on the
+    # coordinates 2, 4 and 2, 3, two raw entries; with the labels closed
+    # up, both are the empty model on two coordinates, one squeezed entry
+    # and one rank
     empty = [build_cubical(k).fixed_subcomplex(i) for i in (0b0101, 0b1001)]
     assert empty[0].faces == empty[1].faces == ()
-    assert empty[0].zero != empty[1].zero
+    assert [c.ambient for c in empty] == [0b1010, 0b0110]
     assert [c.betti().total for c in empty] == [0, 0]
     assert set(cohomology._memo) == {cells_key(c) for c in empty} | {(0b11, 0, ())}
     assert [cells_key(c) for c in ranked] == [(0b11, 0, ())]
@@ -512,8 +543,8 @@ def relabel(mask, labels):
 def test_shifted_padded_and_relabeled_copies_share_one_entry(monkeypatch):
     # K on 1..5 with the ghost 3, and copies with the same vertex order: K
     # shifted up by 3, K on 2, 3, 5, 6, 8 coned over 1, 4, 7 (fixed on
-    # its apexes, the cells of K padded with coordinates held at 0, and the
-    # link of the apexes a gapped copy of K), and K on 1, 4, 5, 8, 9
+    # its apexes, the cells of a gapped copy of K, as is the link of the
+    # apexes), and K on 1, 4, 5, 8, 9
     ranked = spy_ranks(monkeypatch)
     walked = []
     walk = moment_angle._walk_tables
@@ -542,24 +573,25 @@ def test_shifted_padded_and_relabeled_copies_share_one_entry(monkeypatch):
     assert {cells_key(c.squeezed()) for c in models} == {cells_key(models[0])}
 
 
-def test_a_model_of_faces_not_closed_off_zero_names_its_precondition():
-    # the star of {2} in the path 1-2-3-4 is closed off zero = {2} only:
-    # with zero = 0 the edge cells' ends at x_2 = ±1 have no face, and
-    # with zero = {3} no face holds 3
+def test_a_model_of_faces_not_closed_names_its_precondition():
+    # the star of {2} in the path 1-2-3-4 is not closed: the edge cells'
+    # ends at x_2 = ±1 have no face. Less {2}, its faces are those of the
+    # fixed model, which is closed
     k = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
-    star = build_cubical(k).fixed_subcomplex(0b0010)
-    assert star.betti() == fixed_betti_via_link(k, 0b0010)
-    for zero in (0, 0b0100):
-        with pytest.raises(ValueError, match="must contain zero.*closed under removing"):
-            CubicalComplex(k.ambient, star.faces, zero).betti()
+    star = tuple(f for f in k.faces() if f & 0b0010)
+    fixed = build_cubical(k).fixed_subcomplex(0b0010)
+    assert fixed.faces == tuple(f ^ 0b0010 for f in star)
+    assert fixed.betti() == fixed_betti_via_link(k, 0b0010)
+    with pytest.raises(ValueError, match="closed under removing a vertex"):
+        CubicalComplex(k.ambient, star).betti()
 
 
 def test_the_repr_of_a_model_generates_no_cell():
     k = SimplicialComplex.from_facets(8, [[1, 2, 3], [4, 5, 6], [7, 8]])
     model = build_cubical(k)
-    assert repr(model) == f"CubicalComplex(m=8, zero=0b0, faces={len(k.faces())})"
-    assert repr(model.fixed_subcomplex(0b11)) == "CubicalComplex(m=8, zero=0b11, faces=2)"
-    assert vars(model).keys() == {"ambient", "faces", "zero", "_w"}
+    assert repr(model) == f"CubicalComplex(m=8, faces={len(k.faces())})"
+    assert repr(model.fixed_subcomplex(0b11)) == "CubicalComplex(m=6, faces=2)"
+    assert vars(model).keys() == {"ambient", "faces", "_w"}
 
 
 def test_a_cubical_entry_is_the_star_of_i_not_its_link(monkeypatch):
@@ -783,13 +815,15 @@ def test_cells_fixed_by_generators_equals_cells_fixed_by_hull():
         hull = 0
         view = build_cubical(k)
         for g in gens:
-            fixed = fixed & cells_at_zero(fine, g)
+            # the coordinates fixed so far are dropped: fix the rest
+            fixed = fixed_cells(fixed, g & view.ambient)
+            view = view.fixed_subcomplex(g & view.ambient)
             hull |= g
-            view = view.fixed_subcomplex(g)
-        assert fixed == cells_at_zero(fine, hull)
+        assert fixed == fixed_cells(fine, hull)
         # a fixed subcomplex of a fixed subcomplex is fixed by both: the
         # oracle's cells at 0 on the hull, cut along the hull
-        assert decode_cells(view) == cells_at_zero(cube_cells(k, hull), hull)
+        assert view.ambient == k.ambient & ~hull
+        assert decode_cells(view) == fixed_cells(cube_cells(k, hull), hull)
         assert dims(view.betti()) == cube_betti(fixed)
 
 
