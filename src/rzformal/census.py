@@ -10,7 +10,12 @@ a self-contained equivalence check of the criteria.
 
 A line's head, the fields of K, is encoded once per complex; the fields
 of I go into a fixed template, and each line equals the record's
-compact ``json.dumps``. ``verify_census`` reads each complex once.
+compact ``json.dumps``. ``verify_census`` reads each complex once and
+parses only the first line of each complex and any line that differs from
+its recomputation; the other lines are compared as bytes.
+
+``census --out -`` writes the records to stdout, and ``verify -`` reads
+them from stdin.
 
 Workers are pure functions of their task, which makes parallel runs
 byte-identical to serial ones.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from contextlib import contextmanager, nullcontext, suppress
 from itertools import combinations
 from multiprocessing import Pool
@@ -163,10 +169,14 @@ def _written_whole(out_path: str) -> Iterator[TextIO]:
     """``out_path`` open for writing, replaced only if the block ends without error.
 
     The lines go to a file beside it, renamed over it at the end and removed
-    on an error. A device or pipe such as /dev/stdout, or a path whose
-    directory takes no new file, is written in place; opening it there
-    raises as it always did.
+    on an error. ``-`` is stdout. A device or pipe such as /dev/stdout, or a
+    path whose directory takes no new file, is written in place; opening it
+    there raises as it always did.
     """
+    if out_path == "-":
+        yield sys.stdout
+        sys.stdout.flush()
+        return
     real = os.path.realpath(out_path)  # through a symlink, to the file it names
     tmp = f"{real}.{os.getpid()}.tmp"
     try:
@@ -189,7 +199,7 @@ def _written_whole(out_path: str) -> Iterator[TextIO]:
 
 @read_caps_once()
 def run_census(m: int, mode: str, out_path: str, jobs: int = 1) -> dict:
-    """Write one record per (K, I) to ``out_path``; return the summary.
+    """Write one record per (K, I) to ``out_path``, ``-`` for stdout; return the summary.
 
     ``jobs`` must be at least 1 and is clamped to the CPU count. A census
     that fails leaves ``out_path`` as it was (see ``_written_whole``).
@@ -243,9 +253,36 @@ def read_line(
     return line, (facets, k), label_mask(obj["I"], m, "I")
 
 
+# what a census line holds between its head and the labels of I
+_I_MARK = b',"I":['
+
+
+def _is_record_of(k: SimplicialComplex, raw: bytes, cut: int) -> bool:
+    """Whether ``raw``, with ``_I_MARK`` at ``cut``, is the record of ``k`` and its I.
+
+    I is read off the text up to the next ``]``. False also when that text
+    is not a list of vertex labels, or when recomputing raises InputError or
+    FixedPointModelError; any other exception propagates.
+    """
+    start = cut + len(_I_MARK)
+    end = raw.find(b"]", start)
+    if end < 0:
+        return False
+    text = raw[start:end]
+    try:
+        i_mask = label_mask(map(int, text.split(b",")) if text else (), k.m, "I")
+    except ValueError:  # InputError is one
+        return False
+    try:
+        line = compute_record(k, i_mask).json_line()
+    except (InputError, FixedPointModelError):
+        return False
+    return line.encode() == raw.rstrip(b"\n")
+
+
 @read_caps_once()
 def verify_census(path: str) -> dict:
-    """Recompute every record and compare byte-for-byte.
+    """Recompute every record of the census at ``path``, ``-`` for stdin, and compare bytes.
 
     Returns a summary with mismatching and corrupt line numbers; the
     file passes only if both lists are empty. A line is corrupt only
@@ -257,15 +294,26 @@ def verify_census(path: str) -> dict:
     and propagates. Consecutive lines with the same m and facets share
     one SimplicialComplex and everything cached on it. Each cap is read
     once per call, and a malformed one fails before any line is read.
+
+    A line whose bytes before ``,"I":[`` equal those of the last line read
+    in full and recomputed is not parsed: it passes when it is byte for
+    byte the record of that line's complex and the I read off its text
+    (``_is_record_of``). Every other line, and every such line that does
+    not pass, is read in full by ``read_line``, which alone decides corrupt
+    or mismatch; so the summary is that of reading every line in full.
     """
     mismatches: list[int] = []
     corrupt: list[int] = []
     records = 0
     max_m = max(cap(f"census {mode}") for mode in MODES)
     last: tuple = (None, None)
-    with open(path, "rb") as f:
+    head = k = None  # the bytes before _I_MARK of the last line read in full, its complex
+    with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as f:
         for lineno, raw in enumerate(f, 1):
             records += 1
+            cut = raw.find(_I_MARK)
+            if cut >= 0 and raw[:cut] == head and _is_record_of(k, raw, cut):
+                continue
             try:
                 line, last, i_mask = read_line(raw, max_m, last)
                 recomputed = compute_record(last[1], i_mask).json_line()
@@ -275,6 +323,7 @@ def verify_census(path: str) -> dict:
             except FixedPointModelError:
                 mismatches.append(lineno)
                 continue
+            head, k = (raw[:cut], last[1]) if cut >= 0 else (None, None)
             if recomputed != line:
                 mismatches.append(lineno)
     return {

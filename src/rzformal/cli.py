@@ -4,7 +4,8 @@ Commands: check, betti, hull, report, census, verify. Inputs are JSON
 files; a complex is {"m": int, "facets": [[vertex, ...], ...]}, a
 graph is {"m": int, "edges": [[u, v], ...]}, and a subgroup is
 {"m": int, "generators": ["0110", ...]} with character k of each
-generator giving coordinate k.
+generator giving coordinate k. ``census --out -`` writes the records to
+stdout and its summary to stderr; ``verify -`` reads stdin.
 
 Exit codes for check: 0 formal, 1 not formal, 2 method disagreement
 (mode all) or a fixed-point model disagreement. Census exits 1 when any
@@ -123,7 +124,8 @@ def cmd_census(args) -> int:
     summary = census_mod.run_census(args.max_vertices, args.mode, args.out, args.jobs)
     print(
         "census mode={mode} m={m} complexes={complexes} records={records} "
-        "disagreements={disagreements} out={out}".format(**summary)
+        "disagreements={disagreements} out={out}".format(**summary),
+        file=sys.stderr if args.out == "-" else sys.stdout,  # the records hold stdout
     )
     return 1 if summary["disagreements"] else 0
 
@@ -176,14 +178,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("census", help="exhaustive (K, I) census to JSONL")
     p.add_argument("--max-vertices", type=int, required=True, help="vertex count m")
     p.add_argument("--mode", choices=["flag", "all-complexes"], default="flag")
-    p.add_argument("--out", required=True, help="output JSONL path")
+    p.add_argument("--out", required=True, help="output JSONL path, - for stdout")
     p.add_argument(
         "--jobs", type=int, default=1, help="worker processes, at most the CPU count"
     )
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="recompute and compare a census file")
-    p.add_argument("census", help="census JSONL path")
+    p.add_argument("census", help="census JSONL path, - for stdin")
     p.set_defaults(func=cmd_verify)
 
     return parser

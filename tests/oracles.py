@@ -7,11 +7,16 @@ correct, which is the point. The cubical model of RZ_K below is cut at
 0 along any given coordinates; its cells are tuples of per-coordinate
 intervals, not the package's vertex masks, and its boundary rows are sets
 of column numbers, since a dense matrix over up to 5^m cells is too
-slow to rank.
+slow to rank. ``verify_by_parsing`` is the census verifier that reads every
+line in full, the reference for the one that compares lines as bytes.
 """
 
 from collections import Counter
 from itertools import combinations, product
+
+from rzformal import census
+from rzformal.formality import FixedPointModelError
+from rzformal.simplicial import InputError, cap, read_caps_once
 
 
 def dense_rank(rows):
@@ -474,3 +479,25 @@ def group_h1_dense(m, edges, a):
                 here = step[here, v]
             rows.append(row)
     return len(column) - _set_rank(rows)
+
+
+def verify_by_parsing(path):
+    """``census.verify_census`` with every line read by ``read_line`` and recomputed."""
+    mismatches, corrupt, records = [], [], 0
+    last = (None, None)
+    with read_caps_once(), open(path, "rb") as f:
+        max_m = max(cap(f"census {mode}") for mode in census.MODES)
+        for lineno, raw in enumerate(f, 1):
+            records += 1
+            try:
+                line, last, i_mask = census.read_line(raw, max_m, last)
+                recomputed = census.compute_record(last[1], i_mask).json_line()
+            except InputError:
+                corrupt.append(lineno)
+                continue
+            except FixedPointModelError:
+                mismatches.append(lineno)
+                continue
+            if recomputed != line:
+                mismatches.append(lineno)
+    return {"records": records, "mismatches": mismatches, "corrupt": corrupt}

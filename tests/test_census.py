@@ -1,8 +1,11 @@
 """Census enumeration, the JSONL format, parallel determinism, verify."""
 
+import functools
 import hashlib
 import json
+import random
 
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -424,3 +427,128 @@ def test_a_census_through_a_symlink_replaces_the_file_it_names(tmp_path):
     assert link.is_symlink()
     assert target.read_bytes() == (tmp_path / "direct.jsonl").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "direct.jsonl", "link.jsonl"]
+
+
+# mutations of one line that int() or a lax reader of I would let through
+_NAMED_MUTATIONS = [
+    lambda line: line[:-1] + b',"I":[2]}',  # a duplicate "I" key, read last by json
+    lambda line: line.replace(b'"I":[1]', b'"I":[1_0]'),
+    lambda line: line.replace(b'"I":[1]', b'"I":[ 1]'),
+    lambda line: line.replace(b'"I":[1]', b'"I":[+1]'),
+    lambda line: line + b"\r",  # a CRLF line end
+]
+
+
+def _mutants(lines: list[bytes], rng: random.Random, count: int):
+    """``count`` seeded copies of a census, each with one or two mutations."""
+    tokens = [b"1", b"0", b",", b"[", b"]", b"{", b"}", b" ", b"-", b"+", b"_", b"\r", b"\n",
+              b'"', b"null", b"true", b"1.0", b"1e0", b'"I":[1]', b',"I":[', b"\xff"]
+    for _ in range(count):
+        copy = list(lines)
+        for _ in range(rng.choice((1, 1, 2))):
+            n = rng.randrange(len(copy))
+            line = copy[n]
+            kind = rng.randrange(7)
+            if kind == 0 and line:  # a byte flip
+                at = rng.randrange(len(line))
+                line = line[:at] + bytes([line[at] ^ 1 << rng.randrange(8)]) + line[at + 1:]
+            elif kind == 1 and line:  # a deletion
+                at = rng.randrange(len(line))
+                line = line[:at] + line[at + rng.randint(1, 8):]
+            elif kind == 2:  # an inserted token
+                at = rng.randrange(len(line) + 1)
+                line = line[:at] + rng.choice(tokens) + line[at:]
+            elif kind == 3:  # "m" rewritten
+                m = rng.choice((b"0", b"2", b"4", b"6", b'"3"', b"3.0", b"true", b"03"))
+                line = line.replace(b'"m":3', b'"m":' + m, 1)
+            elif kind == 4:
+                line = rng.choice(_NAMED_MUTATIONS)(line)
+            elif kind == 5:  # a repeated line, here or of another complex
+                line = rng.choice((line, rng.choice(lines)))
+                copy.insert(n, line)
+            else:  # the line of the same complex with another I
+                line = lines[n % len(lines) ^ rng.choice((1, 2, 4))]
+            copy[n] = line
+        yield copy
+
+
+def test_verify_equals_reading_every_line_on_mutated_censuses(tmp_path, monkeypatch):
+    out = tmp_path / "c.jsonl"
+    run_census(3, "all-complexes", out)
+    lines = out.read_bytes().splitlines()
+    assert len(lines) == 9 * 8
+    # a record is a function of (K, I), and equal complexes hash equal: each
+    # is computed once for both verifiers and every copy
+    monkeypatch.setattr(census, "compute_record", functools.cache(compute_record))
+    # each named case on line 18, the I = {1} line of the third complex, is
+    # caught there alone
+    for mutate in _NAMED_MUTATIONS:
+        out.write_bytes(b"\n".join(lines[:17] + [mutate(lines[17])] + lines[18:]) + b"\n")
+        result = verify_census(out)
+        assert result == oracles.verify_by_parsing(out)
+        assert result["mismatches"] + result["corrupt"] == [18], mutate(lines[17])
+    # a repeated line passes, as each line is checked alone
+    copies = [lines[:18] + lines[17:], *_mutants(lines, random.Random("verify-mutants"), 1000)]
+    caught = 0
+    for copy in copies:
+        out.write_bytes(b"\n".join(copy) + b"\n")
+        expected = oracles.verify_by_parsing(out)
+        assert verify_census(out) == expected, copy
+        caught += expected != {"records": len(copy), "mismatches": [], "corrupt": []}
+    assert caught > len(copies) // 2
+
+
+def test_a_clean_line_is_never_parsed(tmp_path, monkeypatch):
+    out = tmp_path / "c.jsonl"
+    run_census(3, "flag", out)
+    loads = json.loads
+    calls = []
+
+    def counted(text, *args, **kwargs):
+        calls.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(census.json, "loads", counted)
+    assert verify_census(out) == {"records": 64, "mismatches": [], "corrupt": []}
+    # the first line of each of the 8 complexes
+    assert len(calls) == 8
+    lines = out.read_text().splitlines()
+    lines[10] = lines[10].replace('"agree":true', '"agree":false')
+    out.write_text("\n".join(lines) + "\n")
+    calls.clear()
+    assert verify_census(out) == {"records": 64, "mismatches": [11], "corrupt": []}
+    assert len(calls) == 9
+
+
+def test_a_fixed_point_disagreement_on_a_compared_line_is_a_mismatch(tmp_path, monkeypatch):
+    # lines 2 and 6 of the flag m = 2 census are I = {1}, each just after
+    # the first line of its complex; only their fixed models are on {2}
+    out = tmp_path / "c.jsonl"
+    run_census(2, "flag", out)
+    betti = CubicalComplex.betti
+
+    def disagree_on_2(model):
+        return BettiTable(0, (99,)) if model.ambient == 0b10 else betti(model)
+
+    monkeypatch.setattr(CubicalComplex, "betti", disagree_on_2)
+    assert oracles.verify_by_parsing(out) == {"records": 8, "mismatches": [2, 6], "corrupt": []}
+    assert verify_census(out) == {"records": 8, "mismatches": [2, 6], "corrupt": []}
+
+
+def test_a_fault_raised_once_on_a_compared_line_propagates(tmp_path, monkeypatch):
+    # line 4 of the flag m = 2 census, I = {1, 2}, is compared as bytes; a
+    # fault there propagates even when a second recomputation would not raise
+    out = tmp_path / "c.jsonl"
+    run_census(2, "flag", out)
+    torus = formality.torus_oracle
+    raised = []
+
+    def faulty_once(k, i_mask):
+        if i_mask == 0b11 and not raised:
+            raised.append(i_mask)
+            raise KeyError("planted fault")
+        return torus(k, i_mask)
+
+    monkeypatch.setattr(formality, "torus_oracle", faulty_once)
+    with pytest.raises(KeyError, match="planted fault"):
+        verify_census(out)

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process via run(argv)."""
 
+import io
 import json
 import os
 import random
@@ -257,6 +258,29 @@ def test_census_and_verify_flow(files, capsys):
     assert "disagreements=0" in stdout
     assert run(["verify", str(out)]) == 0
     assert "mismatches=0" in capsys.readouterr().out
+
+
+def test_census_to_stdout_and_verify_from_stdin(files, capsys, monkeypatch):
+    # "-" is stdout for census, which then tells its summary on stderr, and
+    # stdin for verify; no file named "-" is made
+    tmp_path, _ = files
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "census.jsonl"
+    assert run(["census", "--max-vertices", "3", "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert run(["census", "--max-vertices", "3", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text()
+    assert captured.err == summary.replace(f"out={out}", "out=-")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["census.jsonl"]
+    flipped = out.read_bytes().replace(b'"agree":true', b'"agree":false', 1)
+    for data, code in [(out.read_bytes(), 0), (flipped, 1)]:
+        out.write_bytes(data)
+        run(["verify", str(out)])
+        from_file = capsys.readouterr()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run(["verify", "-"]) == code
+        assert capsys.readouterr() == from_file
 
 
 def test_census_all_complexes_mode(files, capsys):
