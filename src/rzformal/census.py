@@ -43,6 +43,8 @@ MODES = ("flag", "all-complexes")
 # the JSON of each value other than an int that a field after the head takes
 _JSON = {None: "null", True: "true", False: "false",
          "formal": '"formal"', "not_formal": '"not_formal"'}
+# entry b: the text of I in a line, for the masks b below 256
+_I_TEXT = tuple(",".join(map(str, mask_vertices(b))) for b in range(256))
 _LINE = ('%s,"I":[%s],"verdict_flag":%s,"verdict_general":%s,"verdict_oracle":%s,'
          '"verdict_torus":%s,"betti_total_ambient":%d,"betti_total_fixed":%d,"agree":%s}')
 
@@ -50,16 +52,18 @@ _LINE = ('%s,"I":[%s],"verdict_flag":%s,"verdict_general":%s,"verdict_oracle":%s
 class CensusRecord(dict):
     """The fields of one census line, in file order.
 
-    ``head``: the compact JSON of "m", "facets" and "is_flag", unclosed.
+    ``head``: the compact JSON of "m", "facets" and "is_flag", unclosed;
+    ``i_mask``: the mask of "I".
     """
 
-    __slots__ = ("head",)
+    __slots__ = ("head", "i_mask")
 
     def json_line(self) -> str:
         """``json.dumps(self, separators=(",", ":"))``."""
+        i_mask = self.i_mask
         return _LINE % (
             self.head,
-            ",".join(map(str, self["I"])),
+            _I_TEXT[i_mask] if i_mask < 256 else ",".join(map(str, self["I"])),
             _JSON[self["verdict_flag"]],
             _JSON[self["verdict_general"]],
             _JSON[self["verdict_oracle"]],
@@ -93,7 +97,7 @@ def compute_record(k: SimplicialComplex, i_mask: int) -> CensusRecord:
     if head is None:
         fields = {name: record[name] for name in ("m", "facets", "is_flag")}
         head = k._cache["census_head"] = json.dumps(fields, separators=(",", ":"))[:-1]
-    record.head = head
+    record.head, record.i_mask = head, i_mask
     return record
 
 

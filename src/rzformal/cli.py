@@ -11,14 +11,16 @@ Exit codes for check: 0 formal, 1 not formal, 2 method disagreement
 (mode all) or a fixed-point model disagreement. Census exits 1 when any
 record disagrees; verify exits 1 on mismatching records and 2 on
 corrupt ones. Every command, these three too, exits 3 on bad input, an
-InputError or an OSError told in one ``error:`` line, and 4: the program
-failed; the traceback is on stderr.
+InputError or an OSError told in one ``error:`` line, 4: the program
+failed; the traceback is on stderr, and 141 (128 + SIGPIPE), with nothing
+printed, when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from functools import cache
@@ -32,6 +34,7 @@ from .simplicial import Graph, InputError, SimplicialComplex, label_mask, read_c
 
 EXIT_INPUT_ERROR = 3
 EXIT_FAULT = 4
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 # the single deciders of ``check --method``; "all" runs every applicable one
 METHODS = {
@@ -195,13 +198,32 @@ def run(argv: Iterable[str] | None = None) -> int:
     args = build_parser().parse_args(list(argv) if argv is not None else None)
     try:
         with read_caps_once():  # a malformed cap is bad input for every command
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+            return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_BROKEN_PIPE
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except formality.FixedPointModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _stdout_to_devnull() -> None:
+    """Point the file of stdout at os.devnull, so that its last flush cannot raise.
+
+    Nothing to do when stdout has no file, as when it is captured in memory.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main() -> None:

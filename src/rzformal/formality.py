@@ -163,16 +163,26 @@ def _walked(k: SimplicialComplex):
 
     The items found and the walk that finds the rest are kept on ``k``: a
     later I reads the items, then resumes the walk where an earlier I
-    stopped at its witness. A walk that raised is dropped.
+    stopped at its witness. A finished walk is kept as the plain list of
+    its items, which later I iterate as it is. A walk that raised is dropped.
     """
-    if "walk" not in k._cache:
-        k._cache["walk"] = [], subset_walk(k.faces())
-    found, walk = k._cache["walk"]
+    walked = k._cache.get("walk")
+    if walked.__class__ is list:
+        return walked
+    return _walking(k, walked)
+
+
+def _walking(k: SimplicialComplex, walked: tuple | None):
+    """The items of the unfinished walk ``walked`` kept on ``k``, then the rest."""
+    if walked is None:
+        walked = k._cache["walk"] = [], subset_walk(k.faces())
+    found, walk = walked
     yield from found
     while True:
         try:
             item = next(walk)
         except StopIteration:
+            k._cache["walk"] = found
             return
         except BaseException:
             del k._cache["walk"]
@@ -189,7 +199,7 @@ def betti_sum_oracle(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     and any mismatch raises FixedPointModelError rather than guessing.
     """
     _check_input(k, i_mask)
-    ambient_total = moment_angle.hochster_real_betti(k).total
+    ambient_total = moment_angle.betti_totals(k)[0]
     fixed_table = moment_angle.fixed_betti_via_link(k, i_mask)
     if k.m <= cap("cubical"):
         recomputed = moment_angle.build_cubical(k).fixed_subcomplex(i_mask).betti()
@@ -204,10 +214,10 @@ def betti_sum_oracle(k: SimplicialComplex, i_mask: int) -> FormalityReport:
 def torus_oracle(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     """Betti-sum comparison for the coordinate torus acting on Z_K."""
     _check_input(k, i_mask)
-    ambient_total = moment_angle.hochster_complex_betti(k).total
+    ambient_total = moment_angle.betti_totals(k)[1]
     fixed_total = 0
     if k.has_face(i_mask):
-        fixed_total = moment_angle.hochster_complex_betti(k.link(i_mask)).total
+        fixed_total = moment_angle.betti_totals(k.link(i_mask))[1]
     return _totals_report("torus_oracle", i_mask, fixed_total, ambient_total)
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from math import comb
 
 from .cohomology import BettiTable, add_faces, memoized, subset_sums
-from .simplicial import SimplicialComplex, check_cap, squeeze
+from .simplicial import SimplicialComplex, check_cap, squeeze, submasks
 
 
 def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
@@ -152,6 +152,20 @@ def hochster_complex_betti(k: SimplicialComplex) -> BettiTable:
     return _hochster_tables(k)[1]
 
 
+def betti_totals(k: SimplicialComplex) -> tuple[int, int]:
+    """The total real and complex Betti numbers of ``k``, kept on it beside its tables.
+
+    The cap comes first, as in ``_hochster_tables``; the first call reads
+    the tables through ``hochster_real_betti`` and ``hochster_complex_betti``.
+    """
+    check_cap("hochster", k.m)
+    totals = k._cache.get("totals")
+    if totals is None:
+        totals = hochster_real_betti(k).total, hochster_complex_betti(k).total
+        k._cache["totals"] = totals
+    return totals
+
+
 def fixed_betti_via_link(k: SimplicialComplex, i_mask: int) -> BettiTable:
     """Betti numbers of the points fixed by reflections on ``i_mask``.
 
@@ -185,6 +199,7 @@ class CubicalComplex:
         self.ambient = ambient
         self.faces = faces
         self._w = ambient.bit_length()
+        self._stars: dict[int, tuple[int, ...]] | None = None
 
     @property
     def m(self) -> int:
@@ -329,12 +344,20 @@ class CubicalComplex:
         union of cells, closed under taking faces: a cell per face sigma
         containing I and sign pattern off sigma, {0} on I. With the
         coordinates of I dropped, these are the cells of the model on
-        ``ambient ∖ I`` of the faces sigma ∖ I, read off this model's faces.
+        ``ambient ∖ I`` of the faces sigma ∖ I, read off this model's faces,
+        in their order. The faces sigma ∖ I of every I are indexed once per
+        model, in one pass over each face's subfaces: Σ 2^|sigma| entries,
+        at most 3^m. An I in no face has none.
         """
         if i_mask & ~self.ambient:
             raise ValueError("coordinate set is not contained in the vertex set")
-        faces = tuple([f ^ i_mask for f in self.faces if f & i_mask == i_mask])
-        return CubicalComplex(self.ambient ^ i_mask, faces)
+        if self._stars is None:
+            index: dict[int, list[int]] = {}
+            for f in self.faces:
+                for sub in submasks(f):
+                    index.setdefault(sub, []).append(f ^ sub)
+            self._stars = {i: tuple(faces) for i, faces in index.items()}
+        return CubicalComplex(self.ambient ^ i_mask, self._stars.get(i_mask, ()))
 
     def __repr__(self) -> str:
         return f"CubicalComplex(m={self.m}, faces={len(self.faces)})"

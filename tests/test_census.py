@@ -78,6 +78,15 @@ def test_every_census_line_to_m4_is_its_compact_json(mode):
                 assert record.json_line() == _compact(record)
 
 
+def test_a_line_of_any_i_is_its_compact_json_past_eight_vertices():
+    # the text of I is read from a table for the masks below 256 and joined
+    # from the labels of the others
+    k = cycle_graph(9).clique_complex()
+    for i_mask in (0, 0b1, 0b101, 0xFF, 1 << 8, 0b100000101, (1 << 9) - 1):
+        record = compute_record(k, i_mask)
+        assert record.json_line() == _compact(record)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda m: st.tuples(
     st.just(m),

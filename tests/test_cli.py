@@ -424,6 +424,19 @@ def test_check_max_vertices_lifts_the_hochster_cap(files, capsys, monkeypatch, m
     capsys.readouterr()
 
 
+def test_the_flag_criterion_answers_over_the_hochster_cap(files, capsys, monkeypatch):
+    # the flag criterion reads no Hochster table, so nothing summed over the
+    # 2^m subsets may be computed for it: C6 answers under the cap 4, which
+    # the oracle, summing them, is refused by
+    _, write = files
+    c6 = write("c6.json", {"m": 6, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]})
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "4")
+    assert run(["check", c6, "--I", "1", "--method", "flag"]) == 1
+    assert json.loads(capsys.readouterr().out)["witness"]["kind"] == "missing_edge"
+    assert run(["check", c6, "--I", "1", "--method", "oracle"]) == 3
+    assert "exceeds the cap 4" in capsys.readouterr().err
+
+
 def test_check_over_the_cap_refuses_before_the_general_loop(files, capsys, monkeypatch):
     _, write = files
     c4 = write("c4.json", C4)
@@ -528,6 +541,41 @@ def test_the_package_runs_as_a_module(files, capsys):
     )
     assert run(["betti", cone]) == proc.returncode == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_a_reader_that_closes_early_is_no_error(files):
+    # `census --out - | head -c 100`: the census outgrows the pipe, meets its
+    # closed end, and exits 141 (128 + SIGPIPE), as a shell reports for
+    # `yes | head -1`, with nothing on stderr
+    tmp_path, _ = files
+    env = dict(os.environ, PYTHONPATH=str(Path(rzformal.__file__).parents[1]))
+    argv = [sys.executable, "-m", "rzformal", "census", "--mode", "flag", "--max-vertices", "4"]
+    proc = subprocess.Popen(
+        [*argv, "--out", "-"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141
+    # stdout then points at os.devnull: what is written after it, and the
+    # interpreter's last flush, cannot raise again
+    script = ("import sys; from rzformal.cli import run; code = run(sys.argv[1:]); "
+              "print('after'); sys.exit(code)")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv[3:], "--out", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+    # an output it cannot open is still bad input
+    missing = str(tmp_path / "no" / "such" / "dir.jsonl")
+    bad = subprocess.run([*argv, "--out", missing], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert bad.returncode == 3 and bad.stderr.startswith("error: [Errno 2]")
 
 
 def test_commands_in_one_process_share_one_parser(files, capsys, monkeypatch):

@@ -36,7 +36,7 @@ from rzformal import (
 )
 from rzformal import cohomology, formality, moment_angle
 from rzformal.cli import run
-from rzformal.simplicial import label_mask, mask_vertices, submasks
+from rzformal.simplicial import InputError, label_mask, mask_vertices, submasks
 
 C4 = cycle_graph(4).clique_complex()
 THREE_POINTS = SimplicialComplex.from_facets(3, [[1], [2], [3]])
@@ -466,6 +466,66 @@ def test_a_walk_resumed_across_i_gives_the_reports_of_fresh_walks(monkeypatch):
             stopped = stopped or (expected.witness or {}).get("J") is not None
         assert len(walks) <= 1
     assert resumed > 1000
+
+
+def test_a_finished_walk_is_kept_as_the_list_of_its_items(monkeypatch):
+    # C4 with I = {1} is formal, so its walk runs to the end; every later I
+    # iterates the list of what it found and never walks again
+    k = cycle_graph(4).clique_complex()
+    assert general_criterion(k, 0b0001).formal
+    walked = k._cache["walk"]
+    assert walked.__class__ is list
+    assert walked == list(cohomology.subset_walk(k.faces()))
+
+    def refuse(faces):
+        raise AssertionError("a finished walk was walked again")
+
+    monkeypatch.setattr(formality, "subset_walk", refuse)
+    assert formality._walked(k) is walked
+    fresh = cycle_graph(4).clique_complex()
+    monkeypatch.setattr(formality, "subset_walk", cohomology.subset_walk)
+    for i_mask in range(16):
+        assert general_criterion(k, i_mask) == general_criterion(fresh, i_mask)
+    assert k._cache["walk"] is walked
+
+
+def test_every_i_of_a_complex_reads_the_totals_summed_once(monkeypatch):
+    # the ambient totals are kept on K: over all 32 I of a flag m = 5
+    # complex, the Hochster tables of K itself are read once for each
+    # space; I = ∅ reads the real table once more, as the fixed side,
+    # since its link is K
+    k = cycle_graph(5).clique_complex()
+    ran = {"real": [], "complex": []}
+    real, cplx = moment_angle.hochster_real_betti, moment_angle.hochster_complex_betti
+    monkeypatch.setattr(moment_angle, "hochster_real_betti",
+                        lambda c: ran["real"].append(c) or real(c))
+    monkeypatch.setattr(moment_angle, "hochster_complex_betti",
+                        lambda c: ran["complex"].append(c) or cplx(c))
+    for i_mask in [*range(1, 32), 0]:
+        reports = evaluate_all(k, i_mask)
+        assert reports_agree(reports)
+        if i_mask == 31:
+            assert [c is k for c in ran["real"]].count(True) == 1
+    assert [c is k for c in ran["real"]].count(True) == 2
+    assert [c is k for c in ran["complex"]].count(True) == 1
+    assert moment_angle.betti_totals(k) == (real(k).total, cplx(k).total)
+
+
+def test_the_oracles_read_the_cap_before_the_kept_totals(monkeypatch):
+    # in a library call the cap is read at each call: a lowered cap refuses
+    # a complex whose tables and totals are kept on it
+    k = cycle_graph(5).clique_complex()
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "5")
+    for i_mask in range(32):
+        betti_sum_oracle(k, i_mask)
+        torus_oracle(k, i_mask)
+    assert "totals" in k._cache
+    monkeypatch.setenv("RZFORMAL_HOCHSTER_CAP", "4")
+    for decider in (betti_sum_oracle, torus_oracle):
+        with pytest.raises(InputError, match=r"exceeds the cap 4 \(RZFORMAL_HOCHSTER_CAP\)"):
+            decider(k, 0b00001)
+    with pytest.raises(InputError, match="exceeds the cap 4"):
+        moment_angle.betti_totals(k)
 
 
 def test_a_walk_that_raised_is_walked_again(monkeypatch):

@@ -591,7 +591,43 @@ def test_the_repr_of_a_model_generates_no_cell():
     model = build_cubical(k)
     assert repr(model) == f"CubicalComplex(m=8, faces={len(k.faces())})"
     assert repr(model.fixed_subcomplex(0b11)) == "CubicalComplex(m=6, faces=2)"
-    assert vars(model).keys() == {"ambient", "faces", "_w"}
+    # beside its faces, a model keeps only the index of their stars, faces too
+    assert vars(model).keys() == {"ambient", "faces", "_w", "_stars"}
+    assert model._stars[0b11] == (0b000, 0b100)
+
+
+def assert_stars_are_the_filtered_faces(model):
+    # every I in the ambient set, faces, non-faces and ∅, gets the faces
+    # f ∖ I of the f ⊇ I, in the model's order, as a filter of the faces would
+    for i_mask in submasks(model.ambient):
+        fixed = model.fixed_subcomplex(i_mask)
+        assert fixed.ambient == model.ambient ^ i_mask
+        assert fixed.faces == tuple(f ^ i_mask for f in model.faces if f & i_mask == i_mask)
+    # one entry per face and subface: Σ 2^|f|, at most 3^m
+    entries = sum(map(len, model._stars.values()))
+    assert entries == sum(1 << f.bit_count() for f in model.faces) <= 3 ** model.m
+
+
+def test_the_star_index_gives_each_i_the_filtered_faces(monkeypatch):
+    # the index reads the model's faces alone, never the link it checks
+    def refuse(k, s_mask):
+        raise AssertionError("the star index read a link")
+
+    monkeypatch.setattr(SimplicialComplex, "link", refuse)
+    for m in range(1, 5):
+        for k in all_complexes(m):
+            assert_stars_are_the_filtered_faces(build_cubical(k))
+    rng = random.Random(33)
+    for m in (5, 6, 7):
+        for _ in range(8):
+            live = sorted(rng.sample(range(1, m + 1), rng.randint(1, m - 1)))
+            facets = [rng.sample(live, rng.randint(1, min(len(live), 4))) for _ in range(4)]
+            k = SimplicialComplex((1 << m) - 1, [label_mask(f, m, "a face") for f in facets])
+            assert k.ghost_mask  # a vertex of the cube in no face
+            model = build_cubical(k)
+            assert_stars_are_the_filtered_faces(model)
+            # a fixed model has its own index, on an ambient set with a gap
+            assert_stars_are_the_filtered_faces(model.fixed_subcomplex(1 << facets[0][0] - 1))
 
 
 def test_a_cubical_entry_is_the_star_of_i_not_its_link(monkeypatch):
