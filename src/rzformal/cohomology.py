@@ -18,12 +18,12 @@ time, those cost a Python loop pass per J. Shared results follow one policy,
 ``memoized``: each cache keeps the ``MEMO_BOUND`` entries used last, each
 keyed by the data it is computed from. ``_hom_cache`` holds the
 restriction test's face lists, keyed by the tuple itself. ``_memo`` holds
-the Hochster tables and cubical ranks, which do not depend on the vertex
-labels: keys are taken up to order-preserving relabeling. An entry is
-looked up under its raw key, and on a miss again under the key of its
-squeezed copy, its labels closed up onto 1..m. The general
-criterion keeps each restriction test per (J, σ) on the complex it
-walks, in a dict of its own under the same policy.
+the Hochster tables and cubical ranks, which no relabeling of the
+vertices changes: keys are taken up to any relabeling. An entry is
+looked up under its raw key, in ``_raw_memo``, and on a miss under its
+shape key, the key of an isomorphic copy on 1..m (``simplicial.shape``).
+The general criterion keeps each restriction test per (J, σ) on the
+complex it walks, in a dict of its own under the same policy.
 
 The one restriction map is onto a star deletion A = X ∖ st σ.
 Over a field the long exact sequence of the pair gives
@@ -42,7 +42,7 @@ from heapq import heapify, heappop, heappush
 from math import comb
 from typing import NamedTuple
 
-from .simplicial import squeeze
+from .simplicial import shape, squeeze
 
 
 class BettiTable(NamedTuple):
@@ -72,15 +72,19 @@ class BettiTable(NamedTuple):
         return {"min_degree": self.min_degree, "dims": dims, "total": self.total}
 
 
-# census flag m=5 meets 1,856 raw cubical and 1,830 raw table keys, 1,167
-# and 1,163 squeezed; kept to the last 1,024 used, raw and squeezed keys
-# together, 1,319 ranks and 1,315 walks run (1,990 and 1,962 on raw keys
-# alone), and the memo adds under 1 MB to its peak. Its general criterion
-# tests 12,237 (J, σ) per walked complex where it tested 21,705 (K, I, J).
-# A formal non-cone check at m = 18 would keep 30,948 face lists, and
-# double its peak, without the bound
+# census flag m=5 meets 1,856 raw cubical and 1,830 raw table keys, of 110
+# and 107 shapes; kept to the last 1,024 used, raw keys apart, it runs 118
+# ranks and 114 walks (114 and 110 without the bound, 185 and 180 when raw
+# keys took ``_memo`` slots), and the memo adds under 1 MB to its peak.
+# Its general criterion tests 12,237 (J, σ) per walked complex where it
+# tested 21,705 (K, I, J). A formal non-cone check at m = 18 would keep
+# 30,948 face lists, and double its peak, without the bound
 MEMO_BOUND = 1024
 _memo: dict[tuple, object] = {}
+# the raw keys of ``_memo``'s results, in slots of their own
+_raw_memo: dict[tuple, object] = {}
+# per sketch of raw keys, its one raw key not yet shaped, or None
+_sketches: dict[tuple, tuple | None] = {}
 # apart from ``_memo``: sharing one dict makes each evict the other's hits
 _hom_cache: dict[tuple[int, ...], BettiTable] = {}
 
@@ -88,6 +92,46 @@ _hom_cache: dict[tuple[int, ...], BettiTable] = {}
 def clear_caches() -> None:
     _hom_cache.clear()
     _memo.clear()
+    _raw_memo.clear()
+    _sketches.clear()
+
+
+def memoized_up_to_relabeling(raw: tuple, compute, arg):
+    """``compute(arg)`` for a result that no relabeling of the vertices changes.
+
+    ``raw`` is (ambient, ..., masks), the masks within ``ambient`` last,
+    and holds everything the result depends on. It is looked up among the
+    last ``MEMO_BOUND`` raw keys used, in ``_raw_memo``; on a miss, in
+    ``_memo`` under its shape key (``_shape_key``), the raw key of an
+    isomorphic copy on 1..m, which has the same result. ``compute`` runs
+    on ``arg`` itself.
+
+    A shape costs more than a lookup, and only raw keys alike in m, kind,
+    mask count and size sum can be isomorphic. So the first raw key of
+    each such sketch is only noted in ``_sketches``, and shaped when a
+    second one comes. In one ``check``, K and lk_K(I) differ in m.
+    """
+    value = _raw_memo.pop(raw, None)
+    if value is None:
+        masks = raw[-1]
+        sketch = (raw[0].bit_count(), *raw[1:-1], len(masks), sum(map(int.bit_count, masks)))
+        first = _sketches.pop(sketch, raw)
+        if first is raw:  # nothing met so far can be isomorphic to it
+            value = compute(arg)
+        else:
+            if first in _raw_memo:  # the first of the sketch, shaped now
+                _keep(_memo, _shape_key(first), _raw_memo[first])
+            value = memoized(_shape_key(raw), compute, arg)
+        # None once the sketch's raw keys are shaped as they come
+        _keep(_sketches, sketch, raw if first is raw else None)
+    _keep(_raw_memo, raw, value)
+    return value
+
+
+def _shape_key(raw: tuple) -> tuple:
+    """The raw key of the copy on 1..m that ``shape`` relabels the key ``raw`` onto."""
+    ambient, masks = raw[0], raw[-1]
+    return ((1 << ambient.bit_count()) - 1, *raw[1:-1], shape(masks, ambient))
 
 
 def memoized(key: tuple, compute, arg, cache: dict | None = None):
@@ -102,10 +146,15 @@ def memoized(key: tuple, compute, arg, cache: dict | None = None):
     value = memo.pop(key, None)
     if value is None:
         value = compute(arg)
-        if len(memo) >= MEMO_BOUND:
-            del memo[next(iter(memo))]
-    memo[key] = value
+    _keep(memo, key, value)
     return value
+
+
+def _keep(cache: dict, key, value) -> None:
+    """``value`` under ``key`` at the back of ``cache``, its front entry dropped when full."""
+    if len(cache) >= MEMO_BOUND:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 def boundary_items(faces: tuple[int, ...]) -> list[tuple[int, int, int]]:

@@ -23,12 +23,13 @@ coordinates of I leaves the plain model on the ambient set less I of the
 faces sigma ∖ I, at most 3^m cells. They are read off the faces of K's
 own model, so the fixed set never uses the link formula that it checks.
 
-Neither result depends on the vertex labels. An order-preserving
-relabeling keeps every cell index and boundary, and the Hochster tables
-depend on K up to isomorphism. So the memo keys are taken up to
-order-preserving relabeling: two models that agree once their labels are
-closed up share one rank, and two complexes that agree so share one
-table.
+Neither result depends on the vertex labels. A relabeling of the
+coordinates maps the cells of a model and their boundaries onto those of
+the relabeled model, and the Hochster tables depend on K up to
+isomorphism. So the memo keys are taken up to any relabeling
+(``cohomology.memoized_up_to_relabeling``): isomorphic models may share
+one rank and isomorphic complexes one walk, each computed on the object
+that first asked.
 
 Every computation exponential in the vertex count m checks one entry of
 ``simplicial.CAPS`` with ``check_cap`` before it starts: the 2^m sums
@@ -40,33 +41,25 @@ from __future__ import annotations
 
 from math import comb
 
-from .cohomology import BettiTable, add_faces, memoized, subset_sums
-from .simplicial import SimplicialComplex, check_cap, squeeze, submasks
+from .cohomology import BettiTable, add_faces, memoized_up_to_relabeling, subset_sums
+from .simplicial import SimplicialComplex, check_cap, submasks
 
 
 def _hochster_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
-    """Real and complex tables of ``k``, kept on it and memoized on its ambient set and facets.
+    """Real and complex tables of ``k``, kept on it and memoized up to relabeling.
 
-    The ambient set is in the key because ghost vertices scale the tables.
-    On a miss, a complex whose ambient set is not 1..m is looked up again
-    as ``k.squeezed()``, its labels closed up in order: the tables do not
-    depend on the labels. So every complex with the same facets and
-    vertices up to an order-preserving relabeling shares one walk, such as
-    the links lk_K(I) that recur across a census. The cap comes first.
+    The key is the ambient set and the facets, which ghost vertices scale
+    the tables by; the tables do not depend on the labels, so every
+    complex isomorphic to one already walked, such as the links lk_K(I)
+    that recur across a census, may share its walk. The cap comes first.
     """
     check_cap("hochster", k.m)
     tables = k._cache.get("tables")
     if tables is None:
-        tables = k._cache["tables"] = memoized((k.ambient, k.facets), _squeezed_tables, k)
+        tables = k._cache["tables"] = memoized_up_to_relabeling(
+            (k.ambient, k.facets), _walk_tables, k
+        )
     return tables
-
-
-def _squeezed_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
-    """The tables of ``k`` by way of the memo entry of ``k.squeezed()``."""
-    if k.ambient == (1 << k.m) - 1:
-        return _walk_tables(k)
-    squeezed = k.squeezed()
-    return memoized((squeezed.ambient, squeezed.facets), _walk_tables, squeezed)
 
 
 def _walk_tables(k: SimplicialComplex) -> tuple[BettiTable, BettiTable]:
@@ -243,29 +236,13 @@ class CubicalComplex:
     def betti(self) -> BettiTable:
         """Cellular F2 homology Betti numbers.
 
-        Memoized on the data the cells are read from, the ambient set and
-        the faces, so models with the same cells share one rank and no
-        other result is ever read for them. On a miss, the model is looked
-        up again as ``squeezed()``, the same cells with the labels closed
-        up; ``_rank`` builds the same columns for both.
+        Memoized up to relabeling on the data the cells are read from, the
+        ambient set and the faces: a relabeling of the coordinates maps the
+        cells and their boundaries onto those of the relabeled model, so
+        isomorphic models may share one rank.
         """
         # three fields, where a Hochster key has two: the kinds never collide
-        return memoized((self.ambient, 0, self.faces), CubicalComplex._squeezed_betti, self)
-
-    def _squeezed_betti(self) -> BettiTable:
-        """The Betti numbers by way of the memo entry of ``squeezed()``."""
-        if self.ambient == (1 << self.m) - 1:
-            return self._rank()
-        model = self.squeezed()
-        return memoized((model.ambient, 0, model.faces), CubicalComplex._rank, model)
-
-    def squeezed(self) -> "CubicalComplex":
-        """The model on ambient 1..m, its labels closed up in order.
-
-        The relabeling keeps the order of coordinates, so it keeps each
-        face's cells, their indices and their boundaries.
-        """
-        return CubicalComplex((1 << self.m) - 1, squeeze(self.faces, self.ambient))
+        return memoized_up_to_relabeling((self.ambient, 0, self.faces), CubicalComplex._rank, self)
 
     def _columns(self, face: int, base: dict[int, int]) -> list[tuple[int, int]]:
         """(mask, low) per vertex v of ``face``, for its columns.

@@ -85,6 +85,38 @@ def squeeze(masks: Iterable[int], keep: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def shape(masks: tuple[int, ...], keep: int) -> tuple[int, ...]:
+    """The masks, each within ``keep``, relabeled onto bits 0..m-1, m = |keep|.
+
+    The image under one bijection of ``keep`` onto the low m bits, ascending
+    by (size, mask) as canonical facets and faces are: the masks of an
+    isomorphic copy on 1..m. The bijection orders the vertices by (number
+    of masks holding it, sum of their sizes, label), summed in one pass
+    over the masks. The first two do not change under relabeling, so
+    isomorphic mask lists whose vertices they tell apart have one shape.
+    """
+    held = {1 << (v - 1): 0 for v in mask_vertices(keep)}
+    for f in masks:
+        weight = f.bit_count() | 1 << 32  # the count above bit 32, sizes below
+        rest = f
+        while rest:
+            v = rest & -rest
+            held[v] += weight
+            rest ^= v
+    to = {v: 1 << r for r, (_, v) in enumerate(sorted((n, v) for v, n in held.items()))}
+    out = []
+    for f in masks:
+        g = 0
+        while f:
+            v = f & -f
+            g |= to[v]
+            f ^= v
+        out.append(g)
+    out.sort()
+    out.sort(key=int.bit_count)
+    return tuple(out)
+
+
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, including 0 and the mask itself.
 
@@ -382,15 +414,6 @@ class SimplicialComplex:
             tuple(f - s_mask for f in self.facets if f & s_mask == s_mask),
         )
         return lk
-
-    def squeezed(self) -> "SimplicialComplex":
-        """The same complex on ambient 1..m, its labels closed up in order.
-
-        Ghost vertices stay ghosts. The relabeling keeps the order of
-        masks, so the facets stay canonical; not cached.
-        """
-        full = (1 << self.m) - 1
-        return SimplicialComplex._canonical(full, squeeze(self.facets, self.ambient))
 
     @staticmethod
     def _canonical(ambient: int, facets: tuple[int, ...]) -> "SimplicialComplex":

@@ -12,7 +12,7 @@ line in full, the reference for the one that compares lines as bytes.
 """
 
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from rzformal import census
 from rzformal.formality import FixedPointModelError
@@ -162,6 +162,19 @@ def faces_of(facets):
             for sub in combinations(facet, r):
                 out.add(frozenset(sub))
     return out
+
+
+def relabeled_images(masks, keep):
+    """Every image of ``masks`` under a bijection of the bits of ``keep`` onto 0..m-1.
+
+    Each image sorted by (size, mask); m! bijections, so for small m only.
+    """
+    bits = [1 << k for k in range(keep.bit_length()) if keep >> k & 1]
+    images = set()
+    for perm in permutations(range(len(bits))):
+        image = [sum(1 << p for p, b in zip(perm, bits) if f & b) for f in masks]
+        images.add(tuple(sorted(image, key=lambda g: (g.bit_count(), g))))
+    return images
 
 
 def cliques_of(vertices, edges):

@@ -204,16 +204,44 @@ class _Watched(dict):
 @pytest.mark.parametrize("mode, sha256", M4_SHA256)
 def test_a_census_under_a_tiny_memo_bound_keeps_its_bytes(tmp_path, monkeypatch, mode, sha256):
     # nearly every lookup misses and evicts; the bytes may not change, and
-    # the restriction test's face lists are bounded like the memo
-    memo, hom_cache = _Watched(), _Watched()
+    # the raw keys and the restriction test's face lists are bounded like
+    # the memo
+    memo, raw_memo, hom_cache = _Watched(), _Watched(), _Watched()
     monkeypatch.setattr(cohomology, "_memo", memo)
+    monkeypatch.setattr(cohomology, "_raw_memo", raw_memo)
     monkeypatch.setattr(cohomology, "_hom_cache", hom_cache)
     monkeypatch.setattr(cohomology, "MEMO_BOUND", 4)
     out = tmp_path / "c.jsonl"
     run_census(4, mode, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
     assert memo.peak == 4
+    assert raw_memo.peak == 4
     assert hom_cache.peak == 4
+
+
+def test_the_flag_census_on_five_vertices_ranks_and_walks_once_per_shape(tmp_path, monkeypatch):
+    # its 1,024 complexes fall into 34 isomorphism classes; under the
+    # memo bound, the cubical models of the whole census are ranked 118
+    # times and the Hochster tables walked 114 times (a cone's walk hands
+    # over to its link's), where keys up to order-preserving relabeling
+    # ranked 1,319 and walked 1,315
+    from rzformal import moment_angle
+
+    counts = {"rank": 0, "walk": 0}
+    rank, walk = CubicalComplex._rank, moment_angle._walk_tables
+
+    def counted(name, compute):
+        def spy(arg):
+            counts[name] += 1
+            return compute(arg)
+        return spy
+
+    monkeypatch.setattr(CubicalComplex, "_rank", counted("rank", rank))
+    monkeypatch.setattr(moment_angle, "_walk_tables", counted("walk", walk))
+    cohomology.clear_caches()
+    summary = run_census(5, "flag", tmp_path / "c.jsonl")
+    assert summary["records"] == 32768 and summary["disagreements"] == 0
+    assert counts == {"rank": 118, "walk": 114}
 
 
 def test_verify_reuses_the_complex_and_reports_only_the_flipped_line(tmp_path, monkeypatch):

@@ -358,12 +358,12 @@ def test_a_cone_is_walked_once_as_the_link_of_its_apexes(monkeypatch):
     assert k.apexes == apexes
     hochster_real_betti(k)
     hochster_complex_betti(k)
-    # K's call hands over to lk A's, whose sums, on the link's labels
-    # closed up to 1..5, are the only ones taken (no vertex of the
-    # pentagon is free, so the link is its own core)
+    # K's call hands over to lk A's, walked on its own labels, whose sums
+    # are the only ones taken (no vertex of the pentagon is free, so the
+    # link is its own core)
     link = k.link(apexes)
-    assert hochster_walks == [k, link.squeezed()]
-    assert summed == [link.squeezed().faces()]
+    assert hochster_walks == [k, link]
+    assert summed == [link.faces()]
     assert link.vertices_mask.bit_count() == 5
     # reflections on apexes only, I = ∅ included, walk no J
     for i_mask in submasks(apexes):

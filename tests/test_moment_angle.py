@@ -43,7 +43,7 @@ from rzformal import (
 from rzformal.census import all_complexes, flag_complexes
 from rzformal.cohomology import BettiTable
 from rzformal.moment_angle import CubicalComplex
-from rzformal.simplicial import label_mask, mask_vertices, squeeze, submasks
+from rzformal.simplicial import label_mask, mask_vertices, shape, submasks
 
 
 def dims(table):
@@ -378,12 +378,12 @@ def test_oracle_builds_and_ranks_only_the_fixed_cells(monkeypatch, i_set):
     cells = fixed_cells(cube_cells(k, i_mask), i_mask)
     counts, ranks = cube_counts(cells), cube_ranks(cells)
     # ranking generates no cell: ``boundary`` is read once per nonempty face
-    # of the fixed model, on its cell with every sign -1, in the squeezed
-    # model, where the rest of 1..6 is closed up
-    model = build_cubical(k).fixed_subcomplex(i_mask).squeezed()
+    # of the fixed model, on its cell with every sign -1, in the model that
+    # asked, on the coordinates off I with their own labels
+    model = build_cubical(k).fixed_subcomplex(i_mask)
     star = [f for f in k.faces() if f & i_mask == i_mask]
-    assert model.ambient == (1 << 6 - len(i_set)) - 1
-    assert model.faces == squeeze(star, k.ambient & ~i_mask)
+    assert model.ambient == k.ambient & ~i_mask
+    assert model.faces == tuple(f ^ i_mask for f in star)
     assert sorted(calls) == sorted(f | f << model._w for f in model.faces if f)
     # a cell of dimension d ≥ 1 gets one column unless it was cleared, and
     # the d-cells cleared are the pivot rows of the (d+1)-columns
@@ -453,10 +453,10 @@ def test_one_hochster_loop_serves_both_spaces_and_the_link(monkeypatch):
     assert walked == [k]
     fixed_betti_via_link(k, 0b0001)
     # the torus oracle reuses the memoized link and its tables; the link,
-    # on 2, 4 and the ghost 3, is walked as its squeezed copy on 1..3
+    # on 2, 4 and the ghost 3, is walked on its own labels
     torus_oracle(k, 0b0001)
-    assert walked == [k, k.link(0b0001).squeezed()]
-    assert walked[1] == SimplicialComplex(0b111, [0b001, 0b100])
+    assert walked == [k, k.link(0b0001)]
+    assert walked[1] == SimplicialComplex(0b1110, [0b0010, 0b1000])
     # the sums reduce along the walk and never touch the cohomology cache
     assert cohomology._hom_cache == {}
 
@@ -514,8 +514,8 @@ def test_the_same_star_of_i_shares_one_cubical_entry(monkeypatch):
     assert fixed[0].ambient == fixed[1].ambient == 0b1110
     assert fixed[0].betti() is fixed[1].betti()
     assert fixed[0].betti() == fixed_betti_via_link(k2, 0b0001)
-    # ranked once, as the squeezed model: 2, 3, 4 closed up
-    assert [cells_key(c) for c in ranked] == [(0b111, 0, (0b000, 0b001))]
+    # ranked once, as the first model that asked, on its own labels
+    assert [cells_key(c) for c in ranked] == [(0b1110, 0, (0b0000, 0b0010))]
     assert build_cubical(k1).betti() != build_cubical(k2).betti()
     assert len(ranked) == 3
 
@@ -524,15 +524,16 @@ def test_empty_fixed_models_on_other_coordinates_share_one_rank(monkeypatch):
     ranked = spy_ranks(monkeypatch)
     k = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
     # {1, 3} and {1, 4} are no faces: no faces and no cells, on the
-    # coordinates 2, 4 and 2, 3, two raw entries; with the labels closed
-    # up, both are the empty model on two coordinates, one squeezed entry
-    # and one rank
+    # coordinates 2, 4 and 2, 3, two raw entries; relabeled onto 1, 2,
+    # both are the empty model on two coordinates, one shape entry and one
+    # rank, of the first model that asked
     empty = [build_cubical(k).fixed_subcomplex(i) for i in (0b0101, 0b1001)]
     assert empty[0].faces == empty[1].faces == ()
     assert [c.ambient for c in empty] == [0b1010, 0b0110]
     assert [c.betti().total for c in empty] == [0, 0]
-    assert set(cohomology._memo) == {cells_key(c) for c in empty} | {(0b11, 0, ())}
-    assert [cells_key(c) for c in ranked] == [(0b11, 0, ())]
+    assert set(cohomology._raw_memo) == {cells_key(c) for c in empty}
+    assert set(cohomology._memo) == {(0b11, 0, ())}
+    assert [cells_key(c) for c in ranked] == [(0b1010, 0, ())]
 
 
 def relabel(mask, labels):
@@ -570,7 +571,87 @@ def test_shifted_padded_and_relabeled_copies_share_one_entry(monkeypatch):
     assert [c.betti() for c in models] == [models[0].betti()] * 4
     assert models[0].betti() == hochster_real_betti(k)
     assert [cells_key(c) for c in ranked] == [cells_key(models[0])]
-    assert {cells_key(c.squeezed()) for c in models} == {cells_key(models[0])}
+    assert len({shape(c.faces, c.ambient) for c in models}) == 1
+
+
+def test_isomorphic_copies_in_another_vertex_order_share_one_entry(monkeypatch):
+    # a triangle with a path of two edges on 1..5 and the ghost 6, and a copy
+    # in another vertex order: the tables and the plain model's rank are
+    # computed for the first and read for the copy, whose raw keys differ.
+    # Each vertex but 1 and 2, which an automorphism swaps, lies in masks
+    # of its own numbers and sizes, so the copy has the same shape
+    ranked = spy_ranks(monkeypatch)
+    walked = []
+    walk = moment_angle._walk_tables
+    monkeypatch.setattr(moment_angle, "_walk_tables", lambda c: walked.append(c) or walk(c))
+    facets = [[1, 2, 3], [3, 4], [4, 5]]
+    labels = [5, 3, 6, 1, 4, 2]
+    k = SimplicialComplex.from_facets(6, facets)
+    copy = SimplicialComplex.from_facets(6, [[labels[v - 1] for v in f] for f in facets])
+    assert copy.facets != k.facets and copy.ghost_mask == 0b000010
+    tables = [(hochster_real_betti(c), hochster_complex_betti(c)) for c in (k, copy)]
+    assert tables[0] == tables[1]
+    assert list(tables[0][0].dims) == hochster_real_dense(facets, 6)
+    assert walked == [k]
+    ranks = [build_cubical(c).betti() for c in (k, copy)]
+    assert ranks[0] is ranks[1]
+    assert ranked == [build_cubical(k)]
+
+
+class _Forgetful(dict):
+    """A cache that keeps nothing, so that every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _Shaped(dict):
+    """Sketches as if each had been met before: every raw miss is shaped."""
+
+    def pop(self, key, default=None):
+        return None
+
+
+def test_every_memo_key_names_one_result(monkeypatch):
+    # with the raw keys forgotten and every miss looked up by its shape,
+    # each result is computed afresh on the object that asks, and a key
+    # asked for twice must name the same result. Over the tables of each
+    # complex and link and the plain and fixed models: every I of every
+    # complex at m <= 4, three I of each flag complex at m = 5, and seeded
+    # complexes with ghost vertices at m = 5-7, fixed on faces and non-faces
+    seen = {}
+    asked = Counter()
+    memoized = cohomology.memoized
+
+    def recording(key, compute, arg, cache=None):
+        if cache is not None:
+            return memoized(key, compute, arg, cache)
+        value = compute(arg)
+        assert seen.setdefault(key, value) == value, (key, arg)
+        asked[len(key)] += 1
+        return value
+
+    monkeypatch.setattr(cohomology, "memoized", recording)
+    monkeypatch.setattr(cohomology, "_raw_memo", _Forgetful())
+    monkeypatch.setattr(cohomology, "_sketches", _Shaped())
+    cases = [(k, list(submasks(k.ambient))) for m in range(1, 5) for k in all_complexes(m)]
+    cases += [(k, [0, 0b00001, 0b00011]) for k in flag_complexes(5)]
+    rng = random.Random(34)
+    for _ in range(40):
+        m = rng.randint(5, 7)
+        used = rng.sample(range(1, m + 1), m - rng.randint(1, 2))
+        facets = [[v] for v in used]
+        facets += [rng.sample(used, rng.randint(2, min(4, len(used)))) for _ in range(4)]
+        k = SimplicialComplex.from_facets(m, facets)
+        cases.append((k, [0] + rng.sample(k.faces(), 4) + [rng.getrandbits(m) for _ in range(2)]))
+    for k, i_masks in cases:
+        hochster_real_betti(k)
+        for i_mask in i_masks:
+            fixed_betti_via_link(k, i_mask)
+            build_cubical(k).fixed_subcomplex(i_mask).betti()
+    # tables have two fields and models three: each key met many times
+    assert Counter(len(key) for key in seen) == {2: 159, 3: 159}
+    assert asked[2] > 10 * 159 and asked[3] > 10 * 159, asked
 
 
 def test_a_model_of_faces_not_closed_names_its_precondition():
@@ -810,9 +891,28 @@ def test_the_sums_walk_a_core_out_of_order_relabeled(monkeypatch):
     assert cohomology._faces_by_size(shifted.faces()) == relabeled
 
 
-def test_the_tables_do_not_depend_on_the_vertex_labels():
+def test_the_tables_do_not_depend_on_the_vertex_labels(monkeypatch):
     # the peel order and the lane order follow the labels; the sums must
-    # not. Past m = 12 the cores span more than one lane block
+    # not. Past m = 12 the cores span more than one lane block. The memo
+    # would hand a relabeled copy the tables of the first, so each
+    # labeling is a new complex, walked with the memo cleared, and so is
+    # each model within the cubical cap, ranked
+    walked = []
+    walk = moment_angle._walk_tables
+    monkeypatch.setattr(moment_angle, "_walk_tables", lambda c: walked.append(c) or walk(c))
+    ranked = spy_ranks(monkeypatch)
+
+    def afresh(m, facets):
+        cohomology.clear_caches()
+        del walked[:], ranked[:]
+        k = SimplicialComplex.from_facets(m, facets)
+        tables = hochster_real_betti(k), hochster_complex_betti(k)
+        model = build_cubical(k) if m <= 8 else None
+        rank = model and model.betti()
+        # each labeling walks its own K and ranks its own model
+        assert walked[:1] == [k] and ranked == ([model] if model else []), facets
+        return tables, rank
+
     rng = random.Random(41)
     cases = []
     for _ in range(40):
@@ -828,11 +928,11 @@ def test_the_tables_do_not_depend_on_the_vertex_labels():
     for m, facets in cases:
         k = SimplicialComplex.from_facets(m, facets)
         blocks += moment_angle._peel(k)[0].vertices_mask.bit_count() > cohomology.LANE_BITS
+        want = afresh(m, facets)
         perm = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
         for relabel in ({v: m + 1 - v for v in perm}, perm):
-            other = SimplicialComplex.from_facets(m, [[relabel[v] for v in f] for f in facets])
-            assert hochster_real_betti(k) == hochster_real_betti(other), (m, facets, relabel)
-            assert hochster_complex_betti(k) == hochster_complex_betti(other), (m, facets, relabel)
+            other = [[relabel[v] for v in f] for f in facets]
+            assert afresh(m, other) == want, (m, facets, relabel)
     assert blocks == 2
 
 

@@ -4,16 +4,17 @@ import gc
 import json
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _labels, cliques_of, faces_of
+from oracles import _labels, cliques_of, faces_of, relabeled_images
 from shapes import complete_graph, cycle_graph, empty_graph, void_complex
 from rzformal import Graph, SimplicialComplex
-from rzformal.simplicial import label_mask, mask_vertices, submasks
+from rzformal.census import all_complexes, flag_complexes
+from rzformal.simplicial import label_mask, mask_vertices, shape, submasks
 
 
 def facet_sets(k):
@@ -302,3 +303,58 @@ def test_clique_complex_is_flag_and_matches_graph(m, raw_edges):
     }
     # the 1-skeleton of a clique complex is the graph
     assert k.neighbours() == g.adj
+
+
+def by_size(masks):
+    return tuple(sorted(masks, key=lambda g: (g.bit_count(), g)))
+
+
+def test_a_shape_is_the_masks_under_one_bijection_of_the_ambient_set():
+    # seeded complexes at m <= 8 with up to two ghost vertices, and their
+    # links, on gapped ambient sets: the facets (a Hochster key) and the
+    # faces (a cubical key) of each. The shape is their image under a
+    # bijection of the ambient set onto bits 0..m-1: by brute force over
+    # all m! bijections at m <= 6, and at every m the image under the one
+    # that orders the vertices by (masks holding it, their size sum, label)
+    rng = random.Random(34)
+    brute = ghosts = 0
+    for _ in range(80):
+        m = rng.randint(1, 8)
+        used = rng.sample(range(1, m + 1), m - rng.randint(0, min(2, m - 1)))
+        facets = [[v] for v in used]
+        facets += [rng.sample(used, rng.randint(1, min(4, len(used)))) for _ in range(rng.randint(0, 5))]
+        k = SimplicialComplex.from_facets(m, facets)
+        for c in [k] + [k.link(f) for f in rng.sample(k.faces(), min(3, len(k.faces())))]:
+            ghosts += c.ghost_mask != 0
+            for masks in (c.facets, c.faces()):
+                got = shape(masks, c.ambient)
+
+                def rank(v):
+                    holding = [f for f in masks if f >> (v - 1) & 1]
+                    return len(holding), sum(f.bit_count() for f in holding), v
+
+                to = {v: r for r, v in enumerate(sorted(mask_vertices(c.ambient), key=rank))}
+                assert got == by_size(sum(1 << to[v] for v in mask_vertices(f)) for f in masks)
+                if c.m <= 6:
+                    assert got in relabeled_images(masks, c.ambient), (c, masks)
+                    brute += 1
+    assert brute > 300 and ghosts > 50
+
+
+def test_equal_shapes_are_isomorphic_complexes():
+    # the 1,024 flag complexes on 5 vertices fall into 34 isomorphism
+    # classes, and the all-complexes on 4 into 20. A brute-force canonical
+    # form, the least image of the facets over all m! relabelings, tells
+    # the classes apart: no shape of the facets or of the faces is shared
+    # by two classes
+    for m, complexes, classes in ((5, flag_complexes(5), 34), (4, all_complexes(4), 20)):
+        perms = list(permutations(range(m)))
+        seen = {}
+        for k in complexes:
+            form = min(
+                by_size(sum(1 << p[v - 1] for v in mask_vertices(f)) for f in k.facets)
+                for p in perms
+            )
+            for key in (("facets", shape(k.facets, k.ambient)), ("faces", shape(k.faces(), k.ambient))):
+                assert seen.setdefault(key, form) == form, (k, key)
+        assert len(set(seen.values())) == classes
