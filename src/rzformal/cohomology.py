@@ -21,7 +21,8 @@ restriction test's face lists, keyed by the tuple itself. ``_memo`` holds
 the Hochster tables and cubical ranks, which no relabeling of the
 vertices changes: keys are taken up to any relabeling. An entry is
 looked up under its raw key, in ``_raw_memo``, and on a miss under its
-shape key, the key of an isomorphic copy on 1..m (``simplicial.shape``).
+shape key, the key of an isomorphic copy on 1..m (``simplicial.shape``),
+once a second raw key alike in m and kind has come.
 The general criterion keeps each restriction test per (J, σ) on the
 complex it walks, in a dict of its own under the same policy.
 
@@ -72,9 +73,9 @@ class BettiTable(NamedTuple):
         return {"min_degree": self.min_degree, "dims": dims, "total": self.total}
 
 
-# census flag m=5 meets 1,856 raw cubical and 1,830 raw table keys, of 110
-# and 107 shapes; kept to the last 1,024 used, raw keys apart, it runs 118
-# ranks and 114 walks (114 and 110 without the bound, 185 and 180 when raw
+# census flag m=5 meets 1,856 raw cubical and 1,830 raw table keys, of 114
+# and 110 shapes; kept to the last 1,024 used, raw keys apart, it ranks and
+# walks each shape once, as without the bound (185 and 180 times when raw
 # keys took ``_memo`` slots), and the memo adds under 1 MB to its peak.
 # Its general criterion tests 12,237 (J, σ) per walked complex where it
 # tested 21,705 (K, I, J). A formal non-cone check at m = 18 would keep
@@ -83,7 +84,8 @@ MEMO_BOUND = 1024
 _memo: dict[tuple, object] = {}
 # the raw keys of ``_memo``'s results, in slots of their own
 _raw_memo: dict[tuple, object] = {}
-# per sketch of raw keys, its one raw key not yet shaped, or None
+# per sketch (m, kind) of raw keys, its one raw key not yet shaped, or
+# None: at most two entries per m, so unbounded
 _sketches: dict[tuple, tuple | None] = {}
 # apart from ``_memo``: sharing one dict makes each evict the other's hits
 _hom_cache: dict[tuple[int, ...], BettiTable] = {}
@@ -106,15 +108,14 @@ def memoized_up_to_relabeling(raw: tuple, compute, arg):
     isomorphic copy on 1..m, which has the same result. ``compute`` runs
     on ``arg`` itself.
 
-    A shape costs more than a lookup, and only raw keys alike in m, kind,
-    mask count and size sum can be isomorphic. So the first raw key of
-    each such sketch is only noted in ``_sketches``, and shaped when a
-    second one comes. In one ``check``, K and lk_K(I) differ in m.
+    A shape costs more than a lookup, and only raw keys alike in m and
+    kind can be isomorphic. So the first raw key of each such sketch is
+    only noted in ``_sketches``, and shaped when a second one comes. In
+    one ``check``, K and lk_K(I) differ in m.
     """
     value = _raw_memo.pop(raw, None)
     if value is None:
-        masks = raw[-1]
-        sketch = (raw[0].bit_count(), *raw[1:-1], len(masks), sum(map(int.bit_count, masks)))
+        sketch = (raw[0].bit_count(), *raw[1:-1])
         first = _sketches.pop(sketch, raw)
         if first is raw:  # nothing met so far can be isomorphic to it
             value = compute(arg)
@@ -123,7 +124,7 @@ def memoized_up_to_relabeling(raw: tuple, compute, arg):
                 _keep(_memo, _shape_key(first), _raw_memo[first])
             value = memoized(_shape_key(raw), compute, arg)
         # None once the sketch's raw keys are shaped as they come
-        _keep(_sketches, sketch, raw if first is raw else None)
+        _sketches[sketch] = raw if first is raw else None
     _keep(_raw_memo, raw, value)
     return value
 

@@ -82,11 +82,9 @@ def flag_criterion(k: SimplicialComplex, i_mask: int) -> FormalityReport:
     and otherwise the masks are tried in order.
     """
     _check_input(k, i_mask)
-    if not k.is_flag():
-        raise InputError("flag criterion requires flag complex")
+    union, obstructions = _obstructions(k)
     if not k.has_face(i_mask):
         return _not_a_face("flag_criterion", i_mask)
-    union, obstructions = _obstructions(k)
     if i_mask & union:
         for j1, j2, bad in obstructions:
             off = i_mask & bad
@@ -101,10 +99,12 @@ def _obstructions(k: SimplicialComplex) -> tuple[int, tuple[tuple[int, int, int]
     """(union, (j1, j2, bad) per non-edge {j1 < j2} in lexicographic order), cached.
 
     ``bad`` holds the vertices off {j1, j2} that are not common neighbours
-    of j1 and j2.
+    of j1 and j2. A complex that is not flag is refused on the first call.
     """
     found = k._cache.get("flag_obstructions")
     if found is None:
+        if not k.is_flag():
+            raise InputError("flag criterion requires flag complex")
         adj, verts = k.neighbours(), k.vertices_mask
         union, obstructions = 0, []
         for j1 in mask_vertices(verts):
@@ -161,19 +161,12 @@ def _restricted(args: tuple[SimplicialComplex, int, int, int]) -> bool:
 def _walked(k: SimplicialComplex):
     """The (J, β̃(K_J)) of ``subset_walk(k.faces())``, one walk per complex.
 
-    The items found and the walk that finds the rest are kept on ``k``: a
-    later I reads the items, then resumes the walk where an earlier I
-    stopped at its witness. A finished walk is kept as the plain list of
-    its items, which later I iterate as it is. A walk that raised is dropped.
+    The items found and the walk that finds the rest are kept on ``k``, as
+    the pair ``k._cache["walk"]``: a later I reads the items, then resumes
+    the walk where an earlier I stopped at its witness. A walk that raised
+    is dropped.
     """
     walked = k._cache.get("walk")
-    if walked.__class__ is list:
-        return walked
-    return _walking(k, walked)
-
-
-def _walking(k: SimplicialComplex, walked: tuple | None):
-    """The items of the unfinished walk ``walked`` kept on ``k``, then the rest."""
     if walked is None:
         walked = k._cache["walk"] = [], subset_walk(k.faces())
     found, walk = walked
@@ -182,7 +175,6 @@ def _walking(k: SimplicialComplex, walked: tuple | None):
         try:
             item = next(walk)
         except StopIteration:
-            k._cache["walk"] = found
             return
         except BaseException:
             del k._cache["walk"]

@@ -220,11 +220,11 @@ def test_a_census_under_a_tiny_memo_bound_keeps_its_bytes(tmp_path, monkeypatch,
 
 
 def test_the_flag_census_on_five_vertices_ranks_and_walks_once_per_shape(tmp_path, monkeypatch):
-    # its 1,024 complexes fall into 34 isomorphism classes; under the
-    # memo bound, the cubical models of the whole census are ranked 118
-    # times and the Hochster tables walked 114 times (a cone's walk hands
-    # over to its link's), where keys up to order-preserving relabeling
-    # ranked 1,319 and walked 1,315
+    # its 1,024 complexes fall into 34 isomorphism classes; the memo
+    # meets 114 shapes of cubical models and 110 of Hochster tables, and
+    # under its bound ranks each model shape once and walks each table
+    # shape once (a cone's walk hands over to its link's), where keys up
+    # to order-preserving relabeling ranked 1,319 and walked 1,315
     from rzformal import moment_angle
 
     counts = {"rank": 0, "walk": 0}
@@ -241,7 +241,7 @@ def test_the_flag_census_on_five_vertices_ranks_and_walks_once_per_shape(tmp_pat
     cohomology.clear_caches()
     summary = run_census(5, "flag", tmp_path / "c.jsonl")
     assert summary["records"] == 32768 and summary["disagreements"] == 0
-    assert counts == {"rank": 118, "walk": 114}
+    assert counts == {"rank": 114, "walk": 110}
 
 
 def test_verify_reuses_the_complex_and_reports_only_the_flipped_line(tmp_path, monkeypatch):

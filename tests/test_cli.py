@@ -964,3 +964,42 @@ def test_a_refusal_no_command_reaches_stays_a_plain_value_error(case):
     with pytest.raises(ValueError) as exc:
         MISUSES[case]()
     assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("kind", ["nonflag", "cone"])
+def test_a_single_check_computes_no_shape(files, capsys, monkeypatch, kind):
+    # the memo shapes a raw key only when a second key of its m and kind
+    # comes, and K and its links differ in m: a cold m = 12 check of a
+    # random non-flag complex, or of a cone with I = {apex}, computes no
+    # shape at all. Each complex is every vertex, then triangles covering
+    # them, then random triangles
+    from rzformal import cohomology
+
+    m = 12
+    rng = random.Random(f"one check:{kind}")
+
+    def triangles(n_vertices, n):
+        perm = rng.sample(range(1, n_vertices + 1), n_vertices)
+        perm += perm[: -n_vertices % 3]
+        cover = [perm[i:i + 3] for i in range(0, len(perm), 3)]
+        extra = [rng.sample(range(1, n_vertices + 1), 3) for _ in range(n - len(cover))]
+        return [[v] for v in range(1, n_vertices + 1)] + [sorted(t) for t in cover + extra]
+
+    if kind == "cone":
+        facets, i_vertex = [f + [m] for f in triangles(m - 1, 10)], m
+    else:
+        facets = triangles(m, 14)
+        while SimplicialComplex.from_facets(m, facets).is_flag():
+            facets = triangles(m, 14)
+        i_vertex = rng.randint(1, m)
+    _, write = files
+    path = write("k.json", {"m": m, "facets": facets})
+    shaped = []
+    shape = cohomology.shape
+    monkeypatch.setattr(cohomology, "shape", lambda masks, keep: shaped.append(masks) or shape(masks, keep))
+    cohomology.clear_caches()
+    rc = run(["check", path, "--I", str(i_vertex), "--method", "all"])
+    reports = json.loads(capsys.readouterr().out)
+    assert rc == 0 if kind == "cone" else rc in (0, 1)
+    assert len({r["verdict"] for r in reports}) == 1
+    assert shaped == []

@@ -470,22 +470,20 @@ def test_a_walk_resumed_across_i_gives_the_reports_of_fresh_walks(monkeypatch):
 
 def test_a_finished_walk_is_kept_as_the_list_of_its_items(monkeypatch):
     # C4 with I = {1} is formal, so its walk runs to the end; every later I
-    # iterates the list of what it found and never walks again
+    # reads the list of what it found and never walks again
     k = cycle_graph(4).clique_complex()
     assert general_criterion(k, 0b0001).formal
     walked = k._cache["walk"]
-    assert walked.__class__ is list
-    assert walked == list(cohomology.subset_walk(k.faces()))
+    found, _ = walked
+    assert found == list(cohomology.subset_walk(k.faces()))
+    fresh = cycle_graph(4).clique_complex()
+    expected = [general_criterion(fresh, i_mask) for i_mask in range(16)]
 
     def refuse(faces):
         raise AssertionError("a finished walk was walked again")
 
     monkeypatch.setattr(formality, "subset_walk", refuse)
-    assert formality._walked(k) is walked
-    fresh = cycle_graph(4).clique_complex()
-    monkeypatch.setattr(formality, "subset_walk", cohomology.subset_walk)
-    for i_mask in range(16):
-        assert general_criterion(k, i_mask) == general_criterion(fresh, i_mask)
+    assert [general_criterion(k, i_mask) for i_mask in range(16)] == expected
     assert k._cache["walk"] is walked
 
 
@@ -509,6 +507,18 @@ def test_every_i_of_a_complex_reads_the_totals_summed_once(monkeypatch):
     assert [c is k for c in ran["real"]].count(True) == 2
     assert [c is k for c in ran["complex"]].count(True) == 1
     assert moment_angle.betti_totals(k) == (real(k).total, cplx(k).total)
+
+
+def test_every_i_of_a_flag_complex_reads_the_flag_bit_once(monkeypatch):
+    # evaluate_all reads it for each record, and the flag criterion only
+    # when it first builds the obstructions it keeps on K
+    k = cycle_graph(5).clique_complex()
+    reads = []
+    is_flag = SimplicialComplex.is_flag
+    monkeypatch.setattr(SimplicialComplex, "is_flag", lambda c: reads.append(c) or is_flag(c))
+    for i_mask in range(32):
+        assert reports_agree(evaluate_all(k, i_mask))
+    assert len(reads) == 33
 
 
 def test_the_oracles_read_the_cap_before_the_kept_totals(monkeypatch):
