@@ -30,7 +30,7 @@ from . import census as census_mod
 from . import formality, moment_angle
 from .f2 import Subgroup
 from .group_report import coabelian_report
-from .simplicial import Graph, InputError, SimplicialComplex, label_mask, read_caps_once
+from .simplicial import Graph, InputError, SimplicialComplex, label_mask, natural, read_caps_once
 
 EXIT_INPUT_ERROR = 3
 EXIT_FAULT = 4
@@ -72,13 +72,10 @@ def _load_complex(path: str) -> SimplicialComplex:
 
 
 def _parse_vertex_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
+    """The comma-separated vertices of ``--I``, each in ASCII digits, spaces around it allowed."""
+    if not text.strip():
         return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise InputError(f"expected comma-separated vertices, got {text!r}") from None
+    return tuple(natural(part.strip(), "each vertex of --I") for part in text.split(","))
 
 
 def _emit(obj) -> None:
@@ -124,7 +121,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_census(args) -> int:
-    summary = census_mod.run_census(args.max_vertices, args.mode, args.out, args.jobs)
+    m, jobs = natural(args.max_vertices, "--max-vertices"), natural(args.jobs, "--jobs")
+    summary = census_mod.run_census(m, args.mode, args.out, jobs)
     print(
         "census mode={mode} m={m} complexes={complexes} records={records} "
         "disagreements={disagreements} out={out}".format(**summary),
@@ -179,11 +177,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("census", help="exhaustive (K, I) census to JSONL")
-    p.add_argument("--max-vertices", type=int, required=True, help="vertex count m")
+    p.add_argument("--max-vertices", required=True, help="vertex count m")
     p.add_argument("--mode", choices=["flag", "all-complexes"], default="flag")
     p.add_argument("--out", required=True, help="output JSONL path, - for stdout")
     p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at most the CPU count"
+        "--jobs", default="1", help="worker processes, at most the CPU count"
     )
     p.set_defaults(func=cmd_census)
 

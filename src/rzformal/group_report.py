@@ -14,7 +14,6 @@ Corank is read as m minus rank(A) throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .f2 import Subgroup
@@ -29,18 +28,6 @@ class PoincareSeries:
 
     numerator: tuple[int, ...]
     r: int
-
-    def coefficient(self, n: int) -> int:
-        if n < 0:
-            return 0
-        if self.r == 0:
-            return self.numerator[n] if n < len(self.numerator) else 0
-        total = 0
-        for s, a in enumerate(self.numerator):
-            if s > n:
-                break
-            total += a * math.comb(n - s + self.r - 1, self.r - 1)
-        return total
 
     def to_json_obj(self) -> dict:
         return {"numerator": list(self.numerator), "r": self.r}

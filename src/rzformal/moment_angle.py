@@ -222,7 +222,9 @@ class CubicalComplex:
         """Cells of one dimension lower in the F2 boundary of ``cell``.
 
         The intervals are the coordinates in both masks; the ends of one,
-        {-1} and {1}, drop it from both masks or from lo.
+        {-1} and {1}, drop it from both masks or from lo. The cell-level
+        reference for the columns that ``_rank`` builds from the faces,
+        which never generate a cell.
         """
         out = []
         w = self._w
@@ -250,21 +252,20 @@ class CubicalComplex:
         The column of cell i of ``face`` is the sum over v of ``mask`` shifted
         by ins(i, p) = 2i − (i & low), low = 2^p − 1, which inserts a 0 bit
         into i at p, the number of bits of ``ambient ∖ face`` below v: the
-        ends of v are the cells of ``face ∖ v`` whose patterns are i with v
-        at bit p. The masks are read off ``boundary`` of the cell i = 0.
+        ends of v, {-1} and {1}, are the cells of ``face ∖ v`` whose patterns
+        are i with 0 or 1 at bit p, so ``mask`` is bits 0 and 2^p shifted by
+        ``base[face ∖ v]``. Raises ValueError if ``face ∖ v`` is not a face.
         """
-        w, off = self._w, self.ambient & ~face
-        ends: dict[int, int] = {}
-        for child in self.boundary(face | face << w):
-            lo = child & ((1 << w) - 1)
-            index, ones = base[lo], child >> w & ~lo  # ones: the coordinates at {1}
-            while ones:
-                u = ones & -ones
-                index += 1 << (self.ambient & ~lo & u - 1).bit_count()
-                ones ^= u
-            v = face ^ lo
-            ends[v] = ends.get(v, 0) | 1 << index
-        return [(mask, (1 << (off & v - 1).bit_count()) - 1) for v, mask in ends.items()]
+        off, parts, rest = self.ambient & ~face, [], face
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            row = base.get(face ^ v)
+            if row is None:
+                raise ValueError(_NOT_CLOSED)
+            low = (1 << (off & v - 1).bit_count()) - 1
+            parts.append(((1 | 1 << low + 1) << row, low))
+        return parts
 
     def _rank(self) -> BettiTable:
         """β_d = c_d − r_d − r_(d+1) at entry d + 1, the ranks r by ``add_faces``.
@@ -274,19 +275,10 @@ class CubicalComplex:
         a boundary in the span of those of the rows before it. Its column
         is never built and counts as zero; r_(d−1) is unchanged.
 
-        A column's rows are found by ``_columns`` from the faces alone, so
-        closure is checked on the faces. The boundary cells of a cell of
-        sigma are, for each v in sigma, cells of sigma ∖ v, which exist
-        exactly when sigma ∖ v is a face.
+        ``_columns`` runs on every face of size ≥ 1, cleared or not, and
+        looks up each face sigma ∖ v: those lookups check that the faces
+        are closed under removing a vertex.
         """
-        faces = set(self.faces)
-        for f in self.faces:
-            rest = f
-            while rest:
-                v = rest & -rest
-                if f ^ v not in faces:
-                    raise ValueError(_NOT_CLOSED)
-                rest ^= v
         base, sizes = self._offsets()
         by_dim: list[list[int]] = [[] for _ in sizes]
         for f in self.faces:

@@ -148,17 +148,24 @@ CAPS = {
 _read_caps: dict[str, int] | None = None
 
 
+def natural(text: str, what: str) -> int:
+    """The integer that ``text``, the input ``what``, writes in ASCII digits alone.
+
+    ``int`` would also read a sign, underscores, spaces and other scripts'
+    digits; an integer from outside is refused unless it is digits 0-9.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise InputError(f"{what} must be a non-negative integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise InputError(str(exc)) from None
+
+
 def _cap_from_env(name: str) -> int:
     env, default, _ = CAPS[name]
     raw = os.environ.get(env)
-    if raw is None:
-        return default
-    if not (raw.isascii() and raw.isdigit()):
-        raise InputError(f"{env} must be a non-negative integer, got {raw!r}")
-    try:
-        return int(raw)
-    except ValueError as exc:  # more digits than int() converts
-        raise InputError(str(exc)) from None
+    return default if raw is None else natural(raw, env)
 
 
 def cap(name: str) -> int:

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from itertools import combinations
@@ -383,3 +384,77 @@ def test_criterion_11_group_h1_on_a_sample_at_m5_and_m6():
         print(f"group H^1: {len(pairs)} pairs, {formal} formal, {short} strictly short")
 
     _report(11, "group H^1 = rank A + beta_1 when formal, m=5-6 sample", body)
+
+
+# The torus oracle's two totals, which the torus real-total patch reads
+# off the real tables instead
+_TORUS_TOTALS = """\
+    ambient_total = moment_angle.betti_totals(k)[1]
+    fixed_total = 0
+    if k.has_face(i_mask):
+        fixed_total = moment_angle.betti_totals(k.link(i_mask))[1]
+"""
+
+# Standing mutants: name -> (module of the package, old text, new text).
+# Each is applied to a copy of the package, and the fast subset below must
+# fail on the copy, unless the name is in _SURVIVORS.
+_MUTANTS = {
+    # one end per interval. Over F2, e+ -> e- + e+ maps the one-ended pair
+    # (interval, S^0) onto the two-ended one, so the polyhedral products are
+    # isomorphic chain complexes and every Betti number is unchanged: only
+    # test_each_column_is_the_boundary_of_its_cell, against ``boundary``,
+    # catches it
+    "cubical-one-end": ("moment_angle.py", "((1 | 1 << low + 1) << row, low)", "(1 << row, low)"),
+    # p counted over the ambient set instead of over ambient ∖ sigma
+    "cubical-p-over-ambient": (
+        "moment_angle.py", "(off & v - 1).bit_count()", "(self.ambient & v - 1).bit_count()"
+    ),
+    # the closure lookup dropped: a missing face sigma ∖ v reads as index 0
+    "cubical-closure-dropped": ("moment_angle.py", "base.get(face ^ v)", "base.get(face ^ v, 0)"),
+    "torus-real-totals": ("formality.py", _TORUS_TOTALS, _TORUS_TOTALS.replace(")[1]", ")[0]")),
+}
+
+# mutants expected to pass the fast subset, and why
+_SURVIVORS = {
+    "torus-real-totals": "_walk_tables reads the real and complex tables off one table of"
+    " sums, so their totals are equal, until the torus route has a cell model of its own",
+}
+
+# both m = 4 censuses through run_census, and the route tests
+_FAST_SUBSET = [
+    "test_moment_angle.py",
+    "test_formality.py",
+    "test_cohomology.py",
+    "test_census.py::test_census_m4_bytes_are_pinned",
+]
+
+
+@pytest.mark.skipif(
+    os.environ.get("RZFORMAL_EXTENDED") != "1",
+    reason="the fast subset once per standing mutant; set RZFORMAL_EXTENDED=1 to run",
+)
+@pytest.mark.parametrize("name", ["unpatched", *_MUTANTS])
+def test_criterion_12_each_standing_mutant_fails_the_fast_subset(tmp_path, name):
+    # the unpatched copy must pass, so that a failure is the patch's
+    def body():
+        package = tmp_path / "rzformal"
+        shutil.copytree(
+            Path(rzformal.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        if name != "unpatched":
+            module, old, new = _MUTANTS[name]
+            text = (package / module).read_text()
+            assert text.count(old) == 1, f"{name}: its old text occurs {text.count(old)} times"
+            (package / module).write_text(text.replace(old, new))
+        tests = Path(__file__).parent
+        env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *(str(tests / t) for t in _FAST_SUBSET)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        # exit 1: tests ran and one failed; 0: all passed
+        caught = name not in _SURVIVORS and name != "unpatched"
+        assert proc.returncode == (1 if caught else 0), proc.stdout[-4000:]
+
+    _report(12, f"standing mutant {name}", body)

@@ -97,7 +97,8 @@ def test_check_flag_method_on_non_flag_is_input_error(files, capsys):
 def test_check_bad_vertex_list_is_input_error(files, capsys):
     _, write = files
     c3 = write("c3.json", {"m": 3, "facets": [[1, 2], [2, 3], [1, 3]]})
-    for bad in ("1,zebra", "0", "-1", "4"):
+    # int() would read the Arabic-Indic 3 as 3, 1_0 as 10 and +1 as 1
+    for bad in ("1,zebra", "0", "-1", "4", "٣", "1_0", "+1"):
         assert run(["check", c3, "--I", bad]) == 3, bad
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
@@ -610,6 +611,20 @@ def test_census_jobs_below_one_is_input_error(files, capsys, jobs):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--max-vertices", "--jobs"])
+@pytest.mark.parametrize("bad", ["٢", "1_0", "+1", " 2", ""])
+def test_census_counts_are_ascii_digits_alone(files, capsys, option, bad):
+    # int() would read the Arabic-Indic 2 as 2, 1_0 as 10, +1 as 1 and " 2" as 2
+    tmp_path, _ = files
+    out = tmp_path / "x.jsonl"
+    argv = {"--max-vertices": "2", "--jobs": "1", "--out": str(out), option: bad}
+    assert run(["census", *(x for pair in argv.items() for x in pair)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} must be a non-negative integer, got {bad!r}\n"
     assert not out.exists()
 
 
