@@ -6,15 +6,19 @@ Conventions for the augmented cochain complex:
   cohomology F2 there and a nonvoid complex with a vertex has none;
 * the void complex has no faces and zero cohomology everywhere.
 
-Betti numbers come from two column reductions. ``add_faces`` reduces
-the columns of one complex: the ``boundary_items`` of a whole face list
-in ``hom_data``, the faces beyond {v} that each J ∪ v adds to K_J in
-``subset_walk``, the general criterion's lazy walk over vertex subsets J,
-and the cells of a cubical model, top dimension first with clearing: a
-cell at a pivot row one dimension up gets no column (``moment_angle``).
-``subset_sums`` reduces the columns of every full subcomplex K_J at once,
-one J per bit of an int, for the Hochster sums over all J; one J at a
-time, those cost a Python loop pass per J. Shared results follow one policy,
+Betti numbers come from ranks, β̃_d = f_d − r_d − r_(d+1) with f_d the
+d-faces and r_d the rank of their boundary columns, by two column
+reductions. ``add_faces`` reduces the columns of one complex into a
+pivot dict and keeps no Betti numbers: its callers count the pivots it
+adds. It serves the ``boundary_items``
+of a whole face list in ``hom_data``, the faces beyond {v} that each
+J ∪ v adds to K_J in ``subset_walk``, the general criterion's lazy walk
+over vertex subsets J, and the cells of a cubical model, one dimension
+per call, top first with clearing: a cell at a pivot row one dimension
+up gets no column (``moment_angle``). ``subset_sums`` reduces the
+columns of every full subcomplex K_J at once, one J per bit of an int,
+for the Hochster sums over all J; one J at a time, those cost a Python
+loop pass per J. Shared results follow one policy,
 ``memoized``: each cache keeps the ``MEMO_BOUND`` entries used last, each
 keyed by the data it is computed from. ``_hom_cache`` holds the
 restriction test's face lists, keyed by the tuple itself. ``_memo`` holds
@@ -75,8 +79,8 @@ class BettiTable(NamedTuple):
 
 # census flag m=5 meets 1,856 raw cubical and 1,830 raw table keys, of 114
 # and 110 shapes; kept to the last 1,024 used, raw keys apart, it ranks and
-# walks each shape once, as without the bound (185 and 180 times when raw
-# keys took ``_memo`` slots), and the memo adds under 1 MB to its peak.
+# walks each shape once, as without the bound, and the memo adds under 1 MB
+# to its peak.
 # Its general criterion tests 12,237 (J, σ) per walked complex where it
 # tested 21,705 (K, I, J). A formal non-cone check at m = 18 would keep
 # 30,948 face lists, and double its peak, without the bound
@@ -158,8 +162,8 @@ def _keep(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-def boundary_items(faces: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """(face, boundary column, |face|) per face, a column a bitmask over ``faces``."""
+def boundary_items(faces: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(face, boundary column) per face, a column a bitmask over ``faces``."""
     index = {f: i for i, f in enumerate(faces)}
     items = []
     for f in faces:
@@ -169,25 +173,23 @@ def boundary_items(faces: tuple[int, ...]) -> list[tuple[int, int, int]]:
             low = rest & -rest
             col |= 1 << index[f ^ low]
             rest ^= low
-        items.append((f, col, f.bit_count()))
+        items.append((f, col))
     return items
 
 
-def add_faces(items, pivots: dict[int, int], betti: list[int], added: list[int], within=-1) -> int:
-    """Reduce the (face, column, d + 1) items whose faces lie in ``within``.
+def add_faces(items, pivots: dict[int, int], added: list[int], within=-1) -> int:
+    """Reduce the (face, column) items whose faces lie in ``within``; return how many.
 
-    A d-face is a simplex of ``boundary_items`` or a d-cell of a cubical
-    model, its column a bitmask over positions of (d-1)-faces, reduced
-    against ``pivots``, keyed by highest bit. A d-face bears a d-cycle if
-    its column reduces to zero and else kills a (d-1)-class.
-    ``betti[d + 1]`` gains the change in β̃_d; it is exact whenever the
-    faces added so far, with those reduced before, form a complex, so
-    rows may sum the changes of many calls. New pivot keys go to
-    ``added``, so deleting them undoes the call. Returns the number of
-    faces reduced.
+    A face is a simplex of ``boundary_items`` or a cell of a cubical
+    model, its column a bitmask over the positions of the faces one
+    dimension lower. Each column is reduced against ``pivots``, keyed by
+    highest bit, and one that does not reduce to zero becomes the pivot
+    at its highest bit, whose key goes to ``added``: deleting those keys
+    undoes the call. So the columns' rank is the number of keys added,
+    and callers read every Betti number off ranks, β_d = c_d − r_d − r_(d+1).
     """
     taken = 0
-    for f, col, d in items:
+    for f, col in items:
         if f | within != within:
             continue
         taken += 1
@@ -197,15 +199,12 @@ def add_faces(items, pivots: dict[int, int], betti: list[int], added: list[int],
             if other is None:
                 pivots[p] = col
                 added.append(p)
-                betti[d - 1] -= 1
                 break
             col ^= other
-        else:
-            betti[d] += 1
     return taken
 
 
-def _walk_groups(faces: tuple[int, ...]) -> dict[int, list[tuple[int, int, int]]]:
+def _walk_groups(faces: tuple[int, ...]) -> dict[int, list[tuple[int, int]]]:
     """The ``boundary_items`` of faces of two or more vertices, by top vertex.
 
     Keyed by every vertex as a one-bit mask, each group ascending by face,
@@ -213,7 +212,7 @@ def _walk_groups(faces: tuple[int, ...]) -> dict[int, list[tuple[int, int, int]]
     """
     groups = {f: [] for f in faces if f.bit_count() == 1}
     for item in sorted(boundary_items(faces)):
-        if item[2] > 1:
+        if item[0].bit_count() > 1:
             groups[1 << item[0].bit_length() >> 1].append(item)
     return groups
 
@@ -230,8 +229,6 @@ def subset_walk(faces: tuple[int, ...]):
     and leaving J ∪ v deletes their pivots.
     """
     groups = _walk_groups(faces)
-    # ``add_faces`` counts its changes here; the totals come from the pivots
-    scratch = [0] * (max(map(int.bit_count, faces), default=0) + 1)
     pivots: dict[int, int] = {}
     added: list[int] = []
     if faces:  # K_∅ = {}: its one face bears a (-1)-cycle
@@ -250,7 +247,7 @@ def subset_walk(faces: tuple[int, ...]):
         above ^= v
         grown = j_mask | v
         if j_mask:
-            taken = add_faces(groups[v], pivots, scratch, added, grown)
+            taken = add_faces(groups[v], pivots, added, grown)
             total += 1 + taken - 2 * (len(added) - mark)
         else:
             total -= 1
@@ -407,8 +404,18 @@ def _pivot_lanes(cols: list[tuple[int, list[int]]], holding: tuple[int, ...], ev
 
 
 def _build_hom_data(faces: tuple[int, ...]) -> BettiTable:
-    betti = [0] * (max(map(int.bit_count, faces), default=-1) + 1)
-    add_faces(boundary_items(faces), {}, betti, [])
+    """β̃_d = f_d − r_d − r_(d+1) at entry d + 1, the size k of a d-face.
+
+    r at k, the rank of the columns of the k-vertex faces, counts their
+    pivots, each at the row of a face of k − 1 vertices.
+    """
+    added: list[int] = []
+    add_faces(boundary_items(faces), {}, added)
+    sizes = [f.bit_count() for f in faces]
+    rows = [sizes[p - 1] for p in added]  # row p is the face at position p − 1
+    top = max(sizes, default=-1)
+    ranks = [rows.count(k - 1) for k in range(top + 2)]
+    betti = [sizes.count(k) - ranks[k] - ranks[k + 1] for k in range(top + 1)]
     return BettiTable.from_row(betti, -1)
 
 
@@ -420,12 +427,12 @@ def hom_data(faces: tuple[int, ...]) -> BettiTable:
 def _restriction_map_trivial(faces: tuple[int, ...], sigma: int, total: int) -> bool:
     """Whether H̃*(X) -> H̃*(X ∖ st σ) vanishes, for a face σ of X.
 
-    Decided from ``total`` = β̃(X), then β̃ of the deletion (the faces not
-    containing σ), then β̃(lk_X σ) = β(X, X ∖ st σ), each only if the
-    ones before are nonzero. Any face order gives the same verdict.
+    Decided from β̃ of the deletion (the faces not containing σ), then,
+    only if that is nonzero, from β̃(lk_X σ) = β(X, X ∖ st σ) against
+    ``total`` = β̃(X). When β̃(X) = 0 the pair's sequence gives
+    β(X, X ∖ st σ) = β̃ of the deletion, so that case needs no test of its
+    own. Any face order gives the same verdict.
     """
-    if total == 0:
-        return True
     deleted = hom_data(tuple(f for f in faces if f & sigma != sigma)).total
     if deleted == 0:
         return True

@@ -268,12 +268,13 @@ class CubicalComplex:
         return parts
 
     def _rank(self) -> BettiTable:
-        """β_d = c_d − r_d − r_(d+1) at entry d + 1, the ranks r by ``add_faces``.
+        """β_d = c_d − r_d − r_(d+1) at entry d, r_d the rank of the d-columns.
 
-        Top dimension first, with clearing (Chen and Kerber, 2011): a
-        reduced d-column is a cycle, so the (d−1)-cell at its pivot row has
-        a boundary in the span of those of the rows before it. Its column
-        is never built and counts as zero; r_(d−1) is unchanged.
+        One ``add_faces`` call per dimension d ≥ 1, top dimension first,
+        with clearing (Chen and Kerber, 2011): a reduced d-column is a
+        cycle, so the (d−1)-cell at its pivot row has a boundary in the span
+        of those of the rows before it. Its column is never built and counts
+        as zero; r_(d−1) is unchanged. A 0-cell's column is empty: r_0 = 0.
 
         ``_columns`` runs on every face of size ≥ 1, cleared or not, and
         looks up each face sigma ∖ v: those lookups check that the faces
@@ -283,7 +284,7 @@ class CubicalComplex:
         by_dim: list[list[int]] = [[] for _ in sizes]
         for f in self.faces:
             by_dim[f.bit_count()].append(f)
-        betti = [0] * (len(sizes) + 1)
+        ranks = [0] * (len(sizes) + 1)
         cleared: set[int] = set()  # indices of (d−1)-cells at pivot rows
         for d in range(len(sizes) - 1, 0, -1):
             items = []
@@ -296,14 +297,12 @@ class CubicalComplex:
                     col = 0
                     for mask, low in parts:
                         col |= mask << (i << 1) - (i & low)
-                    items.append((first + i, col, d + 1))
-            betti[d + 1] += len(cleared)
+                    items.append((first + i, col))
             added: list[int] = []
-            add_faces(items, {}, betti, added)
+            add_faces(items, {}, added)
+            ranks[d] = len(added)
             cleared = {p - 1 for p in added}
-        if sizes:  # a 0-cell's column is empty
-            betti[1] += sizes[0]
-        return BettiTable.from_row(betti[1:], 0)
+        return BettiTable.from_row([c - r - s for c, r, s in zip(sizes, ranks, ranks[1:])], 0)
 
     def fixed_subcomplex(self, i_mask: int) -> "CubicalComplex":
         """The points fixed by reflections on ``i_mask``: those at 0 there.

@@ -11,6 +11,7 @@ slow to rank. ``verify_by_parsing`` is the census verifier that reads every
 line in full, the reference for the one that compares lines as bytes.
 """
 
+import io
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -494,13 +495,13 @@ def group_h1_dense(m, edges, a):
     return len(column) - _set_rank(rows)
 
 
-def verify_by_parsing(path):
-    """``census.verify_census`` with every line read by ``read_line`` and recomputed."""
+def verify_by_parsing(data):
+    """``census.verify_census`` of the bytes ``data``, every line read in full and recomputed."""
     mismatches, corrupt, records = [], [], 0
     last = (None, None)
-    with read_caps_once(), open(path, "rb") as f:
+    with read_caps_once():
         max_m = max(cap(f"census {mode}") for mode in census.MODES)
-        for lineno, raw in enumerate(f, 1):
+        for lineno, raw in enumerate(io.BytesIO(data), 1):
             records += 1
             try:
                 line, last, i_mask = census.read_line(raw, max_m, last)

@@ -27,5 +27,5 @@ def simplex(m):
     return SimplicialComplex((1 << m) - 1, [(1 << m) - 1])
 
 
-# the non-flag m = 8 complex of the CI's cubical cross-check at its cap
+# a non-flag m = 8 complex, at the cubical cap, for the cross-checks there
 CAP8 = [[1, 2, 5], [2, 3, 6], [3, 5, 7], [4, 6, 8], [1, 7, 8], [2, 4, 7], [1, 3, 4], [5, 6, 8]]

@@ -412,6 +412,16 @@ _MUTANTS = {
     # the closure lookup dropped: a missing face sigma ∖ v reads as index 0
     "cubical-closure-dropped": ("moment_angle.py", "base.get(face ^ v)", "base.get(face ^ v, 0)"),
     "torus-real-totals": ("formality.py", _TORUS_TOTALS, _TORUS_TOTALS.replace(")[1]", ")[0]")),
+    # beta_d = c_d - r_d, the rank of the (d+1)-columns left out
+    "cubical-no-upper-rank": (
+        "moment_angle.py",
+        "[c - r - s for c, r, s in zip(sizes, ranks, ranks[1:])]",
+        "[c - r for c, r in zip(sizes, ranks)]",
+    ),
+    # a pivot's rank counted at the size of its row's face, not its column's
+    "hom-data-pivot-at-row": (
+        "cohomology.py", "[rows.count(k - 1) for k", "[rows.count(k) for k"
+    ),
 }
 
 # mutants expected to pass the fast subset, and why

@@ -16,7 +16,7 @@ from oracles import (
     hochster_real_dense,
     restriction_trivial_dense,
 )
-from shapes import cycle_graph, simplex
+from shapes import CAP8, cycle_graph, simplex
 
 from rzformal import (
     FixedPointModelError,
@@ -680,6 +680,35 @@ def test_all_routes_agree_on_a_seeded_sweep_at_m_6_to_8():
                 assert reports_agree(reports), (k, i_mask, reports)
                 kinds[kind] += 1
     assert min(kinds.values()) > 400, kinds
+
+
+def test_every_route_agrees_at_the_cubical_cap_in_both_labelings():
+    # a non-flag complex at m = 8, the cubical cap, which no benchmark
+    # workload reaches, and its reversed labeling: every route runs on each
+    # of the 256 I, the oracle ranking the model fixed on I, and a
+    # FixedPointModelError would mean that the link formula and the cubical
+    # model disagree. Each I gets the verdict and the Betti totals of its
+    # image under the relabeling. The reversed labeling runs twice: right
+    # after the first, on the memo it left, it reads the first's shape
+    # entries; cleared, it cannot. Both passes give the same verdicts
+    m = 8
+    mirrored = [[m + 1 - v for v in f] for f in CAP8]
+    verdicts = []
+    for facets, cleared in ((CAP8, True), (mirrored, False), (mirrored, True)):
+        if cleared:
+            cohomology.clear_caches()
+        k = SimplicialComplex.from_facets(m, facets)
+        verdict = []
+        for i_mask in range(1 << m):
+            reports = evaluate_all(k, i_mask)
+            assert reports_agree(reports), (facets, i_mask)
+            oracle = reports["betti_sum_oracle"]
+            verdict.append((oracle.verdict, oracle.totals))
+        verdicts.append(verdict)
+    assert verdicts[1] == verdicts[2]
+    mirror = [sum(1 << m - 1 - v for v in range(m) if i >> v & 1) for i in range(1 << m)]
+    assert verdicts[0] == [verdicts[2][mirror[i]] for i in range(1 << m)]
+    assert {v for v, _ in verdicts[0]} == {"formal", "not_formal"}
 
 
 def test_formal_report_round_trip_fields():

@@ -348,12 +348,16 @@ def test_fixed_cells_are_the_oracle_cells_at_zero_on_i(case):
 
 
 def spy_columns(monkeypatch):
-    """The (cell index, column, d + 1) items of every d-column ``_rank`` builds."""
+    """The (cell index, column) items of each ``add_faces`` call that ``_rank`` makes.
+
+    ``_rank`` makes one call per dimension d ≥ 1, top dimension first, so
+    of n calls, call c holds the columns of the (n − c)-cells.
+    """
     built = []
     add = moment_angle.add_faces
 
     def spy(items, *args):
-        built.extend(items)
+        built.append(list(items))
         return add(items, *args)
 
     monkeypatch.setattr(moment_angle, "add_faces", spy)
@@ -385,19 +389,20 @@ def test_oracle_builds_and_ranks_only_the_fixed_cells(monkeypatch, i_set):
     assert model.ambient == k.ambient & ~i_mask
     assert model.faces == tuple(f ^ i_mask for f in star)
     assert calls == []
-    # a cell of dimension d ≥ 1 gets one column unless it was cleared, and
-    # the d-cells cleared are the pivot rows of the (d+1)-columns
-    columns = Counter(d - 1 for _, _, d in built)
-    assert len(set((i, d) for i, _, d in built)) == len(built)
-    assert columns == Counter({d: n - ranks.get(d + 1, 0) for d, n in enumerate(counts) if d})
+    # one call per dimension d ≥ 1, top first: a d-cell gets one column
+    # unless it was cleared, and the d-cells cleared are the pivot rows of
+    # the (d+1)-columns
+    assert [len({i for i, _ in items}) for items in built] == [len(items) for items in built]
+    want = [counts[d] - ranks.get(d + 1, 0) for d in range(len(counts) - 1, 0, -1)]
+    assert [len(items) for items in built] == want
 
 
 def test_each_column_is_the_boundary_of_its_cell(monkeypatch):
     # every column that ``_rank`` builds, against ``boundary`` of the cell at
     # its index: the plain and every fixed model of the flag complexes at
     # m <= 4 and of all complexes at m <= 3, then seeded m = 5-7 models
-    # with ghost vertices, fixed on faces and non-faces, then the CI's m = 8
-    # complex at the cubical cap and its reversed labeling, fixed on each face
+    # with ghost vertices, fixed on faces and non-faces, then the m = 8
+    # complex CAP8 at the cubical cap and its reversed labeling, fixed on each face
     built = spy_columns(monkeypatch)
     cases = [(k, list(submasks(k.ambient))) for m in range(1, 5) for k in flag_complexes(m)]
     cases += [(k, list(submasks(k.ambient))) for m in range(1, 4) for k in all_complexes(m)]
@@ -419,9 +424,11 @@ def test_each_column_is_the_boundary_of_its_cell(monkeypatch):
             got = model._rank()
             cells = model_cells(model)
             index = [{c: j for j, c in enumerate(part)} for part in cells]
-            for j, col, d in built:
-                want = sum(1 << index[d - 2][b] for b in model.boundary(cells[d - 1][j]))
-                assert col == want, (model, d, j)
+            assert len(built) == max(len(cells) - 1, 0), model
+            for d, items in zip(range(len(built), 0, -1), built):
+                for j, col in items:
+                    want = sum(1 << index[d - 1][b] for b in model.boundary(cells[d][j]))
+                    assert col == want, (model, d, j)
             assert dims(got) == cube_betti(decode_cells(model)), model
 
 
